@@ -13,8 +13,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
+from . import _linalg
 from .alcove import AlcoveProfile, barycenter
 from .cartan import RootSystem, subset_predicates, sandwich_positivizer
+from .errors import InternalCheckError
 from .criterion import (
     DimConflictError,
     DimTable,
@@ -37,7 +39,9 @@ from .criterion import (
 )
 from .iwahori import (
     AffineElement,
+    AffineSupport,
     KottwitzClass,
+    _mod1,
     affine_sigma_support,
     affine_simples,
     apply_sigma_affine,
@@ -45,11 +49,15 @@ from .iwahori import (
     fixes_point_of_closed_base_alcove,
     kottwitz,
     newton,
+    omega_component,
+    omega_elements,
+    twisted_affine_action,
 )
 from .notation import format_affine, format_finite
 from .weyl import (
     DiagramAutomorphism,
     FiniteWeylElement,
+    _intern,
     enumerate_w0,
     longest_element,
     reduced_word,
@@ -284,10 +292,83 @@ def check_length_hyperplane_oracle(system: RootSystem, bound: int) -> CheckResul
     return _ok(cid, f"{count} elements, formula == separation count")
 
 
+def _inverse_by_linalg(w: FiniteWeylElement) -> FiniteWeylElement:
+    """Reference for the root-permutation inverse: invert the root-action matrix."""
+    n = w.system.rank
+    inv = _linalg.invert(tuple(tuple(w.images[j][i] for j in range(n)) for i in range(n)))
+    return _intern(w.system, tuple(tuple(int(inv[i][j]) for i in range(n))
+                                   for j in range(n)))
+
+
+def _class_by_coroot_coordinates(x: AffineElement) -> KottwitzClass:
+    """Reference for the integer class map: rational coroot coordinates mod 1."""
+    coords = x.system.coroot_coordinates(x.translation)
+    return KottwitzClass(x.system, tuple(_mod1(c) for c in coords))
+
+
+def _omega_elements_by_sweep(system: RootSystem) -> tuple[AffineElement, ...]:
+    """Reference for the minuscule construction: sweep W0 for the elements
+    t^mu w that move the base-alcove barycenter by an integral mu and have
+    length zero."""
+    center = system.base_alcove_barycenter()
+    out = []
+    for w in enumerate_w0(system):
+        moved = w.act_on_coweight(center)
+        mu = tuple(Fraction(b) - m for b, m in zip(center, moved))
+        if all(c.denominator == 1 for c in mu):
+            candidate = AffineElement(mu, w)
+            if candidate.length == 0:
+                out.append(candidate)
+    out.sort(key=lambda el: kottwitz(el).rep)
+    return tuple(out)
+
+
+def _affine_sigma_support_by_descent(x: AffineElement,
+                                     sigma: DiagramAutomorphism) -> AffineSupport:
+    """Reference for the closed-form support: strip one left descent of x_a at
+    a time, then close under the omega-twisted sigma-action."""
+    system = x.system
+    x_a, omega = omega_component(x)
+    simples = affine_simples(system)
+    letters: set[int] = set()
+    y = x_a
+    while y.length > 0:
+        for s in simples:
+            if (s.element * y).length < y.length:
+                letters.add(s.index)
+                y = s.element * y
+                break
+        else:
+            raise InternalCheckError("no descent found for a positive-length element")
+    if not y.is_identity():
+        raise InternalCheckError("affine part did not reduce to the identity")
+    xi = twisted_affine_action(system, sigma, omega)
+    while True:
+        extra = {xi[i] for i in letters} - letters
+        if not extra:
+            break
+        letters |= extra
+    return AffineSupport(frozenset(letters), len(letters) == len(simples))
+
+
 def check_kottwitz_homomorphism(system: RootSystem, bound: int = 4,
                                 pair_cap: int = 40000) -> CheckResult:
+    """The class map is a homomorphism killing the affine Weyl group; also its
+    integer form, the minuscule Omega and the integer inverse against their
+    rational and W0-sweep references."""
     cid = "kottwitz-homomorphism"
+    if omega_elements(system) != _omega_elements_by_sweep(system):
+        return _fail(cid, "minuscule Omega differs from the W0 sweep",
+                     {"omega": [format_affine(el) for el in omega_elements(system)]})
+    for w in enumerate_w0(system):
+        if w.inverse() != _inverse_by_linalg(w):
+            return _fail(cid, "integer inverse differs from the matrix inverse",
+                         {"w": format_finite(w)})
     sample = list(enumerate_affine(system, bound))
+    for x in sample:
+        if kottwitz(x) != _class_by_coroot_coordinates(x):
+            return _fail(cid, "integer class differs from the coroot coordinates",
+                         {"x": format_affine(x)})
     for s in affine_simples(system):
         if not kottwitz(s.element).is_zero():
             return _fail(cid, "class map does not kill an affine generator",
@@ -343,6 +424,10 @@ def check_affine_support_fixed_point(system: RootSystem,
                                      bound: int = 6) -> CheckResult:
     cid = "affine-support-fixed-point"
     for x in enumerate_affine(system, bound):
+        closed = affine_sigma_support(x, sigma)
+        if closed != _affine_sigma_support_by_descent(x, sigma):
+            return _fail(cid, "closed-form affine support differs from the descent loop",
+                         {"x": format_affine(x), "letters": sorted(closed.letters)})
         finite_support = shortcut_applies(x, sigma)
         fixes = fixes_point_of_closed_base_alcove(x, sigma)
         if finite_support != fixes:

@@ -10,7 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import product
+from math import lcm
+from operator import mul
 
 from . import _linalg
 from .cartan import RootSystem
@@ -18,7 +21,9 @@ from .errors import CapExceeded, InternalCheckError
 from .weyl import (
     DiagramAutomorphism,
     FiniteWeylElement,
-    enumerate_w0,
+    _intern,
+    longest_element,
+    require_w0_within_cap,
     weyl_matrix,
 )
 
@@ -148,8 +153,14 @@ class KottwitzClass:
 
     @classmethod
     def from_translation(cls, system: RootSystem, mu) -> "KottwitzClass":
-        coords = system.coroot_coordinates(mu)
-        return cls(system, tuple(_mod1(c) for c in coords))
+        """Coroot coordinates of mu mod 1, in integers: per component, d * C^{-1}
+        is an integer matrix, so coordinate i is (column i . mu mod d) / d."""
+        mu = _as_int_tuple(mu)
+        rep = []
+        for columns, d, residues in _class_map(system):
+            for column in columns:
+                rep.append(residues[sum(a * mu[j] for j, a in column) % d])
+        return cls(system, tuple(rep))
 
     @classmethod
     def zero(cls, system: RootSystem) -> "KottwitzClass":
@@ -177,6 +188,23 @@ class KottwitzClass:
         """Canonical representative of the class modulo the (1 - sigma) subgroup."""
         denom = _coinvariant_denominator(self.system, sigma)
         return min(tuple(_mod1(a + d) for a, d in zip(self.rep, delta)) for delta in denom)
+
+
+@lru_cache(maxsize=None)
+def _class_map(system: RootSystem):
+    """Per component, in index order: the nonzero entries (j, d * C^{-1}[j][i]) of
+    each column i of its inverse-Cartan block, the block's least common
+    denominator d, and the residues Fraction(r, d) for r < d."""
+    out = []
+    for comp in system.components:
+        block = [[system.inverse_cartan[j][i] for j in comp.indices] for i in comp.indices]
+        d = lcm(*(c.denominator for column in block for c in column))
+        columns = tuple(
+            tuple((j, int(c * d)) for j, c in zip(comp.indices, column) if c)
+            for column in block
+        )
+        out.append((columns, d, tuple(Fraction(r, d) for r in range(d))))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -290,29 +318,51 @@ def newton(x: AffineElement, sigma: DiagramAutomorphism,
 # -- base-alcove stabilizer and the affine simple reflections --------------------
 
 
+def minuscule_omegas(system: RootSystem) -> tuple[AffineElement, ...]:
+    """The length-zero elements, unsorted and uncapped (Iwahori-Matsumoto 1965;
+    Bourbaki VI §2.3).
+
+    Per component: the identity and t^{omega_i^v} w_0^{J_i} w_0 for each node i
+    of mark 1, with J_i the component's other nodes; Omega is the product of
+    these sets over the components.
+    """
+    factors = []
+    for comp, theta in zip(system.components, system.highest_roots):
+        w0 = longest_element(system, comp.indices)
+        options = [AffineElement.identity(system)]
+        for i in comp.indices:
+            if theta[i] == 1:
+                w0_j = longest_element(system, [k for k in comp.indices if k != i])
+                coweight = tuple(1 if k == i else 0 for k in range(system.rank))
+                options.append(AffineElement(coweight, w0_j * w0))
+        factors.append(options)
+    return tuple(reduce(mul, combo) for combo in product(*factors))
+
+
 @lru_cache(maxsize=None)
 def omega_elements(system: RootSystem) -> tuple[AffineElement, ...]:
-    """All length-zero elements, one per Kottwitz class, sorted by class representative."""
-    barycenter = system.base_alcove_barycenter()
-    out = []
-    for w in enumerate_w0(system):
-        moved = w.act_on_coweight(barycenter)
-        mu = tuple(Fraction(b) - m for b, m in zip(barycenter, moved))
-        if all(c.denominator == 1 for c in mu):
-            candidate = AffineElement(mu, w)
-            if candidate.length == 0:
-                out.append(candidate)
-    out.sort(key=lambda el: kottwitz(el).rep)
-    if len(out) != len(kottwitz_group(system)):
+    """All length-zero elements, one per Kottwitz class, sorted by class representative.
+
+    Systems over the W0 cap are refused: W_x and the oracle scan are bounded
+    only by |W0|.
+    """
+    require_w0_within_cap(system)
+    out = sorted(minuscule_omegas(system), key=lambda el: kottwitz(el).rep)
+    if any(el.length for el in out) or len(out) != len(kottwitz_group(system)):
         raise InternalCheckError("base-alcove stabilizer does not match the class group")
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _omega_by_class(system: RootSystem) -> dict:
+    return {kottwitz(el): el for el in omega_elements(system)}
+
+
 def omega_of_kottwitz(system: RootSystem, kappa: KottwitzClass) -> AffineElement:
-    for el in omega_elements(system):
-        if kottwitz(el) == kappa:
-            return el
-    raise InternalCheckError(f"no length-zero element for class {kappa.rep}")
+    omega = _omega_by_class(system).get(kappa)
+    if omega is None:
+        raise InternalCheckError(f"no length-zero element for class {kappa.rep}")
+    return omega
 
 
 def omega_component(x: AffineElement) -> tuple[AffineElement, AffineElement]:
@@ -347,7 +397,7 @@ def affine_simples(system: RootSystem) -> tuple[AffineSimple, ...]:
             images.append(tuple(
                 int(alpha_j[k] - coeff * theta[k]) for k in range(system.rank)
             ))
-        s_theta = FiniteWeylElement(system, tuple(images))
+        s_theta = _intern(system, tuple(images))
         element = AffineElement(theta_coroot, s_theta)
         if element.length != 1:
             raise InternalCheckError("affine node reflection must have length 1")
@@ -387,29 +437,34 @@ class AffineSupport:
 
 
 def affine_sigma_support(x: AffineElement, sigma: DiagramAutomorphism) -> AffineSupport:
-    """Support of the affine-Weyl part, closed under the omega-twisted sigma-action."""
+    """Support of the affine-Weyl part, closed under the omega-twisted sigma-action.
+
+    Closed form: letter i is missing from the support of x_a exactly when x_a
+    fixes the vertex of the closed base alcove opposite wall i (the stabilizer
+    of a point is generated by the reflections fixing it; Bourbaki V §3.3).
+    Component by component, the vertex opposite the affine wall is 0 and the
+    one opposite wall i is omega_i^v / m_i, with m_i the mark of node i.
+    """
     system = x.system
     x_a, omega = omega_component(x)
-    simples = affine_simples(system)
+    mu = x_a.translation
+    inv_images = x_a.finite.inverse().images  # (w . omega_i^v)_k = inv_images[k][i]
     letters: set[int] = set()
-    y = x_a
-    while y.length > 0:
-        for s in simples:
-            if (s.element * y).length < y.length:
-                letters.add(s.index)
-                y = s.element * y
-                break
-        else:
-            raise InternalCheckError("no descent found for a positive-length element")
-    if not y.is_identity():
-        raise InternalCheckError("affine part did not reduce to the identity")
+    for ci, (comp, theta) in enumerate(zip(system.components, system.highest_roots)):
+        if any(mu[k] for k in comp.indices):
+            letters.add(system.rank + ci)
+        for i in comp.indices:
+            mark = theta[i]
+            if any(inv_images[k][i] + mark * mu[k] != (1 if k == i else 0)
+                   for k in comp.indices):
+                letters.add(i)
     xi = twisted_affine_action(system, sigma, omega)
     while True:
         extra = {xi[i] for i in letters} - letters
         if not extra:
             break
         letters |= extra
-    return AffineSupport(frozenset(letters), len(letters) == len(simples))
+    return AffineSupport(frozenset(letters), len(letters) == len(xi))
 
 
 def fixes_point_of_closed_base_alcove(x: AffineElement, sigma: DiagramAutomorphism) -> bool:

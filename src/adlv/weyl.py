@@ -15,7 +15,6 @@ from functools import lru_cache
 from math import lcm
 from weakref import WeakKeyDictionary
 
-from . import _linalg
 from .cartan import Coweight, Root, RootSystem
 from .errors import CapExceeded
 
@@ -99,14 +98,17 @@ class FiniteWeylElement:
         )
 
     def inverse(self) -> "FiniteWeylElement":
+        """w^{-1}(alpha_j) is the root beta with w(beta) = alpha_j: read it off the
+        positive roots whose image has height +-1."""
         if self._inverse is None:
-            n = self.system.rank
-            matrix = tuple(tuple(self.images[j][i] for j in range(n)) for i in range(n))
-            inv = _linalg.invert(matrix)
-            images = tuple(
-                tuple(int(inv[i][j]) for i in range(n)) for j in range(n)
-            )
-            self._inverse = _intern(self.system, images)
+            preimages: list[Root] = [()] * self.system.rank
+            for alpha, image in zip(self.system.positive_roots, self.positive_images()):
+                height = sum(image)
+                if height == 1:
+                    preimages[image.index(1)] = alpha
+                elif height == -1:
+                    preimages[image.index(-1)] = tuple(-c for c in alpha)
+            self._inverse = _intern(self.system, tuple(preimages))
             self._inverse._inverse = self
         return self._inverse
 
@@ -196,24 +198,29 @@ def support(w: FiniteWeylElement) -> frozenset[int]:
     return w._support
 
 
-def longest_element(system: RootSystem) -> FiniteWeylElement:
-    """w0, computed by anti-dominantizing a strictly dominant vector."""
-    mu = tuple(Fraction(1) for _ in range(system.rank))
+def longest_element(system: RootSystem, indices=None) -> FiniteWeylElement:
+    """The longest element of the parabolic subgroup on ``indices`` (default:
+    all of W0): right-multiply by simple reflections while one lengthens."""
+    span = range(system.rank) if indices is None else sorted(indices)
+    simples = {i: FiniteWeylElement.simple(system, i) for i in span}
     w = FiniteWeylElement.identity(system)
     while True:
-        i = next((k for k in range(system.rank) if mu[k] > 0), None)
+        i = next((k for k in span if sum(w.images[k]) > 0), None)
         if i is None:
             return w
-        s = FiniteWeylElement.simple(system, i)
-        mu = s.act_on_coweight(mu)
-        w = s * w
+        w = w * simples[i]
+
+
+def require_w0_within_cap(system: RootSystem, cap: int = W0_CAP_DEFAULT) -> None:
+    """Refuse systems whose finite Weyl group is larger than ``cap``."""
+    order = system.weyl_order()
+    if order > cap:
+        raise CapExceeded(f"|W0| = {order} exceeds the cap {cap}", estimate=order)
 
 
 @lru_cache(maxsize=None)
 def _all_elements(system: RootSystem, cap: int) -> tuple[FiniteWeylElement, ...]:
-    order = system.weyl_order()
-    if order > cap:
-        raise CapExceeded(f"|W0| = {order} exceeds the cap {cap}", estimate=order)
+    require_w0_within_cap(system, cap)
     identity = FiniteWeylElement.identity(system)
     seen = {identity.images}
     result = [identity]
@@ -229,7 +236,7 @@ def _all_elements(system: RootSystem, cap: int) -> tuple[FiniteWeylElement, ...]
         frontier = [nxt[k] for k in sorted(nxt)]
         seen.update(nxt)
         result.extend(frontier)
-    assert len(result) == order
+    assert len(result) == system.weyl_order()
     return tuple(result)
 
 

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 
@@ -26,6 +27,7 @@ from adlv.notation import (
 from adlv.weyl import DiagramAutomorphism, FiniteWeylElement
 
 SCHEMA_PATH = Path(__file__).resolve().parents[1] / "src" / "adlv" / "schemas" / "adlv.schema.json"
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
 def sid(system):
@@ -398,6 +400,56 @@ def test_crosscheck_detects_injected_fault(a2, monkeypatch):
     result = audit.check_strip_complement_radical_closed(a2, 4)
     assert not result.passed
     assert result.counterexample is not None
+
+
+# -- golden outputs and caps ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("name,args", [
+    ("enumerate_A2_L8.csv", ["enumerate", "--system", "A2", "--length-bound", "8",
+                             "--kappa-b", "match-x", "--format", "csv"]),
+    ("enumerate_G2_L8.json", ["enumerate", "--system", "G2", "--length-bound", "8",
+                              "--kappa-b", "match-x", "--format", "json"]),
+    ("enumerate_A3_13_L6.csv", ["enumerate", "--system", "A3", "--sigma", "(1 3)",
+                                "--length-bound", "6", "--kappa-b", "match-x",
+                                "--format", "csv"]),
+    ("crosscheck_A2_L6.json", ["crosscheck", "--system", "A2", "--length-bound", "6"]),
+])
+def test_golden_output_bytes(name, args, capsys):
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0
+    assert out == (GOLDEN_DIR / name).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("system,element", [
+    ("E7", "t[2,0,0,0,0,0,0] s1"), ("E8", "t[2,0,0,0,0,0,0,0]"),
+])
+def test_check_refuses_w0_over_cap(system, element, capsys):
+    order = RootSystem.from_descriptor(system).weyl_order()
+    start = perf_counter()
+    code, _, err = run_cli(["check", element, "--system", system], capsys)
+    assert perf_counter() - start < 1.0
+    assert code == 3
+    assert err == f"error: |W0| = {order} exceeds the cap 1000000\n"
+
+
+def test_check_e6_never_sweeps_w0(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("W0 enumerated during a single check")
+
+    monkeypatch.setattr("adlv.weyl._all_elements", refuse)
+    code, out, _ = run_cli(["check", "t[2,2,2,2,2,2] s1", "--system", "E6"], capsys)
+    assert code == 0
+    document = json.loads(out)
+    assert document["rule"] == "sigma-support-criterion"
+    assert document["nonempty"] is False
+
+
+def test_python_dash_m_adlv():
+    proc = subprocess.run([sys.executable, "-m", "adlv", "check", "e", "--system", "A1"],
+                          capture_output=True, timeout=600)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["rule"] == "shortcut-firstlemma"
 
 
 # -- determinism and schema ----------------------------------------------------------

@@ -1,6 +1,8 @@
 """Extended affine group: group law, length, class map, Newton map, supports."""
 
 from fractions import Fraction
+from itertools import product
+from time import perf_counter
 
 import pytest
 
@@ -17,11 +19,14 @@ from adlv.iwahori import (
     fixes_point_of_closed_base_alcove,
     kottwitz,
     kottwitz_group,
+    minuscule_omegas,
     newton,
     omega_component,
     omega_elements,
+    omega_of_kottwitz,
 )
-from adlv.notation import parse_affine
+from adlv.errors import CapExceeded
+from adlv.notation import parse_affine, parse_sigma
 from adlv.weyl import DiagramAutomorphism, FiniteWeylElement, enumerate_w0
 
 
@@ -225,3 +230,83 @@ def test_enumerate_affine_order_and_count(a2):
     assert lengths == sorted(lengths)
     assert len(set(elements)) == len(elements)
     assert sum(1 for x in elements if x.length == 0) == 3  # the stabilizer
+
+
+# -- closed forms against the searches they replaced ----------------------------------
+
+SUPPORT_RANGES = [
+    ("A2", "id", 10), ("B2", "id", 10), ("G2", "id", 10),
+    ("A3", "id", 7), ("A3", "(1 3)", 7), ("A1+A2", "id", 6),
+    ("A2+A2", "(1 3)(2 4)", 5), ("B3", "id", 6), ("C3", "id", 6),
+    ("D4", "id", 5), ("D4", "(1 3 4)", 5),
+]
+
+
+@pytest.mark.parametrize("descriptor,sigma_text,bound", SUPPORT_RANGES)
+def test_closed_form_support_matches_descent(descriptor, sigma_text, bound):
+    system = RootSystem.from_descriptor(descriptor)
+    sigma = parse_sigma(system, sigma_text)
+    for x in enumerate_affine(system, bound):
+        assert affine_sigma_support(x, sigma) == \
+            audit._affine_sigma_support_by_descent(x, sigma), x
+
+
+@pytest.mark.parametrize("descriptor", [
+    "A1", "A2", "A3", "A4", "A5", "B2", "B3", "C3", "D4", "D5", "G2", "F4",
+    "A1+A2", "A2+A2", "B2+G2",
+])
+def test_minuscule_omega_matches_w0_sweep(descriptor):
+    system = RootSystem.from_descriptor(descriptor)
+    assert omega_elements(system) == audit._omega_elements_by_sweep(system)
+
+
+@pytest.mark.parametrize("descriptor,count", [("E6", 3), ("E7", 2), ("E8", 1)])
+def test_minuscule_omega_exceptional(descriptor, count):
+    system = RootSystem.from_descriptor(descriptor)
+    omegas = minuscule_omegas(system)
+    assert len(omegas) == count == len(kottwitz_group(system))
+    assert all(el.length == 0 for el in omegas)
+    assert len({kottwitz(el) for el in omegas}) == count
+
+
+@pytest.mark.parametrize("descriptor", ["E7", "E8"])
+def test_omega_elements_refused_over_w0_cap(descriptor):
+    system = RootSystem.from_descriptor(descriptor)
+    with pytest.raises(CapExceeded) as info:
+        omega_elements(system)
+    assert str(info.value) == \
+        f"|W0| = {system.weyl_order()} exceeds the cap 1000000"
+
+
+@pytest.mark.parametrize("descriptor,coord_range", [
+    ("A3", 3), ("B3", 2), ("C3", 2), ("D4", 2), ("D5", 1), ("A1+A2", 2), ("E6", 1),
+    ("E7", 1),
+])
+def test_integer_class_matches_coroot_coordinates(descriptor, coord_range):
+    system = RootSystem.from_descriptor(descriptor)
+    for mu in product(range(-coord_range, coord_range + 1), repeat=system.rank):
+        x = AffineElement.from_translation(system, mu)
+        assert kottwitz(x) == audit._class_by_coroot_coordinates(x), mu
+
+
+def test_omega_of_kottwitz_lookup(a2, b2):
+    for system in (a2, b2):
+        for omega in omega_elements(system):
+            assert omega_of_kottwitz(system, kottwitz(omega)) is omega
+
+
+def test_affine_simples_are_interned(a2, g2):
+    for system in (a2, g2):
+        for s in affine_simples(system):
+            assert s.element.finite is FiniteWeylElement.identity(system) * s.element.finite
+
+
+def test_affine_support_cost_flat_in_length(a2):
+    sigma = sid(a2)
+    affine_sigma_support(parse_affine(a2, "t[1,0] s1"), sigma)  # fill per-system caches
+    x = parse_affine(a2, "t[1001,1000] s1 s2")
+    assert x.length == 4000
+    start = perf_counter()
+    support = affine_sigma_support(x, sigma)
+    assert perf_counter() - start < 0.05
+    assert support == audit._affine_sigma_support_by_descent(x, sigma)

@@ -152,3 +152,24 @@ def test_component_image_swap():
     assert swap.component_image(0) == 1
     assert swap.component_image(1) == 0
     assert swap.order == 2
+
+
+@pytest.mark.parametrize("descriptor", ["A3", "B3", "C3", "G2", "D4", "A1+A2"])
+def test_root_permutation_inverse_matches_matrix_inverse(descriptor):
+    system = RootSystem.from_descriptor(descriptor)
+    for w in enumerate_w0(system):
+        assert w.inverse() == audit._inverse_by_linalg(w)
+
+
+@pytest.mark.parametrize("descriptor,indices", [
+    ("A3", None), ("A3", (0, 2)), ("B3", (1, 2)), ("D4", (0, 1, 3)), ("A2+A2", (2, 3)),
+])
+def test_parabolic_longest_element(descriptor, indices):
+    system = RootSystem.from_descriptor(descriptor)
+    span = range(system.rank) if indices is None else indices
+    in_j = [a for a in system.positive_roots
+            if all(c == 0 for k, c in enumerate(a) if k not in span)]
+    w0_j = longest_element(system, indices)
+    assert support(w0_j) <= frozenset(span)
+    assert w0_j.length == len(in_j)
+    assert all(sum(w0_j.act_on_root(a)) < 0 for a in in_j)

@@ -15,8 +15,15 @@ from functools import cached_property
 
 from .cartan import Root, RootSystem
 from .errors import InternalCheckError
-from .iwahori import AffineElement, make_dominant
-from .weyl import DiagramAutomorphism, FiniteWeylElement, enumerate_w0
+from .iwahori import (
+    AffineElement,
+    AffineSupport,
+    KottwitzClass,
+    affine_sigma_support,
+    kottwitz,
+    make_dominant,
+)
+from .weyl import DiagramAutomorphism, FiniteWeylElement, _intern, enumerate_w0
 
 
 def base_k(system: RootSystem, root: Root) -> int:
@@ -39,8 +46,12 @@ class DominantDecomposition:
 
 
 def dominant_decompose(x: AffineElement) -> DominantDecomposition:
+    """Move the alcove's barycenter into the dominant chamber, in integers: with
+    D the barycenter's common denominator, D x(p) = w(D p) + D lambda."""
     system = x.system
-    point = barycenter(x)
+    scale, center = system.scaled_base_alcove_barycenter
+    moved = x.finite.act_on_int_coweight(center)
+    point = tuple(m + scale * t for m, t in zip(moved, x.translation))
     dominant_point, u = make_dominant(system, point)
     if any(c <= 0 for c in dominant_point):
         raise InternalCheckError("alcove barycenter landed on a chamber wall")
@@ -105,6 +116,16 @@ class AlcoveProfile:
         return eta_sigma(self.x, self.sigma, self.decomposition)
 
     @cached_property
+    def kappa(self) -> KottwitzClass:
+        """The class of x."""
+        return kottwitz(self.x)
+
+    @cached_property
+    def affine_support(self) -> AffineSupport:
+        """The affine sigma-support of x."""
+        return affine_sigma_support(self.x, self.sigma, self.kappa)
+
+    @cached_property
     def k_values(self) -> dict[Root, int]:
         """k(a, x) for every root a, by the closed form on one decomposition."""
         system = self.system
@@ -123,12 +144,19 @@ class AlcoveProfile:
     def phi_x(self) -> frozenset[Root]:
         """Positive roots alpha with x inside the strip of v(alpha)."""
         system = self.system
-        out = []
-        for alpha in system.positive_roots:
-            image = self.v.act_on_root(alpha)
-            if self.k_values[image] == base_k(system, image):
-                out.append(alpha)
-        return frozenset(out)
+        k_values = self.k_values
+        return frozenset(
+            alpha for alpha, image in zip(system.positive_roots, self.v.positive_images())
+            if k_values[image] == base_k(system, image)
+        )
+
+    @cached_property
+    def below_base(self) -> frozenset[Root]:
+        """Roots a with k(a, x) below the base alcove's k-value."""
+        system = self.system
+        return frozenset(
+            a for a, k in self.k_values.items() if k < base_k(system, a)
+        )
 
     @cached_property
     def strips(self) -> tuple[Root, ...]:
@@ -143,37 +171,55 @@ class AlcoveProfile:
 
     @cached_property
     def w_x(self) -> frozenset[FiniteWeylElement]:
-        """Elements r with r(positives minus phi_x) still positive.
+        """Elements r with r(positives minus phi_x) still positive, i.e. whose
+        inversion set N(r) lies in phi_x.
 
-        Found by upward breadth-first search from the identity (the set is
-        left-closed, so every member is reached through members).
+        Grown upward from the identity: for r in W_x with beta = r^{-1}(alpha_i)
+        positive, N(s_i r) = N(r) + {beta}, so s_i r is a member exactly when
+        beta lies in phi_x (a set of positive roots).  The set is left-closed,
+        so each member r' is reached from s_i r' with i its smallest left
+        descent, and only from there.  A member is carried in integers as the
+        images of the simple roots under r and under r^{-1}, with the heights
+        of the latter (j is a left descent of r iff r^{-1}(alpha_j) < 0); only
+        members are interned, each with its length |N(r)|, the search depth.
         """
         system = self.system
-        complement_idx = tuple(
-            idx for idx, alpha in enumerate(system.positive_roots)
-            if alpha not in self.phi_x
-        )
-        simples = [FiniteWeylElement.simple(system, i) for i in range(system.rank)]
-
-        def member(r: FiniteWeylElement) -> bool:
-            images = r.positive_images()
-            return all(sum(images[idx]) > 0 for idx in complement_idx)
-
-        identity = FiniteWeylElement.identity(system)
-        out = {identity}
-        frontier = [identity]
+        phi_x = self.phi_x
+        # links[i]: the nonzero <alpha_j, alpha_i^v> = cartan[i][j], as (j, value)
+        links = [tuple((j, c) for j, c in enumerate(row) if c) for row in system.cartan_matrix]
+        identity = FiniteWeylElement.identity(system).images
+        members = [(identity, 0)]
+        frontier = [(identity, identity, (1,) * system.rank)]
+        depth = 0
         while frontier:
+            depth += 1
             nxt = []
-            for r in frontier:
-                for i, s in enumerate(simples):
-                    cand = s * r
-                    if cand.length != r.length + 1:
+            for images, inv, heights in frontier:
+                for i, beta in enumerate(inv):
+                    if beta not in phi_x:
                         continue
-                    if cand not in out and member(cand):
-                        out.add(cand)
-                        nxt.append(cand)
+                    link = links[i]
+                    # r^{-1} s_i: u_j -> u_j - <alpha_j, alpha_i^v> u_i, so only the
+                    # heights of i and its neighbours change
+                    h = heights[i]
+                    new_heights = list(heights)
+                    for j, c in link:
+                        new_heights[j] -= c * h
+                    if any(hj < 0 for hj in new_heights[:i]):
+                        continue  # s_i r has a smaller left descent
+                    new_inv = list(inv)
+                    for j, c in link:
+                        new_inv[j] = tuple(a - c * b for a, b in zip(inv[j], beta))
+                    # s_i r: g -> g - <g, alpha_i^v> alpha_i changes coordinate i
+                    new_images = []
+                    for g in images:
+                        p = sum(c * g[k] for k, c in link)
+                        new_images.append(g[:i] + (g[i] - p,) + g[i + 1:] if p else g)
+                    new_images = tuple(new_images)
+                    members.append((new_images, depth))
+                    nxt.append((new_images, tuple(new_inv), tuple(new_heights)))
             frontier = nxt
-        return frozenset(out)
+        return frozenset(_intern(system, images, length) for images, length in members)
 
 
 def phi_x_set(x: AffineElement) -> frozenset[Root]:

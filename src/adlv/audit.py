@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import product
 
 from . import _linalg
-from .alcove import AlcoveProfile, barycenter
+from .alcove import AlcoveProfile, DominantDecomposition, barycenter
 from .cartan import RootSystem, subset_predicates, sandwich_positivizer
 from .errors import InternalCheckError
 from .criterion import (
@@ -48,6 +48,7 @@ from .iwahori import (
     enumerate_affine,
     fixes_point_of_closed_base_alcove,
     kottwitz,
+    make_dominant,
     newton,
     omega_component,
     omega_elements,
@@ -306,6 +307,16 @@ def _class_by_coroot_coordinates(x: AffineElement) -> KottwitzClass:
     return KottwitzClass(x.system, tuple(_mod1(c) for c in coords))
 
 
+def _dominant_decompose_by_barycenter(x: AffineElement) -> DominantDecomposition:
+    """Reference for the integer decomposition: move the rational barycenter
+    x(p) into the dominant chamber."""
+    dominant_point, u = make_dominant(x.system, barycenter(x))
+    if any(c <= 0 for c in dominant_point):
+        raise InternalCheckError("alcove barycenter landed on a chamber wall")
+    rest = AffineElement.from_finite(u) * x
+    return DominantDecomposition(u.inverse(), rest.translation, rest.finite)
+
+
 def _omega_elements_by_sweep(system: RootSystem) -> tuple[AffineElement, ...]:
     """Reference for the minuscule construction: sweep W0 for the elements
     t^mu w that move the base-alcove barycenter by an integral mu and have
@@ -477,6 +488,9 @@ def check_k_value_oracle(system: RootSystem, bound: int) -> CheckResult:
     for x in enumerate_affine(system, bound):
         point = barycenter(x)
         profile = AlcoveProfile.build(x, DiagramAutomorphism.identity(system))
+        if profile.decomposition != _dominant_decompose_by_barycenter(x):
+            return _fail(cid, "integer decomposition differs from the barycenter route",
+                         {"x": format_affine(x)})
         k_values = profile.k_values
         for a in system.all_roots:
             count += 1

@@ -24,7 +24,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import lcm
 
 from . import _linalg
 from .errors import NotationError
@@ -287,6 +288,14 @@ class RootSystem:
             for i in comp.indices:
                 coords[i] /= len(vertices)
         return tuple(coords)
+
+    @cached_property
+    def scaled_base_alcove_barycenter(self) -> tuple[int, tuple[int, ...]]:
+        """(D, D * barycenter) with D the least common denominator, so the
+        scaled barycenter has integer coordinates."""
+        center = self.base_alcove_barycenter()
+        scale = lcm(*(c.denominator for c in center))
+        return scale, tuple(int(c * scale) for c in center)
 
     # -- classical invariants ------------------------------------------------
 

@@ -26,11 +26,10 @@ from .criterion import (
 )
 from .errors import CapExceeded, NotationError, UnsupportedGeometry
 from .iwahori import (
+    ENUM_CAP_DEFAULT,
     AffineElement,
     KottwitzClass,
-    affine_sigma_support,
     enumerate_affine,
-    kottwitz,
 )
 from .notation import (
     format_affine,
@@ -51,8 +50,6 @@ EXIT_PARSE = 2
 EXIT_CAP = 3
 EXIT_GEOMETRY = 4
 
-ENUM_CAP_DEFAULT = 500_000
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -68,16 +65,20 @@ class RunConfig:
 
 
 def read_config_file(path: str) -> dict:
+    try:
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.readlines()
+    except OSError as exc:
+        raise NotationError(f"cannot read config file {path}: {exc.strerror}") from None
     values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise NotationError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise NotationError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, _, value = line.partition("=")
+        values[key.strip()] = value.strip()
     return values
 
 
@@ -198,12 +199,11 @@ def _witness_brief(verdict: Verdict) -> str:
 def _row_for_element(system, sigma, kappa_b: KottwitzClass | None,
                      x: AffineElement) -> dict:
     profile = AlcoveProfile.build(x, sigma)
-    kappa_x = kottwitz(x)
+    kappa_x = profile.kappa
     target = kappa_x if kappa_b is None else kappa_b
     verdict = decide_nonempty(x, target, sigma, profile)
-    support_full = affine_sigma_support(x, sigma).full
-    kappa_match = kappa_x.coinvariant(sigma) == target.coinvariant(sigma)
-    oracle_applicable = support_full and kappa_match
+    support_full = profile.affine_support.full
+    oracle_applicable = support_full and kappa_x.same_coinvariant(target, sigma)
     if oracle_applicable:
         oracle = oracle_nonempty(x, target, sigma, profile)
         oracle_nonempty_val: bool | None = oracle.nonempty
@@ -234,8 +234,6 @@ def _row_for_element(system, sigma, kappa_b: KottwitzClass | None,
         "oracle_nonempty": oracle_nonempty_val,
         "oracle_witness": oracle_witness,
         "agree": agree,
-        "_sort": [x.length, list(x.translation),
-                  [list(r) for r in x.finite.images]],
     }
 
 
@@ -250,26 +248,21 @@ def _worker_rows(payload) -> list[dict]:
 
 
 def enumerate_rows(config: RunConfig) -> list[dict]:
+    """One row per element, in enumeration order (which pool.map keeps)."""
     system, sigma, kappa = build_context(config)
-    notations = [
-        format_affine(x)
-        for x in enumerate_affine(system, config.length_bound, cap=config.cap)
+    elements = list(enumerate_affine(system, config.length_bound, cap=config.cap))
+    if config.jobs == 1 or len(elements) < 2 * config.jobs:
+        return [_row_for_element(system, sigma, kappa, x) for x in elements]
+    notations = [format_affine(x) for x in elements]
+    chunk = (len(notations) + config.jobs - 1) // config.jobs
+    payloads = [
+        (dict(config.__dict__), notations[i:i + chunk])
+        for i in range(0, len(notations), chunk)
     ]
-    if config.jobs == 1 or len(notations) < 2 * config.jobs:
-        rows = _worker_rows((config.__dict__, notations))
-    else:
-        chunk = (len(notations) + config.jobs - 1) // config.jobs
-        payloads = [
-            (dict(config.__dict__), notations[i:i + chunk])
-            for i in range(0, len(notations), chunk)
-        ]
-        rows = []
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            for part in pool.map(_worker_rows, payloads):
-                rows.extend(part)
-    rows.sort(key=lambda row: row["_sort"])
-    for row in rows:
-        del row["_sort"]
+    rows = []
+    with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        for part in pool.map(_worker_rows, payloads):
+            rows.extend(part)
     return rows
 
 
@@ -301,9 +294,9 @@ def cmd_check(args) -> int:
     config = config_from_sources(args)
     system, sigma, kappa = build_context(config)
     x = parse_affine(system, args.element)
-    if kappa is None:
-        kappa = kottwitz(x)
     profile = AlcoveProfile.build(x, sigma)
+    if kappa is None:
+        kappa = profile.kappa
     verdict = decide_nonempty(x, kappa, sigma, profile)
     document = verdict_json(system, config.sigma, x, kappa, verdict, profile)
     _emit(_dump_json(document), config.out)
@@ -312,6 +305,8 @@ def cmd_check(args) -> int:
 
 def cmd_enumerate(args) -> int:
     config = config_from_sources(args)
+    if config.format not in ("json", "csv"):
+        raise NotationError(f"enumerate writes json or csv, not {config.format}")
     rows = enumerate_rows(config)
     if config.format == "csv":
         _emit(rows_to_csv(rows), config.out)

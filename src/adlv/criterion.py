@@ -29,6 +29,7 @@ from .errors import AdlvError, InternalCheckError
 from .iwahori import (
     AffineElement,
     AffineSimple,
+    AffineSupport,
     KottwitzClass,
     affine_sigma_support,
     apply_sigma_affine,
@@ -98,6 +99,17 @@ def shortcut_applies(x: AffineElement, sigma: DiagramAutomorphism) -> bool:
     )
 
 
+def _class_and_support(
+    x: AffineElement, sigma: DiagramAutomorphism, profile: AlcoveProfile | None
+) -> tuple[KottwitzClass, AffineSupport]:
+    """The class and the affine sigma-support of x, read off the profile when
+    there is one."""
+    if profile is not None:
+        return profile.kappa, profile.affine_support
+    kappa = kottwitz(x)
+    return kappa, affine_sigma_support(x, sigma, kappa)
+
+
 def decide_nonempty(
     x: AffineElement,
     b_kappa: KottwitzClass,
@@ -115,12 +127,12 @@ def decide_nonempty(
     exactly the all-or-nothing rule.
     """
     system = x.system
-    kappa_x = kottwitz(x)
-    if kappa_x.coinvariant(sigma) != b_kappa.coinvariant(sigma):
+    kappa_x, affine_support = _class_and_support(x, sigma, profile)
+    if not kappa_x.same_coinvariant(b_kappa, sigma):
         return Verdict(False, RULE_KOTTWITZ, {
             "kappa_x": kappa_x, "kappa_b": b_kappa,
         })
-    letters = affine_sigma_support(x, sigma).letters
+    letters = affine_support.letters
     active = [
         finite for finite, nodes in sigma_component_groups(system, sigma)
         if nodes <= letters
@@ -195,33 +207,31 @@ def is_jw_alcove(
 
 @lru_cache(maxsize=None)
 def _scan_elements(system: RootSystem, sigma: DiagramAutomorphism):
-    """Sorted W0 with the affine forms of w^{-1} and sigma(w) precomputed."""
-    out = []
-    for w in sorted(enumerate_w0(system), key=lambda u: u.sort_key()):
-        out.append((
-            w,
-            AffineElement.from_finite(w.inverse()),
-            AffineElement.from_finite(sigma.weyl(w)),
-        ))
-    return tuple(out)
+    """Sorted W0 as (w, w^{-1}, sigma(w)) triples."""
+    return tuple(
+        (w, w.inverse(), sigma.weyl(w))
+        for w in sorted(enumerate_w0(system), key=lambda u: u.sort_key())
+    )
 
 
 def _minimal_alcove_support(
-    x: AffineElement, w, w_inv_affine, sigma_w_affine, profile: AlcoveProfile
+    x: AffineElement, w, w_inv, sigma_w, profile: AlcoveProfile
 ) -> frozenset[int]:
     """Smallest index set T with: x is a (J, w)-alcove iff T is a subset of J.
 
-    T collects the support of the twisted conjugate's finite part (condition
-    one) and the supports of the positive roots whose w-image violates the
-    k-value inequality (condition two).
+    T collects the support of the twisted conjugate's finite part
+    w^{-1} x_fin sigma(w) (condition one; the translation part plays no role)
+    and the supports of the positive roots whose w-image violates the k-value
+    inequality (condition two).
     """
     system = x.system
-    twisted = w_inv_affine * x * sigma_w_affine
-    letters = set(support(twisted.finite))
-    for alpha in system.positive_roots:
-        a = w.act_on_root(alpha)
-        if profile.k_values[a] < base_k(system, a):
+    below = profile.below_base
+    letters: set[int] = set()
+    for alpha, a in zip(system.positive_roots, w.positive_images()):
+        if a in below:
             letters.update(i for i, c in enumerate(alpha) if c)
+    if len(letters) < system.rank:
+        letters |= support(w_inv * x.finite * sigma_w)
     return frozenset(letters)
 
 
@@ -238,9 +248,10 @@ def oracle_nonempty(
     the scan uses the per-w minimal alcove support, which agrees with testing
     ``is_jw_alcove`` pair by pair (cross-checked in the audit suite).
     """
-    if kottwitz(x).coinvariant(sigma) != b_kappa.coinvariant(sigma):
+    kappa_x, affine_support = _class_and_support(x, sigma, profile)
+    if not kappa_x.same_coinvariant(b_kappa, sigma):
         raise ValueError("oracle precondition: class invariants must match")
-    if not affine_sigma_support(x, sigma).full:
+    if not affine_support.full:
         raise ValueError("oracle precondition: affine sigma-support must be full")
     return _oracle_scan(x, sigma, profile)
 

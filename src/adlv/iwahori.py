@@ -111,14 +111,6 @@ class AffineElement:
         return tuple(Fraction(a) + b for a, b in zip(moved, self.translation))
 
 
-def multiply(x: AffineElement, y: AffineElement) -> AffineElement:
-    return x * y
-
-
-def invert(x: AffineElement) -> AffineElement:
-    return x.inverse()
-
-
 def apply_sigma_affine(sigma: DiagramAutomorphism, x: AffineElement) -> AffineElement:
     return AffineElement(sigma.coweight(x.translation), sigma.weyl(x.finite))
 
@@ -131,10 +123,6 @@ def _im_length(x: AffineElement) -> int:
         pairing = sum(a * m for a, m in zip(alpha, mu))
         total += abs(pairing) if positive else abs(pairing - 1)
     return total
-
-
-def length(x: AffineElement) -> int:
-    return x.length
 
 
 # -- Kottwitz map ---------------------------------------------------------------
@@ -183,6 +171,10 @@ class KottwitzClass:
         for i, c in enumerate(self.rep):
             out[sigma.index(i)] = c
         return KottwitzClass(self.system, tuple(out))
+
+    def same_coinvariant(self, other: "KottwitzClass", sigma: DiagramAutomorphism) -> bool:
+        """Whether the two classes agree modulo the (1 - sigma) subgroup."""
+        return self == other or self.coinvariant(sigma) == other.coinvariant(sigma)
 
     def coinvariant(self, sigma: DiagramAutomorphism) -> tuple[Fraction, ...]:
         """Canonical representative of the class modulo the (1 - sigma) subgroup."""
@@ -259,9 +251,10 @@ def kottwitz(x: AffineElement) -> KottwitzClass:
 # -- Newton map -----------------------------------------------------------------
 
 
-def make_dominant(system: RootSystem, mu) -> tuple[tuple[Fraction, ...], FiniteWeylElement]:
-    """(dominant representative, u) with u . mu dominant."""
-    coords = [Fraction(c) for c in mu]
+def make_dominant(system: RootSystem, mu) -> tuple[tuple, FiniteWeylElement]:
+    """(dominant representative, u) with u . mu dominant; the coordinates keep
+    the number type of ``mu`` (integers stay integers)."""
+    coords = list(mu)
     u = FiniteWeylElement.identity(system)
     while True:
         i = next((k for k in range(system.rank) if coords[k] < 0), None)
@@ -365,9 +358,11 @@ def omega_of_kottwitz(system: RootSystem, kappa: KottwitzClass) -> AffineElement
     return omega
 
 
-def omega_component(x: AffineElement) -> tuple[AffineElement, AffineElement]:
-    """Decompose x = x_a * omega with omega the length-zero element of the same class."""
-    omega = omega_of_kottwitz(x.system, kottwitz(x))
+def omega_component(x: AffineElement, kappa: KottwitzClass | None = None
+                    ) -> tuple[AffineElement, AffineElement]:
+    """Decompose x = x_a * omega with omega the length-zero element of the same
+    class (``kappa``, the class of x, when the caller already has it)."""
+    omega = omega_of_kottwitz(x.system, kottwitz(x) if kappa is None else kappa)
     return x * omega.inverse(), omega
 
 
@@ -436,8 +431,10 @@ class AffineSupport:
     full: bool
 
 
-def affine_sigma_support(x: AffineElement, sigma: DiagramAutomorphism) -> AffineSupport:
+def affine_sigma_support(x: AffineElement, sigma: DiagramAutomorphism,
+                         kappa: KottwitzClass | None = None) -> AffineSupport:
     """Support of the affine-Weyl part, closed under the omega-twisted sigma-action.
+    ``kappa`` is the class of x, when the caller already has it.
 
     Closed form: letter i is missing from the support of x_a exactly when x_a
     fixes the vertex of the closed base alcove opposite wall i (the stabilizer
@@ -446,7 +443,7 @@ def affine_sigma_support(x: AffineElement, sigma: DiagramAutomorphism) -> Affine
     one opposite wall i is omega_i^v / m_i, with m_i the mark of node i.
     """
     system = x.system
-    x_a, omega = omega_component(x)
+    x_a, omega = omega_component(x, kappa)
     mu = x_a.translation
     inv_images = x_a.finite.inverse().images  # (w . omega_i^v)_k = inv_images[k][i]
     letters: set[int] = set()

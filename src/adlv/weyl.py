@@ -23,7 +23,10 @@ W0_CAP_DEFAULT = 10 ** 6
 _INTERN: "WeakKeyDictionary[RootSystem, dict]" = WeakKeyDictionary()
 
 
-def _intern(system: RootSystem, images: tuple[Root, ...]) -> "FiniteWeylElement":
+def _intern(system: RootSystem, images: tuple[Root, ...],
+            length: int | None = None) -> "FiniteWeylElement":
+    """The element with these simple-root images; ``length``, when the caller
+    knows it, is recorded instead of being recounted from the root images."""
     table = _INTERN.get(system)
     if table is None:
         table = {}
@@ -32,6 +35,8 @@ def _intern(system: RootSystem, images: tuple[Root, ...]) -> "FiniteWeylElement"
     if element is None:
         element = FiniteWeylElement(system, images)
         table[images] = element
+    if length is not None and element._length is None:
+        element._length = length
     return element
 
 
@@ -154,47 +159,48 @@ class FiniteWeylElement:
         return (self.length, self.images)
 
 
-def compose(u: FiniteWeylElement, v: FiniteWeylElement) -> FiniteWeylElement:
-    return u * v
-
-
-def act_on_root(w: FiniteWeylElement, root) -> Root:
-    return w.act_on_root(root)
-
-
-def act_on_coweight(w: FiniteWeylElement, mu) -> Coweight:
-    return w.act_on_coweight(mu)
-
-
 def reduced_word(w: FiniteWeylElement, pick: str = "smallest") -> tuple[int, ...]:
     """A reduced word for w as a tuple of 0-based simple indices.
 
     Deterministic: strip the smallest-index right descent at each step (or the
     largest, used by tests to confirm support is word-independent).  The
-    returned letters multiply left-to-right to w.
+    returned letters multiply left-to-right to w.  The smallest-index word of
+    w is the word of w s_i followed by i, so stripping stops at the first
+    element whose word is already cached and splices that word in.
     """
-    if pick == "smallest" and w._word is not None:
-        return w._word
-    select = min if pick == "smallest" else max
+    smallest = pick == "smallest"
+    select = min if smallest else max
     letters: list[int] = []
     current = w
+    prefix: tuple[int, ...] = ()
     while True:
+        if smallest and current._word is not None:
+            prefix = current._word
+            break
         descents = current.right_descents()
         if not descents:
             break
         i = select(descents)
         letters.append(i)
         current = current * FiniteWeylElement.simple(w.system, i)
-    word = tuple(reversed(letters))
-    if pick == "smallest":
+    word = prefix + tuple(reversed(letters))
+    if smallest:
         w._word = word
     return word
 
 
 def support(w: FiniteWeylElement) -> frozenset[int]:
-    """Simple indices appearing in any (equivalently each) reduced word."""
+    """Simple indices appearing in any (equivalently each) reduced word.
+
+    Closed form: i is missing from the support exactly when w lies in the
+    parabolic subgroup fixing the fundamental coweight omega_i^v, i.e. when
+    the i-th coordinate of w(alpha_k) is delta_ki for every k.
+    """
     if w._support is None:
-        w._support = frozenset(reduced_word(w))
+        w._support = frozenset(
+            i for i in range(w.system.rank)
+            if any(img[i] != (1 if k == i else 0) for k, img in enumerate(w.images))
+        )
     return w._support
 
 

@@ -20,8 +20,8 @@ from adlv.alcove import (
 )
 from adlv.cartan import RootSystem
 from adlv.iwahori import AffineElement, enumerate_affine
-from adlv.notation import parse_affine
-from adlv.weyl import DiagramAutomorphism, FiniteWeylElement, enumerate_w0
+from adlv.notation import parse_affine, parse_sigma
+from adlv.weyl import _INTERN, DiagramAutomorphism, FiniteWeylElement, enumerate_w0
 
 
 def sid(system):
@@ -131,6 +131,33 @@ def test_w_x_bfs_equals_bruteforce(descriptor, bound):
     system = RootSystem.from_descriptor(descriptor)
     for x in enumerate_affine(system, bound):
         assert w_x_set(x) == w_x_set_bruteforce(x)
+
+
+@pytest.mark.parametrize("descriptor,sigma_text,bound", [
+    ("G2", "id", 8), ("B3", "id", 4), ("D4", "id", 3), ("A3", "(1 3)", 4),
+])
+def test_w_x_and_decomposition_match_references(descriptor, sigma_text, bound):
+    """Inversion-set growth against the W0 filter, and the integer dominant
+    decomposition against the rational barycenter route."""
+    system = RootSystem.from_descriptor(descriptor)
+    sigma = parse_sigma(system, sigma_text)
+    for x in enumerate_affine(system, bound):
+        profile = AlcoveProfile.build(x, sigma)
+        assert profile.w_x == w_x_set_bruteforce(x)
+        assert profile.decomposition == audit._dominant_decompose_by_barycenter(x)
+
+
+@pytest.mark.parametrize("descriptor,element", [
+    ("B3", "e"), ("B3", "t[1,0,0] s1"), ("B3", "t[0,1,-1] s2 s3"),
+    ("D4", "e"), ("D4", "t[1,0,0,0] s2"), ("G2", "t[-1,1] s2"),
+])
+def test_w_x_interns_only_members(descriptor, element):
+    system = RootSystem.from_descriptor(descriptor)
+    profile = AlcoveProfile.build(parse_affine(system, element), sid(system))
+    profile.phi_x  # everything W_x reads is computed before counting
+    before = len(_INTERN[system])
+    members = profile.w_x
+    assert len(_INTERN[system]) - before <= len(members) + system.rank
 
 
 def test_strips_examples(a2):

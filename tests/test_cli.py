@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from time import perf_counter
@@ -273,6 +274,32 @@ def test_config_file_and_overrides(tmp_path, capsys):
     assert json.loads(out)["length_bound"] == 0
 
 
+def test_enumerate_rejects_svg_format(capsys):
+    code, out, err = run_cli(
+        ["enumerate", "--system", "A2", "--length-bound", "1", "--format", "svg"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: enumerate writes json or csv, not svg\n"
+
+
+def test_missing_config_file_is_validation_error(tmp_path, capsys):
+    path = tmp_path / "absent.conf"
+    code, _, err = run_cli(["enumerate", "--config", str(path)], capsys)
+    assert code == 2
+    assert err == f"error: cannot read config file {path}: No such file or directory\n"
+
+
+def test_unreadable_config_file_is_validation_error(tmp_path, capsys):
+    code, _, err = run_cli(["enumerate", "--config", str(tmp_path)], capsys)
+    assert code == 2
+    assert err == f"error: cannot read config file {tmp_path}: Is a directory\n"
+    binary = tmp_path / "binary.conf"
+    binary.write_bytes(b"system=A2\n\xff\n")
+    code, _, err = run_cli(["enumerate", "--config", str(binary)], capsys)
+    assert code == 2
+    assert err.startswith("error: 'utf-8' codec can't decode") and err.count("\n") == 1
+
+
 def test_missing_system_is_validation_error(capsys):
     code, _, err = run_cli(["enumerate", "--length-bound", "2"], capsys)
     assert code == 2
@@ -443,6 +470,59 @@ def test_check_e6_never_sweeps_w0(monkeypatch, capsys):
     document = json.loads(out)
     assert document["rule"] == "sigma-support-criterion"
     assert document["nonempty"] is False
+
+
+# -- cost guards: call counts, no timing ----------------------------------------------
+
+
+def _count_calls(monkeypatch, module, name):
+    """Count calls of module.name per first argument's key, through every adlv
+    module that refers to it."""
+    original = getattr(module, name)
+    counts = Counter()
+
+    def counting(x, *args, **kwargs):
+        counts[x.key()] += 1
+        return original(x, *args, **kwargs)
+
+    for module_name, loaded in list(sys.modules.items()):
+        if module_name.startswith("adlv") and getattr(loaded, name, None) is original:
+            monkeypatch.setattr(loaded, name, counting)
+    return counts
+
+
+def test_enumerate_jobs_one_builds_one_root_system(monkeypatch, capsys):
+    built = []
+    original = RootSystem.__init__
+
+    def counting_init(self, components):
+        built.append(components)
+        original(self, components)
+
+    monkeypatch.setattr(RootSystem, "__init__", counting_init)
+    code, _, _ = run_cli(["enumerate", "--system", "A3", "--sigma", "(1 3)",
+                          "--length-bound", "2", "--format", "csv", "--jobs", "1"], capsys)
+    assert code == 0
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("kappa_b", ["zero", "match-x"])
+def test_enumerate_row_computes_class_and_support_once(kappa_b, monkeypatch, capsys):
+    import adlv.iwahori
+
+    supports = _count_calls(monkeypatch, adlv.iwahori, "affine_sigma_support")
+    classes = _count_calls(monkeypatch, adlv.iwahori, "kottwitz")
+    code, out, _ = run_cli(["enumerate", "--system", "A3", "--sigma", "(1 3)",
+                            "--length-bound", "3", "--kappa-b", kappa_b,
+                            "--format", "json"], capsys)
+    assert code == 0
+    system = RootSystem.from_descriptor("A3")
+    elements = [parse_affine(system, row["x"]) for row in json.loads(out)["rows"]]
+    assert len(elements) > 100
+    assert sorted(supports) == sorted(x.key() for x in elements)
+    assert set(supports.values()) == {1}
+    # length-zero elements are also classified once while Omega is built
+    assert all(classes[x.key()] == 1 for x in elements if x.length > 0)
 
 
 def test_python_dash_m_adlv():

@@ -172,6 +172,16 @@ def test_oracle_reduction_battery(a2):
     assert result.passed, result.counterexample
 
 
+@pytest.mark.parametrize("descriptor,sigma_perm", [("B3", None), ("A3", (2, 1, 0))])
+def test_oracle_reduction_finite_part_scan(descriptor, sigma_perm):
+    """The scan's finite-part conjugate and cached violation set against the
+    literal (J, w) conditions."""
+    system = RootSystem.from_descriptor(descriptor)
+    sigma = sid(system) if sigma_perm is None else DiagramAutomorphism(system, sigma_perm)
+    result = audit.check_oracle_reduction_vs_literal(system, sigma, 3)
+    assert result.passed, result.counterexample
+
+
 # -- J_{r,x} ---------------------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 """Finite Weyl group: actions, words, supports, enumeration, the sigma-action."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -173,3 +174,38 @@ def test_parabolic_longest_element(descriptor, indices):
     assert support(w0_j) <= frozenset(span)
     assert w0_j.length == len(in_j)
     assert all(sum(w0_j.act_on_root(a)) < 0 for a in in_j)
+
+
+def _word_by_stripping(w):
+    """The smallest-descent word by the plain loop, without any cached word."""
+    letters = []
+    current = w
+    while current.right_descents():
+        i = min(current.right_descents())
+        letters.append(i)
+        current = current * FiniteWeylElement.simple(w.system, i)
+    return tuple(reversed(letters))
+
+
+@pytest.mark.parametrize("descriptor", ["B3", "D4"])
+def test_reduced_word_reuses_cached_words_in_any_order(descriptor):
+    reference = {w.images: _word_by_stripping(w)
+                 for w in enumerate_w0(RootSystem.from_descriptor(descriptor))}
+    system = RootSystem.from_descriptor(descriptor)
+    elements = list(enumerate_w0(system))
+    random.Random(7).shuffle(elements)
+    for w in elements:
+        word = reduced_word(w)
+        assert word == reference[w.images]
+        assert len(word) == w.length
+        product = FiniteWeylElement.identity(system)
+        for i in word:
+            product = product * FiniteWeylElement.simple(system, i)
+        assert product is w
+
+
+@pytest.mark.parametrize("descriptor", ["A3", "B3", "G2", "D4"])
+def test_closed_form_support_matches_reduced_word(descriptor):
+    system = RootSystem.from_descriptor(descriptor)
+    for w in enumerate_w0(system):
+        assert support(w) == frozenset(reduced_word(w))

@@ -11,6 +11,7 @@ from time import perf_counter
 import pytest
 
 import adlv.alcove
+import adlv.iwahori
 from adlv import audit
 from adlv.cartan import RootSystem
 from adlv.cli import main as cli_main
@@ -508,8 +509,6 @@ def test_enumerate_jobs_one_builds_one_root_system(monkeypatch, capsys):
 
 @pytest.mark.parametrize("kappa_b", ["zero", "match-x"])
 def test_enumerate_row_computes_class_and_support_once(kappa_b, monkeypatch, capsys):
-    import adlv.iwahori
-
     supports = _count_calls(monkeypatch, adlv.iwahori, "affine_sigma_support")
     classes = _count_calls(monkeypatch, adlv.iwahori, "kottwitz")
     code, out, _ = run_cli(["enumerate", "--system", "A3", "--sigma", "(1 3)",

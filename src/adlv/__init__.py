@@ -15,7 +15,6 @@ from .cartan import (
 from .weyl import (
     DiagramAutomorphism,
     FiniteWeylElement,
-    apply_sigma,
     enumerate_w0,
     longest_element,
     reduced_word,
@@ -29,7 +28,6 @@ from .iwahori import (
     NewtonPoint,
     affine_sigma_support,
     apply_sigma_affine,
-    basic_class_of,
     enumerate_affine,
     kottwitz,
     newton,
@@ -38,13 +36,7 @@ from .iwahori import (
 from .alcove import (
     AlcoveProfile,
     DominantDecomposition,
-    critical_strips_containing,
     dominant_decompose,
-    eta_sigma,
-    is_shrunken,
-    k_value,
-    phi_x_set,
-    w_x_set,
 )
 from .criterion import (
     BgxReport,

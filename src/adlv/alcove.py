@@ -23,7 +23,7 @@ from .iwahori import (
     kottwitz,
     make_dominant,
 )
-from .weyl import DiagramAutomorphism, FiniteWeylElement, _intern, enumerate_w0
+from .weyl import DiagramAutomorphism, FiniteWeylElement, _intern, enumerate_w0, sigma_support
 
 
 def base_k(system: RootSystem, root: Root) -> int:
@@ -63,26 +63,6 @@ def dominant_decompose(x: AffineElement) -> DominantDecomposition:
     return DominantDecomposition(v, mu, rest.finite)
 
 
-def k_value(a: Root, x: AffineElement,
-            decomposition: DominantDecomposition | None = None) -> int:
-    """Closed-form k-value: <a, v.mu> + (0 if w^{-1}v^{-1}a > 0 else -1)."""
-    system = x.system
-    if tuple(a) not in system._root_set:
-        raise ValueError(f"{a} is not a root")
-    d = decomposition or dominant_decompose(x)
-    inner = d.v.inverse().act_on_root(a)
-    pairing = sum(c * m for c, m in zip(inner, d.mu))
-    delta = 0 if sum(d.w.inverse().act_on_root(inner)) > 0 else -1
-    return pairing + delta
-
-
-def eta_sigma(x: AffineElement, sigma: DiagramAutomorphism,
-              decomposition: DominantDecomposition | None = None) -> FiniteWeylElement:
-    """sigma^{-1}(w_x) * v_x, the finite part seen from the dominant chamber."""
-    d = decomposition or dominant_decompose(x)
-    return sigma.inverse().weyl(d.w) * d.v
-
-
 @dataclass(frozen=True)
 class AlcoveProfile:
     """All per-element alcove data the nonemptiness criterion consumes."""
@@ -112,8 +92,17 @@ class AlcoveProfile:
         return self.decomposition.w
 
     @cached_property
+    def sigma_inverse(self) -> DiagramAutomorphism:
+        return self.sigma.inverse()
+
+    @cached_property
     def eta(self) -> FiniteWeylElement:
-        return eta_sigma(self.x, self.sigma, self.decomposition)
+        """sigma^{-1}(w) * v, the finite part seen from the dominant chamber."""
+        return self.sigma_inverse.weyl(self.w) * self.v
+
+    def j_rx(self, r: FiniteWeylElement) -> frozenset[int]:
+        """J_{r,x}: the sigma-support of sigma^{-1}(r) * eta * r^{-1}."""
+        return sigma_support(self.sigma_inverse.weyl(r) * self.eta * r.inverse(), self.sigma)
 
     @cached_property
     def kappa(self) -> KottwitzClass:
@@ -222,30 +211,13 @@ class AlcoveProfile:
         return frozenset(_intern(system, images, length) for images, length in members)
 
 
-def phi_x_set(x: AffineElement) -> frozenset[Root]:
-    profile = AlcoveProfile.build(x, DiagramAutomorphism.identity(x.system))
-    return profile.phi_x
-
-
-def w_x_set(x: AffineElement) -> frozenset[FiniteWeylElement]:
-    profile = AlcoveProfile.build(x, DiagramAutomorphism.identity(x.system))
-    return profile.w_x
-
-
 def w_x_set_bruteforce(x: AffineElement) -> frozenset[FiniteWeylElement]:
     """Reference implementation: filter the whole finite Weyl group."""
     system = x.system
-    phi = phi_x_set(x)
+    phi = AlcoveProfile.build(x, DiagramAutomorphism.identity(system)).phi_x
     complement = [a for a in system.positive_roots if a not in phi]
     return frozenset(
         r for r in enumerate_w0(system)
         if all(sum(r.act_on_root(g)) > 0 for g in complement)
     )
 
-
-def is_shrunken(x: AffineElement) -> bool:
-    return AlcoveProfile.build(x, DiagramAutomorphism.identity(x.system)).shrunken
-
-
-def critical_strips_containing(x: AffineElement) -> tuple[Root, ...]:
-    return AlcoveProfile.build(x, DiagramAutomorphism.identity(x.system)).strips

@@ -581,7 +581,7 @@ def check_jrx_postcondition(system: RootSystem, sigma: DiagramAutomorphism,
     for x in enumerate_affine(system, bound):
         profile = AlcoveProfile.build(x, sigma)
         for r in sorted(profile.w_x, key=lambda u: u.sort_key()):
-            j_rx(x, r, sigma, profile)  # raises InternalCheckError on failure
+            j_rx(profile, r)  # raises InternalCheckError on failure
             pairs += 1
     return _ok(cid, f"{pairs} (x, r) pairs satisfy the alcove postcondition")
 
@@ -596,10 +596,10 @@ def check_oracle_reduction_vs_literal(system: RootSystem, sigma: DiagramAutomorp
     for x in enumerate_affine(system, bound):
         profile = AlcoveProfile.build(x, sigma)
         for w, w_inv, sigma_w in scan:
-            t_set = _minimal_alcove_support(x, w, w_inv, sigma_w, profile)
+            t_set = _minimal_alcove_support(profile, w, w_inv, sigma_w)
             for j_set in subsets:
                 pairs += 1
-                if is_jw_alcove(x, j_set, w, sigma, profile) != (t_set <= j_set):
+                if is_jw_alcove(profile, j_set, w) != (t_set <= j_set):
                     return _fail(cid, "reduction disagrees with the literal conditions",
                                  {"x": format_affine(x), "w": format_finite(w),
                                   "J": sorted(j_set)})
@@ -707,7 +707,8 @@ def check_translation_elements(system: RootSystem, sigma: DiagramAutomorphism,
             continue
         central = newton(x, sigma).is_central()
         kappa = kottwitz(x)
-        verdict = decide_nonempty(x, kappa, sigma)
+        profile = AlcoveProfile.build(x, sigma)
+        verdict = decide_nonempty(x, kappa, sigma, profile)
         if split and verdict.nonempty != central:
             return _fail(cid, "translation verdict differs from centrality",
                          {"x": format_affine(x)})
@@ -715,7 +716,7 @@ def check_translation_elements(system: RootSystem, sigma: DiagramAutomorphism,
             return _fail(cid, "central translation decided empty",
                          {"x": format_affine(x)})
         if affine_sigma_support(x, sigma).full:
-            if oracle_nonempty(x, kappa, sigma).nonempty != verdict.nonempty:
+            if oracle_nonempty(x, kappa, sigma, profile).nonempty != verdict.nonempty:
                 return _fail(cid, "oracle disagrees on a translation",
                              {"x": format_affine(x)})
         count += 1
@@ -861,7 +862,7 @@ def check_dim_recursion_consistency(system: RootSystem, sigma: DiagramAutomorphi
         if not verdict.nonempty:
             table.mark_empty(x)
         else:
-            seeded = dim_shrunken(x, b_kappa, sigma, profiles[x])
+            seeded = dim_shrunken(profiles[x], b_kappa)
             if seeded is not None:
                 table.set_dim(x, seeded)
     simples = affine_simples(system)
@@ -880,7 +881,7 @@ def check_dim_recursion_consistency(system: RootSystem, sigma: DiagramAutomorphi
         return _fail(cid, "propagation conflict", {"error": str(exc)})
     compared = 0
     for x in elements:
-        strip_value = dim_one_strip_rank2(x, b_kappa, sigma, profiles[x])
+        strip_value = dim_one_strip_rank2(profiles[x], b_kappa)
         table_value = table.dim(x)
         if strip_value is not None and table_value is not None:
             if strip_value != table_value:
@@ -904,7 +905,7 @@ def check_conjecture_audit(system: RootSystem, sigma: DiagramAutomorphism,
             continue
         profile = AlcoveProfile.build(x, sigma)
         verdict = decide_nonempty(x, kottwitz(x), sigma, profile)
-        raw = _oracle_scan(x, sigma, profile)
+        raw = _oracle_scan(profile)
         if verdict.nonempty != raw.nonempty:
             candidates.append(format_affine(x))
     result = _ok(cid, f"{len(candidates)} elements outside the hypothesis where the "

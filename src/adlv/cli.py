@@ -2,8 +2,10 @@
 
 Subcommands: check, enumerate, crosscheck, render, bgx.  Exit codes:
 0 ok, 1 property failure, 2 parse/validation error, 3 cap exceeded,
-4 unsupported geometry.  Enumeration output is byte-deterministic for a
-fixed configuration, independent of the worker count.
+4 unsupported geometry, 5 internal error (a failed postcondition or any
+other library error).  Every failure writes one ``error:`` line to stderr.
+Enumeration output is byte-deterministic for a fixed configuration,
+independent of the worker count.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import audit
 from .alcove import AlcoveProfile
@@ -24,7 +27,7 @@ from .criterion import (
     decide_nonempty,
     oracle_nonempty,
 )
-from .errors import CapExceeded, NotationError, UnsupportedGeometry
+from .errors import AdlvError, CapExceeded, NotationError, UnsupportedGeometry
 from .iwahori import (
     ENUM_CAP_DEFAULT,
     AffineElement,
@@ -49,6 +52,16 @@ EXIT_PROPERTY_FAILURE = 1
 EXIT_PARSE = 2
 EXIT_CAP = 3
 EXIT_GEOMETRY = 4
+EXIT_INTERNAL = 5
+
+# exception type -> exit code; the first entry the exception is an instance of wins
+EXIT_CODES = (
+    (NotationError, EXIT_PARSE),
+    (ValueError, EXIT_PARSE),
+    (CapExceeded, EXIT_CAP),
+    (UnsupportedGeometry, EXIT_GEOMETRY),
+    (AdlvError, EXIT_INTERNAL),
+)
 
 
 @dataclass(frozen=True)
@@ -415,6 +428,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, help="seed for randomized checks")
 
 
+@lru_cache(maxsize=1)
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="adlv",
@@ -449,22 +463,12 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = make_parser().parse_args(argv)
     try:
         return args.func(args)
-    except NotationError as exc:
+    except (ValueError, AdlvError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except CapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except UnsupportedGeometry as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GEOMETRY
+        return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

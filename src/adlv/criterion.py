@@ -29,7 +29,6 @@ from .errors import AdlvError, InternalCheckError
 from .iwahori import (
     AffineElement,
     AffineSimple,
-    AffineSupport,
     KottwitzClass,
     affine_sigma_support,
     apply_sigma_affine,
@@ -42,7 +41,6 @@ from .weyl import (
     DiagramAutomorphism,
     FiniteWeylElement,
     enumerate_w0,
-    sigma_support,
     support,
     weyl_matrix,
 )
@@ -99,17 +97,6 @@ def shortcut_applies(x: AffineElement, sigma: DiagramAutomorphism) -> bool:
     )
 
 
-def _class_and_support(
-    x: AffineElement, sigma: DiagramAutomorphism, profile: AlcoveProfile | None
-) -> tuple[KottwitzClass, AffineSupport]:
-    """The class and the affine sigma-support of x, read off the profile when
-    there is one."""
-    if profile is not None:
-        return profile.kappa, profile.affine_support
-    kappa = kottwitz(x)
-    return kappa, affine_sigma_support(x, sigma, kappa)
-
-
 def decide_nonempty(
     x: AffineElement,
     b_kappa: KottwitzClass,
@@ -126,26 +113,23 @@ def decide_nonempty(
     each need their full support test.  For a sigma-connected diagram this is
     exactly the all-or-nothing rule.
     """
-    system = x.system
-    kappa_x, affine_support = _class_and_support(x, sigma, profile)
+    if profile is None:
+        profile = AlcoveProfile.build(x, sigma)
+    kappa_x = profile.kappa
     if not kappa_x.same_coinvariant(b_kappa, sigma):
         return Verdict(False, RULE_KOTTWITZ, {
             "kappa_x": kappa_x, "kappa_b": b_kappa,
         })
-    letters = affine_support.letters
+    letters = profile.affine_support.letters
     active = [
-        finite for finite, nodes in sigma_component_groups(system, sigma)
+        finite for finite, nodes in sigma_component_groups(x.system, sigma)
         if nodes <= letters
     ]
     if not active:
         return Verdict(True, RULE_SHORTCUT, {"affine_support": tuple(sorted(letters))})
-    if profile is None:
-        profile = AlcoveProfile.build(x, sigma)
-    sigma_inv = sigma.inverse()
     checked = []
     for r in _sorted_wx(profile):
-        conjugate = sigma_inv.weyl(r) * profile.eta * r.inverse()
-        j_set = sigma_support(conjugate, sigma)
+        j_set = profile.j_rx(r)
         for finite in active:
             if not finite <= j_set:
                 return Verdict(False, RULE_CRITERION, {"r": r, "j_rx": j_set})
@@ -175,17 +159,11 @@ def _outside_stabilized_coweight(system: RootSystem, j_set: frozenset[int]):
     return tuple(0 if i in j_set else 1 for i in range(system.rank))
 
 
-def is_jw_alcove(
-    x: AffineElement,
-    j_set: frozenset[int],
-    w: FiniteWeylElement,
-    sigma: DiagramAutomorphism,
-    profile: AlcoveProfile | None = None,
-) -> bool:
+def is_jw_alcove(profile: AlcoveProfile, j_set: frozenset[int], w: FiniteWeylElement) -> bool:
     """Both defining conditions, literally: the twisted conjugate lands in the
     standard J-parabolic, and the k-values on w(positives outside J) dominate
     the base alcove's."""
-    system = x.system
+    x, sigma, system = profile.x, profile.sigma, profile.system
     j_set = frozenset(j_set)
     if frozenset(sigma.index(i) for i in j_set) != j_set:
         raise ValueError(f"J = {sorted(j_set)} is not sigma-stable")
@@ -194,8 +172,6 @@ def is_jw_alcove(
     marker = _outside_stabilized_coweight(system, j_set)
     if twisted.finite.act_on_coweight(marker) != tuple(Fraction(c) for c in marker):
         return False
-    if profile is None:
-        profile = AlcoveProfile.build(x, sigma)
     for alpha in system.positive_roots:
         if all(alpha[i] == 0 for i in range(system.rank) if i not in j_set):
             continue  # alpha lies in the J-subsystem
@@ -214,9 +190,7 @@ def _scan_elements(system: RootSystem, sigma: DiagramAutomorphism):
     )
 
 
-def _minimal_alcove_support(
-    x: AffineElement, w, w_inv, sigma_w, profile: AlcoveProfile
-) -> frozenset[int]:
+def _minimal_alcove_support(profile: AlcoveProfile, w, w_inv, sigma_w) -> frozenset[int]:
     """Smallest index set T with: x is a (J, w)-alcove iff T is a subset of J.
 
     T collects the support of the twisted conjugate's finite part
@@ -224,14 +198,14 @@ def _minimal_alcove_support(
     and the supports of the positive roots whose w-image violates the k-value
     inequality (condition two).
     """
-    system = x.system
+    system = profile.system
     below = profile.below_base
     letters: set[int] = set()
     for alpha, a in zip(system.positive_roots, w.positive_images()):
         if a in below:
             letters.update(i for i, c in enumerate(alpha) if c)
     if len(letters) < system.rank:
-        letters |= support(w_inv * x.finite * sigma_w)
+        letters |= support(w_inv * profile.x.finite * sigma_w)
     return frozenset(letters)
 
 
@@ -248,26 +222,23 @@ def oracle_nonempty(
     the scan uses the per-w minimal alcove support, which agrees with testing
     ``is_jw_alcove`` pair by pair (cross-checked in the audit suite).
     """
-    kappa_x, affine_support = _class_and_support(x, sigma, profile)
-    if not kappa_x.same_coinvariant(b_kappa, sigma):
-        raise ValueError("oracle precondition: class invariants must match")
-    if not affine_support.full:
-        raise ValueError("oracle precondition: affine sigma-support must be full")
-    return _oracle_scan(x, sigma, profile)
-
-
-def _oracle_scan(
-    x: AffineElement, sigma: DiagramAutomorphism, profile: AlcoveProfile | None = None
-) -> Verdict:
-    """The raw (J, w) scan, without the oracle's hypotheses."""
     if profile is None:
         profile = AlcoveProfile.build(x, sigma)
-    scan = _scan_elements(x.system, sigma)
+    if not profile.kappa.same_coinvariant(b_kappa, sigma):
+        raise ValueError("oracle precondition: class invariants must match")
+    if not profile.affine_support.full:
+        raise ValueError("oracle precondition: affine sigma-support must be full")
+    return _oracle_scan(profile)
+
+
+def _oracle_scan(profile: AlcoveProfile) -> Verdict:
+    """The raw (J, w) scan, without the oracle's hypotheses."""
+    scan = _scan_elements(profile.system, profile.sigma)
     supports = [
-        _minimal_alcove_support(x, w, w_inv, sigma_w, profile)
+        _minimal_alcove_support(profile, w, w_inv, sigma_w)
         for w, w_inv, sigma_w in scan
     ]
-    subsets = sigma_stable_subsets(x.system, sigma, True)
+    subsets = sigma_stable_subsets(profile.system, profile.sigma, True)
     for j_set in subsets:
         for (w, _, _), t_set in zip(scan, supports):
             if t_set <= j_set:
@@ -275,21 +246,13 @@ def _oracle_scan(
     return Verdict(True, RULE_ORACLE, {"pairs_scanned": len(scan) * len(subsets)})
 
 
-def j_rx(
-    x: AffineElement,
-    r: FiniteWeylElement,
-    sigma: DiagramAutomorphism,
-    profile: AlcoveProfile | None = None,
-) -> frozenset[int]:
-    """The sigma-support of the r-twisted eta; x is then a (J, v_x r^{-1})-alcove
-    for this J (enforced as a postcondition)."""
-    if profile is None:
-        profile = AlcoveProfile.build(x, sigma)
+def j_rx(profile: AlcoveProfile, r: FiniteWeylElement) -> frozenset[int]:
+    """J_{r,x} for r in W_x; x is then a (J, v_x r^{-1})-alcove for this J
+    (enforced as a postcondition)."""
     if r not in profile.w_x:
         raise ValueError("r is not in the embedding set W_x")
-    conjugate = sigma.inverse().weyl(r) * profile.eta * r.inverse()
-    j_set = sigma_support(conjugate, sigma)
-    if not is_jw_alcove(x, j_set, profile.v * r.inverse(), sigma, profile):
+    j_set = profile.j_rx(r)
+    if not is_jw_alcove(profile, j_set, profile.v * r.inverse()):
         raise InternalCheckError("x is not a (J_{r,x}, v_x r^{-1})-alcove")
     return j_set
 
@@ -437,10 +400,9 @@ def bgx_cordial(
     if formula != profile.w_x:
         raise InternalCheckError("stabilizer formula disagrees with the alcove computation")
     full = frozenset(range(system.rank))
-    sigma_inv = sigma.inverse()
     tests = []
     for r in _sorted_wx(profile):
-        j_set = sigma_support(sigma_inv.weyl(r) * profile.eta * r.inverse(), sigma)
+        j_set = profile.j_rx(r)
         tests.append((r, j_set, j_set == full))
     all_full = all(ok for _, _, ok in tests)
     central = all(Fraction(c) == 0 for c in mu)
@@ -478,15 +440,9 @@ def defect_validated(system: RootSystem, sigma: DiagramAutomorphism) -> bool:
     return sigma.is_identity() and all(c.type_label == "A" for c in system.components)
 
 
-def dim_shrunken(
-    x: AffineElement,
-    b_kappa: KottwitzClass,
-    sigma: DiagramAutomorphism,
-    profile: AlcoveProfile | None = None,
-) -> int | None:
+def dim_shrunken(profile: AlcoveProfile, b_kappa: KottwitzClass) -> int | None:
     """(length(x) + length(eta) - defect)/2 for nonempty shrunken x; None otherwise."""
-    if profile is None:
-        profile = AlcoveProfile.build(x, sigma)
+    x, sigma = profile.x, profile.sigma
     if not profile.shrunken:
         return None
     if not decide_nonempty(x, b_kappa, sigma, profile).nonempty:
@@ -497,18 +453,11 @@ def dim_shrunken(
     return doubled // 2
 
 
-def dim_one_strip_rank2(
-    x: AffineElement,
-    b_kappa: KottwitzClass,
-    sigma: DiagramAutomorphism,
-    profile: AlcoveProfile | None = None,
-) -> int | None:
+def dim_one_strip_rank2(profile: AlcoveProfile, b_kappa: KottwitzClass) -> int | None:
     """The rank-2 single-strip formula with its longest-element correction."""
-    system = x.system
+    x, sigma, system = profile.x, profile.sigma, profile.system
     if system.rank != 2 or not sigma.is_identity():
         return None
-    if profile is None:
-        profile = AlcoveProfile.build(x, sigma)
     if len(profile.phi_x) != 1:
         return None
     if not decide_nonempty(x, b_kappa, sigma, profile).nonempty:
@@ -518,7 +467,7 @@ def dim_one_strip_rank2(
         raise InternalCheckError("single-strip root is not simple")
     s_x = FiniteWeylElement.simple(system, alpha_x.index(1))
     eta = profile.eta
-    conjugated = sigma.inverse().weyl(s_x) * eta * s_x
+    conjugated = profile.sigma_inverse.weyl(s_x) * eta * s_x
     doubled = x.length + min(eta.length, conjugated.length) - defect(b_kappa, sigma)
     if doubled % 2 != 0:
         raise InternalCheckError(f"odd dimension numerator {doubled} for {x!r}")

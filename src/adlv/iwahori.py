@@ -491,11 +491,6 @@ def fixes_point_of_closed_base_alcove(x: AffineElement, sigma: DiagramAutomorphi
     return _linalg.feasible(constraints, len(basis))
 
 
-def basic_class_of(kappa: KottwitzClass) -> tuple[NewtonPoint, KottwitzClass]:
-    """The basic class with the given Kottwitz invariant: central Newton point."""
-    return NewtonPoint.zero(kappa.system), kappa
-
-
 # -- bounded enumeration of the whole group --------------------------------------
 
 

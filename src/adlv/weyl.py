@@ -341,10 +341,6 @@ class DiagramAutomorphism:
         return tuple(tuple(row) for row in m)
 
 
-def apply_sigma(sigma: DiagramAutomorphism, w: FiniteWeylElement) -> FiniteWeylElement:
-    return sigma.weyl(w)
-
-
 def sigma_support(w: FiniteWeylElement, sigma: DiagramAutomorphism) -> frozenset[int]:
     """Minimal sigma-stable set of simple indices containing the support."""
     out: set[int] = set()

@@ -1,6 +1,6 @@
 """Alcove geometry: k-values, decomposition, eta, strip sets, embedding sets."""
 
-from fractions import Fraction
+import math
 
 import pytest
 
@@ -9,13 +9,7 @@ from adlv.alcove import (
     AlcoveProfile,
     barycenter,
     base_k,
-    critical_strips_containing,
     dominant_decompose,
-    eta_sigma,
-    is_shrunken,
-    k_value,
-    phi_x_set,
-    w_x_set,
     w_x_set_bruteforce,
 )
 from adlv.cartan import RootSystem
@@ -28,11 +22,15 @@ def sid(system):
     return DiagramAutomorphism.identity(system)
 
 
+def profile_of(x, sigma=None):
+    return AlcoveProfile.build(x, sigma or sid(x.system))
+
+
 def test_k_value_base_alcove(a2):
-    identity = AffineElement.identity(a2)
+    k_values = profile_of(AffineElement.identity(a2)).k_values
     for a in a2.positive_roots:
-        assert k_value(a, identity) == 0
-        assert k_value(a2.negate(a), identity) == -1
+        assert k_values[a] == 0
+        assert k_values[a2.negate(a)] == -1
 
 
 def test_k_value_translation_example(a2):
@@ -41,12 +39,7 @@ def test_k_value_translation_example(a2):
     point = barycenter(x)
     pairing = a2.pair((1, 0), point)
     assert pairing.numerator // pairing.denominator == 2
-    assert k_value((1, 0), x) == 2
-
-
-def test_k_value_rejects_nonroot(a2):
-    with pytest.raises(ValueError):
-        k_value((2, 0), AffineElement.identity(a2))
+    assert profile_of(x).k_values[(1, 0)] == 2
 
 
 @pytest.mark.parametrize("descriptor,bound", [("A2", 6), ("B2", 6), ("G2", 5), ("A3", 8)])
@@ -90,47 +83,47 @@ def test_dominant_decompose_unique_and_reassembles(b2):
 def test_eta_examples(a2, a1):
     sigma2 = sid(a2)
     x = AffineElement.from_translation(a2, (1, 2))
-    assert eta_sigma(x, sigma2).is_identity()
+    assert profile_of(x, sigma2).eta.is_identity()
     s1 = FiniteWeylElement.simple(a2, 0)
-    assert eta_sigma(AffineElement.from_finite(s1), sigma2) == s1
+    assert profile_of(AffineElement.from_finite(s1), sigma2).eta == s1
     omega = parse_affine(a1, "t[1] s1")
-    assert eta_sigma(omega, sid(a1)) == FiniteWeylElement.simple(a1, 0)
+    assert profile_of(omega).eta == FiniteWeylElement.simple(a1, 0)
 
 
 def test_eta_twisted(a3, a3_flip):
     # x = s1 as an alcove: v = s1, w = e, so eta is independent of sigma here
     s1 = FiniteWeylElement.simple(a3, 0)
-    assert eta_sigma(AffineElement.from_finite(s1), a3_flip) == s1
+    assert profile_of(AffineElement.from_finite(s1), a3_flip).eta == s1
     # x = t^mu s1 with mu dominant regular: v = e, w = s1, eta = sigma^{-1}(s1) = s3
     x = AffineElement.from_translation(a3, (1, 1, 1)) * AffineElement.from_finite(s1)
-    assert eta_sigma(x, a3_flip) == FiniteWeylElement.simple(a3, 2)
+    assert profile_of(x, a3_flip).eta == FiniteWeylElement.simple(a3, 2)
 
 
 def test_phi_x_examples(a2):
     identity = AffineElement.identity(a2)
-    assert phi_x_set(identity) == frozenset(a2.positive_roots)
-    deep = AffineElement.from_translation(a2, (2, 2))
-    assert phi_x_set(deep) == frozenset()
-    assert is_shrunken(deep)
+    assert profile_of(identity).phi_x == frozenset(a2.positive_roots)
+    deep = profile_of(AffineElement.from_translation(a2, (2, 2)))
+    assert deep.phi_x == frozenset()
+    assert deep.shrunken
     one_strip = parse_affine(a2, "t[-2,1] s2")
-    assert phi_x_set(one_strip) == {(1, 0)}
+    assert profile_of(one_strip).phi_x == {(1, 0)}
     assert sum((1, 0)) == 1  # the strip root is simple
 
 
 def test_w_x_examples(a2):
     identity_w = FiniteWeylElement.identity(a2)
     deep = AffineElement.from_translation(a2, (2, 2))
-    assert w_x_set(deep) == {identity_w}
+    assert profile_of(deep).w_x == {identity_w}
     one_strip = parse_affine(a2, "t[-2,1] s2")
-    assert w_x_set(one_strip) == {identity_w, FiniteWeylElement.simple(a2, 0)}
-    assert w_x_set(AffineElement.identity(a2)) == frozenset(enumerate_w0(a2))
+    assert profile_of(one_strip).w_x == {identity_w, FiniteWeylElement.simple(a2, 0)}
+    assert profile_of(AffineElement.identity(a2)).w_x == frozenset(enumerate_w0(a2))
 
 
 @pytest.mark.parametrize("descriptor,bound", [("A2", 6), ("B2", 5), ("A3", 4)])
 def test_w_x_bfs_equals_bruteforce(descriptor, bound):
     system = RootSystem.from_descriptor(descriptor)
     for x in enumerate_affine(system, bound):
-        assert w_x_set(x) == w_x_set_bruteforce(x)
+        assert profile_of(x).w_x == w_x_set_bruteforce(x)
 
 
 @pytest.mark.parametrize("descriptor,sigma_text,bound", [
@@ -161,12 +154,12 @@ def test_w_x_interns_only_members(descriptor, element):
 
 
 def test_strips_examples(a2):
-    identity = AffineElement.identity(a2)
-    assert set(critical_strips_containing(identity)) == set(a2.positive_roots)
-    assert len(critical_strips_containing(identity)) == 3  # one band per positive root
-    assert not is_shrunken(identity)
+    identity = profile_of(AffineElement.identity(a2))
+    assert set(identity.strips) == set(a2.positive_roots)
+    assert len(identity.strips) == 3  # one band per positive root
+    assert not identity.shrunken
     deep = AffineElement.from_translation(a2, (2, 2))
-    assert critical_strips_containing(deep) == ()
+    assert profile_of(deep).strips == ()
 
 
 def test_strips_match_phi_x_via_v(a2):
@@ -196,7 +189,7 @@ def test_wx_structure_battery(descriptor, bound):
 
 def test_left_closedness_direct(g2):
     for x in enumerate_affine(g2, 6):
-        members = w_x_set(x)
+        members = profile_of(x).w_x
         for w in members:
             for i in range(g2.rank):
                 s = FiniteWeylElement.simple(g2, i)
@@ -205,9 +198,10 @@ def test_left_closedness_direct(g2):
 
 
 def test_profile_k_values_match_function(b2):
+    """The closed form against the floor of <a, barycenter of x(base)>."""
     sigma = sid(b2)
     for x in enumerate_affine(b2, 4):
         profile = AlcoveProfile.build(x, sigma)
-        decomposition = dominant_decompose(x)
+        point = barycenter(x)
         for a in b2.all_roots:
-            assert profile.k_values[a] == k_value(a, x, decomposition)
+            assert profile.k_values[a] == math.floor(b2.pair(a, point))

@@ -15,7 +15,7 @@ import adlv.iwahori
 from adlv import audit
 from adlv.cartan import RootSystem
 from adlv.cli import main as cli_main
-from adlv.errors import NotationError
+from adlv.errors import InternalCheckError, NotationError
 from adlv.iwahori import enumerate_affine, kottwitz, omega_elements
 from adlv.notation import (
     format_affine,
@@ -318,6 +318,17 @@ def test_invalid_config_values(capsys):
     assert code == 2
 
 
+def test_internal_error_exits_5_with_one_line(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise InternalCheckError("stabilizer formula disagrees with the alcove computation")
+
+    monkeypatch.setattr("adlv.cli.bgx_cordial", broken)
+    code, out, err = run_cli(["bgx", "s1", "[1,0]", "--system", "A2"], capsys)
+    assert code == 5
+    assert out == ""
+    assert err == "error: stabilizer formula disagrees with the alcove computation\n"
+
+
 def test_render_strip_band_counts(capsys):
     code, out, _ = run_cli(["render", "--system", "A2", "--length-bound", "2"], capsys)
     assert code == 0
@@ -442,6 +453,11 @@ def test_crosscheck_detects_injected_fault(a2, monkeypatch):
                                 "--length-bound", "6", "--kappa-b", "match-x",
                                 "--format", "csv"]),
     ("crosscheck_A2_L6.json", ["crosscheck", "--system", "A2", "--length-bound", "6"]),
+    ("check_A2_t11s1.json", ["check", "t[1,1] s1", "--system", "A2", "--kappa-b", "match-x"]),
+    ("check_A3_13_t101s1s2.json", ["check", "t[1,0,1] s1 s2", "--system", "A3",
+                                   "--sigma", "(1 3)", "--kappa-b", "match-x"]),
+    ("bgx_A2_s1s2_11.json", ["bgx", "s1 s2", "[1,1]", "--system", "A2"]),
+    ("bgx_A2_e_10.json", ["bgx", "e", "[1,0]", "--system", "A2"]),
 ])
 def test_golden_output_bytes(name, args, capsys):
     code, out, _ = run_cli(args, capsys)
@@ -511,6 +527,14 @@ def test_enumerate_jobs_one_builds_one_root_system(monkeypatch, capsys):
 def test_enumerate_row_computes_class_and_support_once(kappa_b, monkeypatch, capsys):
     supports = _count_calls(monkeypatch, adlv.iwahori, "affine_sigma_support")
     classes = _count_calls(monkeypatch, adlv.iwahori, "kottwitz")
+    profiles = Counter()
+    build = adlv.alcove.AlcoveProfile.build.__func__
+
+    def counting_build(cls, x, sigma):
+        profiles[x.key()] += 1
+        return build(cls, x, sigma)
+
+    monkeypatch.setattr(adlv.alcove.AlcoveProfile, "build", classmethod(counting_build))
     code, out, _ = run_cli(["enumerate", "--system", "A3", "--sigma", "(1 3)",
                             "--length-bound", "3", "--kappa-b", kappa_b,
                             "--format", "json"], capsys)
@@ -522,6 +546,8 @@ def test_enumerate_row_computes_class_and_support_once(kappa_b, monkeypatch, cap
     assert set(supports.values()) == {1}
     # length-zero elements are also classified once while Omega is built
     assert all(classes[x.key()] == 1 for x in elements if x.length > 0)
+    assert sorted(profiles) == sorted(x.key() for x in elements)
+    assert set(profiles.values()) == {1}
 
 
 def test_python_dash_m_adlv():

@@ -108,27 +108,27 @@ def test_jw_alcove_full_j_always(a2):
     full = frozenset(range(a2.rank))
     for x in list(enumerate_affine(a2, 3))[:10]:
         for w in enumerate_w0(a2):
-            assert is_jw_alcove(x, full, w, sid(a2))
+            assert is_jw_alcove(AlcoveProfile.build(x, sid(a2)), full, w)
 
 
 def test_jw_alcove_identity_empty_j(a2):
-    x = AffineElement.identity(a2)
+    profile = AlcoveProfile.build(AffineElement.identity(a2), sid(a2))
     for w in enumerate_w0(a2):
-        assert is_jw_alcove(x, frozenset(), w, sid(a2))
+        assert is_jw_alcove(profile, frozenset(), w)
 
 
 def test_jw_alcove_rejects_unstable_j(a3, a3_flip):
-    x = AffineElement.identity(a3)
+    profile = AlcoveProfile.build(AffineElement.identity(a3), a3_flip)
     w = FiniteWeylElement.identity(a3)
     with pytest.raises(ValueError):
-        is_jw_alcove(x, frozenset({0}), w, a3_flip)  # {1} is not flip-stable
+        is_jw_alcove(profile, frozenset({0}), w)  # {1} is not flip-stable
 
 
 def test_deep_shrunken_is_no_proper_alcove(a2):
-    x = parse_affine(a2, "t[-3,3] s2 s1")
+    profile = AlcoveProfile.build(parse_affine(a2, "t[-3,3] s2 s1"), sid(a2))
     for j_set in sigma_stable_subsets(a2, sid(a2), True):
         for w in enumerate_w0(a2):
-            assert not is_jw_alcove(x, j_set, w, sid(a2))
+            assert not is_jw_alcove(profile, j_set, w)
 
 
 def test_oracle_witness_for_regular_translation(a2):
@@ -191,7 +191,7 @@ def test_jrx_shrunken_is_eta_support(a2):
     r = FiniteWeylElement.identity(a2)
     from adlv.weyl import sigma_support
 
-    assert j_rx(x, r, sid(a2), profile) == sigma_support(profile.eta, sid(a2))
+    assert j_rx(profile, r) == sigma_support(profile.eta, sid(a2))
 
 
 def test_jrx_one_strip(a2):
@@ -199,7 +199,7 @@ def test_jrx_one_strip(a2):
     profile = AlcoveProfile.build(x, sid(a2))
     s1 = FiniteWeylElement.simple(a2, 0)
     assert s1 in profile.w_x
-    j_set = j_rx(x, s1, sid(a2), profile)
+    j_set = j_rx(profile, s1)
     from adlv.weyl import sigma_support
 
     assert j_set == sigma_support(s1 * profile.eta * s1, sid(a2))
@@ -208,7 +208,7 @@ def test_jrx_one_strip(a2):
 def test_jrx_rejects_nonmember(a2):
     x = parse_affine(a2, "t[-3,3] s2 s1")  # shrunken: W_x = {e}
     with pytest.raises(ValueError):
-        j_rx(x, FiniteWeylElement.simple(a2, 0), sid(a2))
+        j_rx(AlcoveProfile.build(x, sid(a2)), FiniteWeylElement.simple(a2, 0))
 
 
 def test_jrx_postcondition_battery(a2, a3, a3_flip):
@@ -367,15 +367,15 @@ def test_dim_shrunken_example(a2):
     x = parse_affine(a2, "t[-2,1] s1")
     profile = AlcoveProfile.build(x, sid(a2))
     assert x.length == 5 and profile.shrunken and profile.eta.length == 3
-    assert dim_shrunken(x, KottwitzClass.zero(a2), sid(a2), profile) == 4
+    assert dim_shrunken(profile, KottwitzClass.zero(a2)) == 4
 
 
 def test_dim_shrunken_undefined_cases(a2):
     zero = KottwitzClass.zero(a2)
     not_shrunken = AffineElement.identity(a2)
-    assert dim_shrunken(not_shrunken, zero, sid(a2)) is None
+    assert dim_shrunken(AlcoveProfile.build(not_shrunken, sid(a2)), zero) is None
     empty = AffineElement.from_translation(a2, (1, 1))  # shrunken but empty
-    assert dim_shrunken(empty, zero, sid(a2)) is None
+    assert dim_shrunken(AlcoveProfile.build(empty, sid(a2)), zero) is None
 
 
 def test_dim_parity_guard(a2, monkeypatch):
@@ -384,18 +384,18 @@ def test_dim_parity_guard(a2, monkeypatch):
     x = parse_affine(a2, "t[-2,1] s1")
     monkeypatch.setattr(criterion, "defect", lambda k, s: 1)
     with pytest.raises(InternalCheckError):
-        criterion.dim_shrunken(x, KottwitzClass.zero(a2), sid(a2))
+        criterion.dim_shrunken(AlcoveProfile.build(x, sid(a2)), KottwitzClass.zero(a2))
 
 
 def test_dim_one_strip_example(a2):
     zero = KottwitzClass.zero(a2)
     found = 0
     for x in enumerate_affine(a2, 9):
-        value = dim_one_strip_rank2(x, zero, sid(a2))
+        profile = AlcoveProfile.build(x, sid(a2))
+        value = dim_one_strip_rank2(profile, zero)
         if value is None:
             continue
         found += 1
-        profile = AlcoveProfile.build(x, sid(a2))
         (alpha_x,) = profile.phi_x
         s_x = FiniteWeylElement.simple(a2, alpha_x.index(1))
         eta = profile.eta
@@ -412,7 +412,7 @@ def test_dim_one_strip_epsilon_one(b2):
     x = parse_affine(b2, "t[2,-1] s2 s1 s2 s1")
     profile = AlcoveProfile.build(x, sid(b2))
     assert profile.eta == w0 and len(profile.phi_x) == 1
-    value = dim_one_strip_rank2(x, zero, sid(b2), profile)
+    value = dim_one_strip_rank2(profile, zero)
     base = (x.length + min(w0.length, _conj_length(b2, profile))) // 2
     assert value == base - 1 == 3
 
@@ -423,7 +423,7 @@ def test_dim_one_strip_epsilon_zero(a2):
     saw_other = False
     for x in enumerate_affine(a2, 10):
         profile = AlcoveProfile.build(x, sid(a2))
-        value = dim_one_strip_rank2(x, zero, sid(a2), profile)
+        value = dim_one_strip_rank2(profile, zero)
         if value is None:
             continue
         assert profile.eta != w0  # the correction never triggers here

@@ -14,7 +14,6 @@ from adlv.iwahori import (
     affine_sigma_support,
     affine_simples,
     apply_sigma_affine,
-    basic_class_of,
     enumerate_affine,
     fixes_point_of_closed_base_alcove,
     kottwitz,
@@ -194,14 +193,6 @@ def test_fixed_point_identity_and_translation(a2):
     assert fixes_point_of_closed_base_alcove(AffineElement.identity(a2), sigma)
     assert not fixes_point_of_closed_base_alcove(
         AffineElement.from_translation(a2, (1, 1)), sigma)
-
-
-def test_basic_class_of(a1, a2):
-    for system, mu in ((a2, (0, 0)), (a2, (1, 0)), (a1, (1,))):
-        kappa = KottwitzClass.from_translation(system, mu)
-        point, back = basic_class_of(kappa)
-        assert point.is_central()
-        assert back == kappa
 
 
 @pytest.mark.parametrize("descriptor,sigma_perm", [("A2", None), ("A3", (2, 1, 0))])

@@ -1,7 +1,8 @@
-"""Small exact linear algebra over Fraction: inverses, affine solves, feasibility.
+"""Small exact linear algebra: products, inverses, affine solves, feasibility.
 
 Everything here works on tuples of tuples with int/Fraction entries and stays
-in exact rational arithmetic.  Sizes are tiny (matrices up to the root-system
+exact: products of integer matrices stay in integers, the solvers work over
+Fraction.  Sizes are tiny (matrices up to the root-system
 rank), so plain Gaussian elimination is the right tool.
 """
 
@@ -24,15 +25,15 @@ def identity_matrix(n: int) -> Matrix:
 
 
 def mat_vec(matrix, vector) -> Vector:
-    return tuple(sum((Fraction(a) * Fraction(v) for a, v in zip(row, vector)), Fraction(0))
-                 for row in matrix)
+    """Exact product; integer inputs give integer entries."""
+    return tuple(sum(a * v for a, v in zip(row, vector)) for row in matrix)
 
 
 def mat_mul(a, b) -> Matrix:
+    """Exact product; integer inputs give integer entries."""
     n, k, m = len(a), len(b), len(b[0])
     return tuple(
-        tuple(sum((Fraction(a[i][t]) * Fraction(b[t][j]) for t in range(k)), Fraction(0))
-              for j in range(m))
+        tuple(sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m))
         for i in range(n)
     )
 

@@ -50,7 +50,7 @@ def dominant_decompose(x: AffineElement) -> DominantDecomposition:
     D the barycenter's common denominator, D x(p) = w(D p) + D lambda."""
     system = x.system
     scale, center = system.scaled_base_alcove_barycenter
-    moved = x.finite.act_on_int_coweight(center)
+    moved = x.finite.act_on_coweight(center)
     point = tuple(m + scale * t for m, t in zip(moved, x.translation))
     dominant_point, u = make_dominant(system, point)
     if any(c <= 0 for c in dominant_point):

@@ -48,6 +48,7 @@ from .iwahori import (
     enumerate_affine,
     fixes_point_of_closed_base_alcove,
     kottwitz,
+    kottwitz_group,
     make_dominant,
     newton,
     omega_component,
@@ -307,6 +308,22 @@ def _class_by_coroot_coordinates(x: AffineElement) -> KottwitzClass:
     return KottwitzClass(x.system, tuple(_mod1(c) for c in coords))
 
 
+def _class_sum_by_mod1(a: KottwitzClass, b: KottwitzClass) -> KottwitzClass:
+    """Reference for the integer class sum: add the rational representatives mod 1."""
+    return KottwitzClass(a.system, tuple(_mod1(p + q) for p, q in zip(a.rep, b.rep)))
+
+
+def _class_negation_by_mod1(a: KottwitzClass) -> KottwitzClass:
+    """Reference for the integer class negation: negate the representatives mod 1."""
+    return KottwitzClass(a.system, tuple(_mod1(-p) for p in a.rep))
+
+
+def _newton_dominant_by_fractions(system: RootSystem, vector) -> tuple[Fraction, ...]:
+    """Reference for the integer Newton point: make the rational Newton vector
+    dominant directly."""
+    return make_dominant(system, vector)[0]
+
+
 def _dominant_decompose_by_barycenter(x: AffineElement) -> DominantDecomposition:
     """Reference for the integer decomposition: move the rational barycenter
     x(p) into the dominant chamber."""
@@ -365,8 +382,8 @@ def _affine_sigma_support_by_descent(x: AffineElement,
 def check_kottwitz_homomorphism(system: RootSystem, bound: int = 4,
                                 pair_cap: int = 40000) -> CheckResult:
     """The class map is a homomorphism killing the affine Weyl group; also its
-    integer form, the minuscule Omega and the integer inverse against their
-    rational and W0-sweep references."""
+    integer form, the integer class sum and negation, the minuscule Omega and
+    the integer inverse against their rational and W0-sweep references."""
     cid = "kottwitz-homomorphism"
     if omega_elements(system) != _omega_elements_by_sweep(system):
         return _fail(cid, "minuscule Omega differs from the W0 sweep",
@@ -375,20 +392,28 @@ def check_kottwitz_homomorphism(system: RootSystem, bound: int = 4,
         if w.inverse() != _inverse_by_linalg(w):
             return _fail(cid, "integer inverse differs from the matrix inverse",
                          {"w": format_finite(w)})
-    sample = list(enumerate_affine(system, bound))
-    for x in sample:
-        if kottwitz(x) != _class_by_coroot_coordinates(x):
+    sample = [(x, kottwitz(x)) for x in enumerate_affine(system, bound)]
+    for x, kx in sample:
+        if kx != _class_by_coroot_coordinates(x):
             return _fail(cid, "integer class differs from the coroot coordinates",
                          {"x": format_affine(x)})
+    group = kottwitz_group(system)
+    for a in group:
+        if -a != _class_negation_by_mod1(a):
+            return _fail(cid, "integer class negation differs from the rational one",
+                         {"kappa": [str(c) for c in a.rep]})
+        for b in group:
+            if a + b != _class_sum_by_mod1(a, b):
+                return _fail(cid, "integer class sum differs from the rational sum",
+                             {"a": [str(c) for c in a.rep], "b": [str(c) for c in b.rep]})
     for s in affine_simples(system):
         if not kottwitz(s.element).is_zero():
             return _fail(cid, "class map does not kill an affine generator",
                          {"s": s.label})
     inner = sample[:max(1, pair_cap // max(1, len(sample)))]
-    for x in sample:
-        kx = kottwitz(x)
-        for y in inner:
-            if kottwitz(x * y) != kx + kottwitz(y):
+    for x, kx in sample:
+        for y, ky in inner:
+            if kottwitz(x * y) != kx + ky:
                 return _fail(cid, "not a homomorphism",
                              {"x": format_affine(x), "y": format_affine(y)})
     return _ok(cid, f"homomorphism on {len(sample)}x{len(inner)} products; "
@@ -401,6 +426,9 @@ def check_newton_stability(system: RootSystem, sigma: DiagramAutomorphism,
     conjugators = [y for y in enumerate_affine(system, 3)]
     for x in enumerate_affine(system, bound):
         base_point = newton(x, sigma)
+        if base_point.dominant != _newton_dominant_by_fractions(system, base_point.vector):
+            return _fail(cid, "integer dominant Newton point differs from the rational route",
+                         {"x": format_affine(x)})
         doubled = newton(x, sigma, force_multiple=2)
         if base_point.vector != doubled.vector:
             return _fail(cid, "vector depends on the power used",
@@ -439,7 +467,7 @@ def check_affine_support_fixed_point(system: RootSystem,
         if closed != _affine_sigma_support_by_descent(x, sigma):
             return _fail(cid, "closed-form affine support differs from the descent loop",
                          {"x": format_affine(x), "letters": sorted(closed.letters)})
-        finite_support = shortcut_applies(x, sigma)
+        finite_support = shortcut_applies(x, sigma, closed)
         fixes = fixes_point_of_closed_base_alcove(x, sigma)
         if finite_support != fixes:
             return _fail(cid, "finite-support test vs fixed-point test mismatch",
@@ -613,12 +641,11 @@ def check_criterion_oracle_equivalence(system: RootSystem,
     total = compared = 0
     for x in enumerate_affine(system, bound):
         total += 1
-        if not affine_sigma_support(x, sigma).full:
-            continue
-        kappa = kottwitz(x)
         profile = AlcoveProfile.build(x, sigma)
-        left = decide_nonempty(x, kappa, sigma, profile)
-        right = oracle_nonempty(x, kappa, sigma, profile)
+        if not profile.affine_support.full:
+            continue
+        left = decide_nonempty(x, profile.kappa, sigma, profile)
+        right = oracle_nonempty(x, profile.kappa, sigma, profile)
         if left.nonempty != right.nonempty:
             return _fail(cid, "criterion and oracle disagree",
                          {"x": format_affine(x), "criterion": left.nonempty,
@@ -641,9 +668,9 @@ def check_shrunken_specialization(system: RootSystem, sigma: DiagramAutomorphism
         if profile.w_x != frozenset({identity}):
             return _fail(cid, "shrunken element with extra embeddings",
                          {"x": format_affine(x)})
-        if not affine_sigma_support(x, sigma).full:
+        if not profile.affine_support.full:
             continue
-        verdict = decide_nonempty(x, kottwitz(x), sigma, profile)
+        verdict = decide_nonempty(x, profile.kappa, sigma, profile)
         expected = sigma_support(profile.eta, sigma) == full
         if verdict.nonempty != expected:
             return _fail(cid, "criterion differs from the single support test",
@@ -682,7 +709,7 @@ def check_one_strip_two_support(system: RootSystem, sigma: DiagramAutomorphism,
             sigma_support(eta, sigma) == full
             and sigma_support(sigma_inv.weyl(s_x) * eta * s_x, sigma) == full
         )
-        verdict = decide_nonempty(x, kottwitz(x), sigma, profile)
+        verdict = decide_nonempty(x, profile.kappa, sigma, profile)
         if verdict.nonempty != supports_full:
             return _fail(cid, "two-support test disagrees with the criterion",
                          {"x": format_affine(x)})
@@ -706,8 +733,8 @@ def check_translation_elements(system: RootSystem, sigma: DiagramAutomorphism,
         if not x.finite.is_identity():
             continue
         central = newton(x, sigma).is_central()
-        kappa = kottwitz(x)
         profile = AlcoveProfile.build(x, sigma)
+        kappa = profile.kappa
         verdict = decide_nonempty(x, kappa, sigma, profile)
         if split and verdict.nonempty != central:
             return _fail(cid, "translation verdict differs from centrality",
@@ -715,7 +742,7 @@ def check_translation_elements(system: RootSystem, sigma: DiagramAutomorphism,
         if central and not verdict.nonempty:
             return _fail(cid, "central translation decided empty",
                          {"x": format_affine(x)})
-        if affine_sigma_support(x, sigma).full:
+        if profile.affine_support.full:
             if oracle_nonempty(x, kappa, sigma, profile).nonempty != verdict.nonempty:
                 return _fail(cid, "oracle disagrees on a translation",
                              {"x": format_affine(x)})
@@ -739,20 +766,20 @@ def check_vtmu_elements(system: RootSystem, sigma: DiagramAutomorphism,
             if x.length > bound:
                 continue
             profile = AlcoveProfile.build(x, sigma)
-            kappa = kottwitz(x)
+            kappa = profile.kappa
             verdict = decide_nonempty(x, kappa, sigma, profile)
             supports_full = all(
                 sigma_support(sigma_inv.weyl(r) * profile.eta * r.inverse(), sigma) == full
                 for r in profile.w_x
             )
-            if affine_sigma_support(x, sigma).full:
+            if profile.affine_support.full:
                 if verdict.nonempty != supports_full:
                     return _fail(cid, "criterion differs from the all-supports test",
                                  {"x": format_affine(x)})
                 if oracle_nonempty(x, kappa, sigma, profile).nonempty != verdict.nonempty:
                     return _fail(cid, "oracle disagrees on a v t^mu element",
                                  {"x": format_affine(x)})
-            elif shortcut_applies(x, sigma) and not verdict.nonempty:
+            elif shortcut_applies(x, sigma, profile.affine_support) and not verdict.nonempty:
                 return _fail(cid, "shortcut case must be nonempty",
                              {"x": format_affine(x)})
             count += 1
@@ -901,10 +928,10 @@ def check_conjecture_audit(system: RootSystem, sigma: DiagramAutomorphism,
     cid = "conjecture-audit"
     candidates = []
     for x in enumerate_affine(system, bound):
-        if affine_sigma_support(x, sigma).full:
-            continue
         profile = AlcoveProfile.build(x, sigma)
-        verdict = decide_nonempty(x, kottwitz(x), sigma, profile)
+        if profile.affine_support.full:
+            continue
+        verdict = decide_nonempty(x, profile.kappa, sigma, profile)
         raw = _oracle_scan(profile)
         if verdict.nonempty != raw.nonempty:
             candidates.append(format_affine(x))

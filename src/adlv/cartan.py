@@ -205,19 +205,22 @@ class RootSystem:
 
     # -- pairings and lattices -----------------------------------------------
 
-    def pair(self, root, mu) -> Fraction:
-        """Pairing <root, mu> of a root with a coweight; bilinear, exact."""
+    def pair(self, root, mu):
+        """Pairing <root, mu> of a root with a coweight; bilinear, exact.
+
+        An int for an integral mu given in ints, a Fraction as soon as mu has
+        a Fraction coordinate.
+        """
         if len(root) != self.rank or len(mu) != self.rank:
             raise ValueError("dimension mismatch")
-        return sum((Fraction(a) * Fraction(m) for a, m in zip(root, mu)), Fraction(0))
+        return sum(a * m for a, m in zip(root, mu))
 
     def coroot_coordinates(self, mu) -> tuple[Fraction, ...]:
         """Coordinates c with mu = sum_i c_i * alpha_i^v (inverse-Cartan transform)."""
         if len(mu) != self.rank:
             raise ValueError("dimension mismatch")
         return tuple(
-            sum((self.inverse_cartan[j][i] * Fraction(mu[j]) for j in range(self.rank)),
-                Fraction(0))
+            sum(self.inverse_cartan[j][i] * mu[j] for j in range(self.rank))
             for i in range(self.rank)
         )
 

@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -261,19 +262,21 @@ def _worker_rows(payload) -> list[dict]:
 
 
 def enumerate_rows(config: RunConfig) -> list[dict]:
-    """One row per element, in enumeration order (which pool.map keeps)."""
+    """One row per element, in enumeration order (which pool.map keeps).
+    At most one worker process per CPU, whatever ``jobs`` asks for."""
     system, sigma, kappa = build_context(config)
     elements = list(enumerate_affine(system, config.length_bound, cap=config.cap))
-    if config.jobs == 1 or len(elements) < 2 * config.jobs:
+    jobs = min(config.jobs, os.cpu_count() or 1)
+    if jobs == 1 or len(elements) < 2 * jobs:
         return [_row_for_element(system, sigma, kappa, x) for x in elements]
     notations = [format_affine(x) for x in elements]
-    chunk = (len(notations) + config.jobs - 1) // config.jobs
+    chunk = (len(notations) + jobs - 1) // jobs
     payloads = [
         (dict(config.__dict__), notations[i:i + chunk])
         for i in range(0, len(notations), chunk)
     ]
     rows = []
-    with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
         for part in pool.map(_worker_rows, payloads):
             rows.extend(part)
     return rows
@@ -423,7 +426,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help='basic-class designator: "[c1,...,cn]", "zero" or "match-x"')
     parser.add_argument("--format", choices=["json", "csv", "svg"])
     parser.add_argument("--out", help="output path (default stdout)")
-    parser.add_argument("--jobs", type=int, help="worker processes for enumeration")
+    parser.add_argument("--jobs", type=int,
+                        help="worker processes for enumeration (at most the CPU count)")
     parser.add_argument("--cap", type=int, help="enumeration size cap")
     parser.add_argument("--seed", type=int, help="seed for randomized checks")
 

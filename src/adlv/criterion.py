@@ -29,6 +29,7 @@ from .errors import AdlvError, InternalCheckError
 from .iwahori import (
     AffineElement,
     AffineSimple,
+    AffineSupport,
     KottwitzClass,
     affine_sigma_support,
     apply_sigma_affine,
@@ -87,11 +88,13 @@ def sigma_component_groups(
     return tuple(groups)
 
 
-def shortcut_applies(x: AffineElement, sigma: DiagramAutomorphism) -> bool:
+def shortcut_applies(x: AffineElement, sigma: DiagramAutomorphism,
+                     support: AffineSupport | None = None) -> bool:
     """Whether the affine sigma-support generates a finite reflection group
     (misses a node in every factor), which forces a central Newton point and
-    membership in the basic class."""
-    letters = affine_sigma_support(x, sigma).letters
+    membership in the basic class.  ``support`` is the affine sigma-support
+    of x, when the caller already has it."""
+    letters = (affine_sigma_support(x, sigma) if support is None else support).letters
     return not any(
         nodes <= letters for _, nodes in sigma_component_groups(x.system, sigma)
     )
@@ -170,7 +173,7 @@ def is_jw_alcove(profile: AlcoveProfile, j_set: frozenset[int], w: FiniteWeylEle
     w_affine = AffineElement.from_finite(w)
     twisted = w_affine.inverse() * x * AffineElement.from_finite(sigma.weyl(w))
     marker = _outside_stabilized_coweight(system, j_set)
-    if twisted.finite.act_on_coweight(marker) != tuple(Fraction(c) for c in marker):
+    if twisted.finite.act_on_coweight(marker) != marker:
         return False
     for alpha in system.positive_roots:
         if all(alpha[i] == 0 for i in range(system.rank) if i not in j_set):
@@ -393,7 +396,7 @@ def bgx_cordial(
     x = AffineElement.from_finite(v) * AffineElement.from_translation(system, mu)
     formula = frozenset(
         r for r in enumerate_w0(system)
-        if r.act_on_coweight(mu) == tuple(Fraction(c) for c in mu)
+        if r.act_on_coweight(mu) == tuple(mu)
         and (v * r.inverse()).length == v.length + r.length
     )
     profile = AlcoveProfile.build(x, sigma)

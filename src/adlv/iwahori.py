@@ -70,14 +70,14 @@ class AffineElement:
 
     def __mul__(self, other: "AffineElement") -> "AffineElement":
         # (t^a u)(t^b v) = t^{a + u.b} uv
-        moved = self.finite.act_on_int_coweight(other.translation)
+        moved = self.finite.act_on_coweight(other.translation)
         translation = tuple(a + b for a, b in zip(self.translation, moved))
-        return AffineElement(translation, self.finite * other.finite)
+        return _unchecked(translation, self.finite * other.finite)
 
     def inverse(self) -> "AffineElement":
         w_inv = self.finite.inverse()
-        moved = w_inv.act_on_int_coweight(self.translation)
-        return AffineElement(tuple(-c for c in moved), w_inv)
+        moved = w_inv.act_on_coweight(self.translation)
+        return _unchecked(tuple(-c for c in moved), w_inv)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, AffineElement)
@@ -111,8 +111,18 @@ class AffineElement:
         return tuple(Fraction(a) + b for a, b in zip(moved, self.translation))
 
 
+def _unchecked(translation: tuple[int, ...], finite: FiniteWeylElement) -> AffineElement:
+    """An element whose integer translation the group law computed from
+    elements already checked, so the constructor's integrality check is skipped."""
+    x = object.__new__(AffineElement)
+    x.translation = translation
+    x.finite = finite
+    x._length = None
+    return x
+
+
 def apply_sigma_affine(sigma: DiagramAutomorphism, x: AffineElement) -> AffineElement:
-    return AffineElement(sigma.coweight(x.translation), sigma.weyl(x.finite))
+    return _unchecked(sigma.coweight(x.translation), sigma.weyl(x.finite))
 
 
 def _im_length(x: AffineElement) -> int:
@@ -144,23 +154,29 @@ class KottwitzClass:
         """Coroot coordinates of mu mod 1, in integers: per component, d * C^{-1}
         is an integer matrix, so coordinate i is (column i . mu mod d) / d."""
         mu = _as_int_tuple(mu)
-        rep = []
-        for columns, d, residues in _class_map(system):
-            for column in columns:
-                rep.append(residues[sum(a * mu[j] for j, a in column) % d])
-        return cls(system, tuple(rep))
+        return cls(system, tuple(
+            residues[sum(a * mu[j] for j, a in column) % d]
+            for column, d, residues in _class_map(system)
+        ))
 
     @classmethod
     def zero(cls, system: RootSystem) -> "KottwitzClass":
         return cls(system, (Fraction(0),) * system.rank)
 
     def __add__(self, other: "KottwitzClass") -> "KottwitzClass":
-        return KottwitzClass(
-            self.system, tuple(_mod1(a + b) for a, b in zip(self.rep, other.rep))
-        )
+        """Coordinate i is r/d with d its component's denominator: add the
+        integer residues r mod d."""
+        return KottwitzClass(self.system, tuple(
+            residues[(a.numerator * (d // a.denominator)
+                      + b.numerator * (d // b.denominator)) % d]
+            for (_, d, residues), a, b in zip(_class_map(self.system), self.rep, other.rep)
+        ))
 
     def __neg__(self) -> "KottwitzClass":
-        return KottwitzClass(self.system, tuple(_mod1(-a) for a in self.rep))
+        return KottwitzClass(self.system, tuple(
+            residues[-a.numerator * (d // a.denominator) % d]
+            for (_, d, residues), a in zip(_class_map(self.system), self.rep)
+        ))
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.rep)
@@ -184,18 +200,17 @@ class KottwitzClass:
 
 @lru_cache(maxsize=None)
 def _class_map(system: RootSystem):
-    """Per component, in index order: the nonzero entries (j, d * C^{-1}[j][i]) of
-    each column i of its inverse-Cartan block, the block's least common
-    denominator d, and the residues Fraction(r, d) for r < d."""
+    """Per coordinate i, in index order: the nonzero entries (j, d * C^{-1}[j][i])
+    of column i of its component's inverse-Cartan block, the block's least
+    common denominator d, and the residues Fraction(r, d) for r < d."""
     out = []
     for comp in system.components:
         block = [[system.inverse_cartan[j][i] for j in comp.indices] for i in comp.indices]
         d = lcm(*(c.denominator for column in block for c in column))
-        columns = tuple(
-            tuple((j, int(c * d)) for j, c in zip(comp.indices, column) if c)
-            for column in block
-        )
-        out.append((columns, d, tuple(Fraction(r, d) for r in range(d))))
+        residues = tuple(Fraction(r, d) for r in range(d))
+        for column in block:
+            entries = tuple((j, int(c * d)) for j, c in zip(comp.indices, column) if c)
+            out.append((entries, d, residues))
     return tuple(out)
 
 
@@ -288,7 +303,10 @@ def newton(x: AffineElement, sigma: DiagramAutomorphism,
     demands a larger power, for the independence audit).
 
     The raw vector is only fixed by the twisted action; its dominant
-    representative is genuinely sigma-invariant.
+    representative is genuinely sigma-invariant.  Both are Fraction tuples.
+    The dominant one is found in integers: W0 acts linearly and the power n
+    is positive, so the dominant representative of lambda/n is that of the
+    integer translation lambda, divided by n.
     """
     system = x.system
     twists = [x]
@@ -300,9 +318,9 @@ def newton(x: AffineElement, sigma: DiagramAutomorphism,
     n = 1
     while n <= cap:
         if n % step == 0 and z.finite.is_identity():
-            vector = tuple(Fraction(c, n) for c in z.translation)
-            dominant, _ = make_dominant(system, vector)
-            return NewtonPoint(vector, dominant)
+            dominant, _ = make_dominant(system, z.translation)
+            return NewtonPoint(tuple(Fraction(c, n) for c in z.translation),
+                               tuple(Fraction(c, n) for c in dominant))
         z = z * twists[n % sigma.order]
         n += 1
     raise InternalCheckError("Newton iteration did not terminate within the cap")

@@ -10,7 +10,6 @@ root images) is computed once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from weakref import WeakKeyDictionary
@@ -118,14 +117,12 @@ class FiniteWeylElement:
         return self._inverse
 
     def act_on_coweight(self, mu) -> Coweight:
-        """w·mu, defined so that <w(a), w·mu> = <a, mu>."""
-        inv = self.inverse()
-        return tuple(self.system.pair(inv.images[i], mu) for i in range(self.system.rank))
-
-    def act_on_int_coweight(self, mu) -> tuple[int, ...]:
-        """Integer fast path of the coweight action."""
-        inv_images = self.inverse().images
-        return tuple(sum(a * m for a, m in zip(row, mu)) for row in inv_images)
+        """w·mu, defined so that <w(a), w·mu> = <a, mu>: coordinate i is
+        <w^{-1}(alpha_i), mu>, an integer row-dot.  Integer coordinates give
+        ints, Fraction coordinates give Fractions."""
+        if len(mu) != self.system.rank:
+            raise ValueError("dimension mismatch")
+        return tuple(sum(a * m for a, m in zip(row, mu)) for row in self.inverse().images)
 
     @property
     def length(self) -> int:
@@ -149,7 +146,8 @@ class FiniteWeylElement:
         return self._inv_positive
 
     def is_identity(self) -> bool:
-        return self.length == 0
+        """No right descent: every simple root stays positive."""
+        return all(sum(img) > 0 for img in self.images)
 
     def right_descents(self) -> list[int]:
         """Indices i with w(alpha_i) negative, i.e. length(w s_i) < length(w)."""
@@ -332,12 +330,12 @@ class DiagramAutomorphism:
         start = self.system.components[component_index].start
         return self.system.component_of_index(self.perm[start])
 
-    def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Matrix of the coweight action in the fundamental-coweight basis."""
+    def matrix(self) -> tuple[tuple[int, ...], ...]:
+        """Integer matrix of the coweight action in the fundamental-coweight basis."""
         n = len(self.perm)
-        m = [[Fraction(0)] * n for _ in range(n)]
+        m = [[0] * n for _ in range(n)]
         for i in range(n):
-            m[self.perm[i]][i] = Fraction(1)
+            m[self.perm[i]][i] = 1
         return tuple(tuple(row) for row in m)
 
 
@@ -349,11 +347,7 @@ def sigma_support(w: FiniteWeylElement, sigma: DiagramAutomorphism) -> frozenset
     return frozenset(out)
 
 
-def weyl_matrix(w: FiniteWeylElement) -> tuple[tuple[Fraction, ...], ...]:
-    """Matrix of the coweight action of w in the fundamental-coweight basis."""
-    n = w.system.rank
-    cols = [
-        w.act_on_coweight(tuple(Fraction(1) if k == j else Fraction(0) for k in range(n)))
-        for j in range(n)
-    ]
-    return tuple(tuple(Fraction(cols[j][i]) for j in range(n)) for i in range(n))
+def weyl_matrix(w: FiniteWeylElement) -> tuple[tuple[int, ...], ...]:
+    """Integer matrix of the coweight action of w in the fundamental-coweight
+    basis: row i is w^{-1}(alpha_i), since (w·mu)_i = <w^{-1}(alpha_i), mu>."""
+    return w.inverse().images

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from adlv import _linalg
 from adlv.cartan import (
     RootSystem,
     classical_positive_count,
@@ -12,7 +13,7 @@ from adlv.cartan import (
     subset_predicates,
 )
 from adlv.errors import NotationError
-from adlv.weyl import FiniteWeylElement, enumerate_w0, longest_element, support
+from adlv.weyl import FiniteWeylElement, enumerate_w0, longest_element, reduced_word, support
 
 
 def reflection_closure_oracle(system):
@@ -216,3 +217,45 @@ def test_base_alcove_barycenter(a2, b2):
     assert 0 < b2.pair(theta, bary) < 1
     for i in range(2):
         assert bary[i] > 0
+
+
+# -- the integer coweight kernel against the Fraction formulas ---------------------
+
+_KERNEL_SYSTEMS = {d: RootSystem.from_descriptor(d) for d in ("A2", "B2", "G2", "A3", "D4")}
+_integral = st.integers(-9, 9)
+_rational = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+
+
+def _fraction_pair(root, mu):
+    return sum((Fraction(a) * Fraction(m) for a, m in zip(root, mu)), Fraction(0))
+
+
+def _fraction_action(system, w, mu):
+    """w·mu letter by letter, s_i·mu = mu - mu_i alpha_i^v, in Fractions."""
+    coords = [Fraction(c) for c in mu]
+    for i in reversed(reduced_word(w)):
+        ci = coords[i]
+        coords = [c - ci * a for c, a in zip(coords, system.cartan_matrix[i])]
+    return tuple(coords)
+
+
+@given(st.sampled_from(sorted(_KERNEL_SYSTEMS)), st.data(), st.booleans())
+def test_kernel_matches_fraction_formulas(descriptor, data, integral):
+    """pair, act_on_coweight and mat_vec give the Fraction formulas' values;
+    on integer input they stay integers."""
+    system = _KERNEL_SYSTEMS[descriptor]
+    coords = _integral if integral else st.one_of(_integral, _rational)
+    mu = tuple(data.draw(st.lists(coords, min_size=system.rank, max_size=system.rank)))
+    root = data.draw(st.sampled_from(system.all_roots))
+    w = data.draw(st.sampled_from(list(enumerate_w0(system))))
+    matrix = tuple(tuple(data.draw(coords) for _ in range(system.rank))
+                   for _ in range(system.rank))
+    results = [
+        (system.pair(root, mu), _fraction_pair(root, mu)),
+        *zip(w.act_on_coweight(mu), _fraction_action(system, w, mu)),
+        *zip(_linalg.mat_vec(matrix, mu), (_fraction_pair(row, mu) for row in matrix)),
+    ]
+    for got, expected in results:
+        assert got == expected
+        if integral:
+            assert type(got) is int

@@ -11,6 +11,7 @@ from time import perf_counter
 import pytest
 
 import adlv.alcove
+import adlv.cli
 import adlv.iwahori
 from adlv import audit
 from adlv.cartan import RootSystem
@@ -548,6 +549,63 @@ def test_enumerate_row_computes_class_and_support_once(kappa_b, monkeypatch, cap
     assert all(classes[x.key()] == 1 for x in elements if x.length > 0)
     assert sorted(profiles) == sorted(x.key() for x in elements)
     assert set(profiles.values()) == {1}
+
+
+_AUDIT_ELEMENT_CHECKS = [
+    audit.check_criterion_oracle_equivalence,
+    audit.check_shrunken_specialization,
+    audit.check_one_strip_two_support,
+    audit.check_translation_elements,
+    audit.check_vtmu_elements,
+    audit.check_conjecture_audit,
+]
+
+
+@pytest.mark.parametrize("check", _AUDIT_ELEMENT_CHECKS, ids=lambda c: c.__name__)
+@pytest.mark.parametrize("descriptor, sigma_text, bound", [("A2", "id", 4),
+                                                           ("A3", "(1 3)", 5)])
+def test_audit_check_computes_support_once_per_element(check, descriptor, sigma_text,
+                                                       bound, monkeypatch):
+    system = RootSystem.from_descriptor(descriptor)
+    sigma = parse_sigma(system, sigma_text)
+    # Omega and its table of classes are built once per system, before counting
+    adlv.iwahori.omega_of_kottwitz(system, adlv.iwahori.KottwitzClass.zero(system))
+    supports = _count_calls(monkeypatch, adlv.iwahori, "affine_sigma_support")
+    classes = _count_calls(monkeypatch, adlv.iwahori, "kottwitz")
+    assert check(system, sigma, bound).passed
+    assert max(supports.values(), default=0) <= 1
+    assert max(classes.values(), default=0) <= 1
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records max_workers, starts nothing."""
+
+    created: list = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, payloads):
+        return map(fn, payloads)
+
+
+@pytest.mark.parametrize("cpus, jobs, expected", [(2, 64, [2]), (4, 3, [3]),
+                                                  (1, 8, []), (None, 8, [])])
+def test_jobs_clamped_to_cpu_count(cpus, jobs, expected, monkeypatch, capsys):
+    monkeypatch.setattr(adlv.cli.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(adlv.cli, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "created", [])
+    base = ["enumerate", "--system", "A2", "--length-bound", "4", "--format", "csv"]
+    code, clamped, _ = run_cli([*base, "--jobs", str(jobs)], capsys)
+    assert code == 0
+    assert _InlinePool.created == expected
+    assert clamped == run_cli([*base, "--jobs", "1"], capsys)[1]
 
 
 def test_python_dash_m_adlv():

@@ -45,7 +45,7 @@ def test_semidirect_inverse(a2):
         assert (x * x.inverse()).is_identity()
         assert (x.inverse() * x).is_identity()
         w_inv = x.finite.inverse()
-        expected = tuple(-c for c in w_inv.act_on_int_coweight(x.translation))
+        expected = tuple(-c for c in w_inv.act_on_coweight(x.translation))
         assert x.inverse().translation == expected
 
 
@@ -301,3 +301,35 @@ def test_affine_support_cost_flat_in_length(a2):
     support = affine_sigma_support(x, sigma)
     assert perf_counter() - start < 0.05
     assert support == audit._affine_sigma_support_by_descent(x, sigma)
+
+
+def test_constructor_rejects_a_rational_translation(a2):
+    """The group law skips the integrality check; the constructor keeps it."""
+    identity = FiniteWeylElement.identity(a2)
+    with pytest.raises(ValueError, match="not integral"):
+        AffineElement((Fraction(1, 2), 0), identity)
+    x = AffineElement((Fraction(4, 2), -1), identity)
+    assert x.translation == (2, -1) and all(type(c) is int for c in x.translation)
+    assert all(type(c) is int for c in (x * x).translation + x.inverse().translation)
+
+
+@pytest.mark.parametrize("descriptor, sigma_text, bound", [
+    ("A2", "id", 8), ("B2", "id", 8), ("G2", "id", 8), ("A3", "(1 3)", 5), ("D4", "id", 4),
+])
+def test_integer_newton_and_class_sums_match_rational_routes(descriptor, sigma_text, bound):
+    """The dominant Newton point found in integers equals make_dominant on the
+    rational vector; the integer class sums and negations equal the Fraction
+    sums mod 1, with Fraction representatives."""
+    system = RootSystem.from_descriptor(descriptor)
+    sigma = parse_sigma(system, sigma_text)
+    group = kottwitz_group(system)
+    for x in enumerate_affine(system, bound):
+        point = newton(x, sigma)
+        assert point.dominant == audit._newton_dominant_by_fractions(system, point.vector)
+        assert all(type(c) is Fraction for c in point.vector + point.dominant)
+        kx = kottwitz(x)
+        assert -kx == audit._class_negation_by_mod1(kx)
+        for g in group:
+            total = kx + g
+            assert total == audit._class_sum_by_mod1(kx, g)
+            assert all(type(c) is Fraction for c in total.rep)

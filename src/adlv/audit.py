@@ -482,7 +482,7 @@ def check_parabolic_newton_difference(system: RootSystem, sigma: DiagramAutomorp
     from .alcove import dominant_decompose
 
     checked = 0
-    for j_set in sigma_stable_subsets(system, sigma, proper_only=False):
+    for j_set in sigma_stable_subsets(system, sigma, False):
         marker = tuple(0 if i in j_set else 1 for i in range(system.rank))
         for x in enumerate_affine(system, bound):
             if x.finite.act_on_coweight(marker) != tuple(Fraction(c) for c in marker):
@@ -620,7 +620,7 @@ def check_oracle_reduction_vs_literal(system: RootSystem, sigma: DiagramAutomorp
     cid = "oracle-reduction-vs-literal"
     pairs = 0
     scan = _scan_elements(system, sigma)
-    subsets = sigma_stable_subsets(system, sigma, proper_only=False)
+    subsets = sigma_stable_subsets(system, sigma, False)
     for x in enumerate_affine(system, bound):
         profile = AlcoveProfile.build(x, sigma)
         for w, w_inv, sigma_w in scan:
@@ -861,7 +861,7 @@ def check_wronglem_search(systems_with_sigma, coord_bound: int = 3) -> CheckResu
             component_orbit |= extra
         if len(component_orbit) != len(system.components):
             continue  # not sigma-connected
-        for j_set in sigma_stable_subsets(system, sigma, proper_only=True):
+        for j_set in sigma_stable_subsets(system, sigma, True):
             j_list = sorted(j_set)
             for coeffs in product(range(-coord_bound, coord_bound + 1), repeat=len(j_list)):
                 searched += 1

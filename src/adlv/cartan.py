@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, wraps
 from math import lcm
 
 from . import _linalg
@@ -110,6 +110,23 @@ def _generate_positive_roots(cartan) -> tuple[Root, ...]:
     return tuple(sorted(roots, key=lambda r: (sum(r), r)))
 
 
+def per_system(fn):
+    """Memoize ``fn(system, *args)`` in ``system.memo``, so the value lives
+    exactly as long as its system.  Positional arguments only."""
+
+    @wraps(fn)
+    def cached(system, *args):
+        key = (fn, *args)
+        try:
+            return system.memo[key]
+        except KeyError:
+            pass
+        value = system.memo[key] = fn(system, *args)
+        return value
+
+    return cached
+
+
 @dataclass(frozen=True)
 class Component:
     """One irreducible summand and its slice of the global index range."""
@@ -127,7 +144,9 @@ class RootSystem:
     """A reduced root system, possibly a direct sum of irreducible ones.
 
     Instances are immutable after construction and compared by identity;
-    build one per run and share it freely.
+    build one per run and share it freely.  ``memo`` holds every table
+    derived from the system (see ``per_system``) and the interned finite
+    Weyl elements, so they are freed with it.
     """
 
     def __init__(self, components: list[tuple[str, int]]):
@@ -141,6 +160,7 @@ class RootSystem:
         self.components: tuple[Component, ...] = tuple(comps)
         self.rank: int = start
         self.type_label: str = "+".join(f"{c.type_label}{c.rank}" for c in self.components)
+        self.memo: dict = {}
 
         blocks = [cartan_matrix(c.type_label, c.rank) for c in self.components]
         cartan = [[0] * self.rank for _ in range(self.rank)]
@@ -249,7 +269,6 @@ class RootSystem:
             raise ValueError(f"{root} is not a root")
         return tuple(2 * gram_row[j] / norm for j in range(self.rank))
 
-    @lru_cache(maxsize=None)
     def _symmetrizer(self) -> tuple[Fraction, ...]:
         """d with d_i * cartan[i][j] symmetric, positive; found by graph propagation."""
         d = [Fraction(0)] * self.rank
@@ -266,7 +285,6 @@ class RootSystem:
 
     # -- base alcove geometry --------------------------------------------------
 
-    @lru_cache(maxsize=None)
     def base_alcove_vertices(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
         """Per component: the vertices 0 and fundamental-coweight/mark of its base simplex."""
         out = []
@@ -280,16 +298,14 @@ class RootSystem:
             out.append(tuple(vertices))
         return tuple(out)
 
-    @lru_cache(maxsize=None)
+    @per_system
     def base_alcove_barycenter(self) -> tuple[Fraction, ...]:
-        """Barycenter of the base alcove (product of per-component simplex barycenters)."""
+        """Barycenter of the base alcove: per component, the average of its
+        rank + 1 vertices, so coordinate i is 1 / (mark_i * (rank + 1))."""
         coords = [Fraction(0)] * self.rank
-        for comp, vertices in zip(self.components, self.base_alcove_vertices()):
-            for vertex in vertices:
-                for i in comp.indices:
-                    coords[i] += vertex[i]
+        for comp, theta in zip(self.components, self.highest_roots):
             for i in comp.indices:
-                coords[i] /= len(vertices)
+                coords[i] = Fraction(1, theta[i] * (comp.rank + 1))
         return tuple(coords)
 
     @cached_property

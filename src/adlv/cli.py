@@ -78,36 +78,40 @@ class RunConfig:
     seed: int = 0
 
 
+_TEXT_KEYS = ("system", "sigma", "kappa_b", "format", "out")
+_INT_KEYS = ("length_bound", "jobs", "cap", "seed")
+
+
 def read_config_file(path: str) -> dict:
+    """key=value lines; integer keys as ints, a bad key or value refused at its line."""
     try:
         with open(path, encoding="utf-8") as handle:
             lines = handle.readlines()
     except OSError as exc:
         raise NotationError(f"cannot read config file {path}: {exc.strerror}") from None
-    values: dict[str, str] = {}
+    values: dict[str, str | int] = {}
     for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise NotationError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key in _INT_KEYS:
+            try:
+                value = int(value)
+            except ValueError:
+                raise NotationError(
+                    f"{path}:{lineno}: {key} must be an integer, got {value!r}") from None
+        elif key not in _TEXT_KEYS:
+            raise NotationError(f"{path}:{lineno}: unknown key {key!r}")
+        values[key] = value
     return values
 
 
 def config_from_sources(args: argparse.Namespace) -> RunConfig:
-    values: dict = {}
-    if getattr(args, "config", None):
-        raw = read_config_file(args.config)
-        for key in ("system", "sigma", "kappa_b", "format", "out"):
-            if key in raw:
-                values[key] = raw[key]
-        for key in ("length_bound", "jobs", "cap", "seed"):
-            if key in raw:
-                values[key] = int(raw[key])
-    for key in ("system", "sigma", "kappa_b", "format", "out",
-                "length_bound", "jobs", "cap", "seed"):
+    values = read_config_file(args.config) if getattr(args, "config", None) else {}
+    for key in _TEXT_KEYS + _INT_KEYS:
         override = getattr(args, key, None)
         if override is not None:
             values[key] = override

@@ -20,11 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from . import _linalg
 from .alcove import AlcoveProfile, base_k
-from .cartan import RootSystem
+from .cartan import RootSystem, per_system
 from .errors import AdlvError, InternalCheckError
 from .iwahori import (
     AffineElement,
@@ -63,7 +62,7 @@ def _sorted_wx(profile: AlcoveProfile) -> list[FiniteWeylElement]:
     return sorted(profile.w_x, key=lambda r: r.sort_key())
 
 
-@lru_cache(maxsize=None)
+@per_system
 def sigma_component_groups(
     system: RootSystem, sigma: DiagramAutomorphism
 ) -> tuple[tuple[frozenset[int], frozenset[int]], ...]:
@@ -143,7 +142,7 @@ def decide_nonempty(
 # -- the (J, w)-alcove oracle -----------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@per_system
 def sigma_stable_subsets(
     system: RootSystem, sigma: DiagramAutomorphism, proper_only: bool = True
 ) -> tuple[frozenset[int], ...]:
@@ -157,11 +156,6 @@ def sigma_stable_subsets(
     return tuple(sorted(subsets, key=lambda s: tuple(sorted(s))))
 
 
-@lru_cache(maxsize=None)
-def _outside_stabilized_coweight(system: RootSystem, j_set: frozenset[int]):
-    return tuple(0 if i in j_set else 1 for i in range(system.rank))
-
-
 def is_jw_alcove(profile: AlcoveProfile, j_set: frozenset[int], w: FiniteWeylElement) -> bool:
     """Both defining conditions, literally: the twisted conjugate lands in the
     standard J-parabolic, and the k-values on w(positives outside J) dominate
@@ -172,7 +166,7 @@ def is_jw_alcove(profile: AlcoveProfile, j_set: frozenset[int], w: FiniteWeylEle
         raise ValueError(f"J = {sorted(j_set)} is not sigma-stable")
     w_affine = AffineElement.from_finite(w)
     twisted = w_affine.inverse() * x * AffineElement.from_finite(sigma.weyl(w))
-    marker = _outside_stabilized_coweight(system, j_set)
+    marker = tuple(0 if i in j_set else 1 for i in range(system.rank))
     if twisted.finite.act_on_coweight(marker) != marker:
         return False
     for alpha in system.positive_roots:
@@ -184,7 +178,7 @@ def is_jw_alcove(profile: AlcoveProfile, j_set: frozenset[int], w: FiniteWeylEle
     return True
 
 
-@lru_cache(maxsize=None)
+@per_system
 def _scan_elements(system: RootSystem, sigma: DiagramAutomorphism):
     """Sorted W0 as (w, w^{-1}, sigma(w)) triples."""
     return tuple(

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import product
 from math import lcm
 from operator import mul
 
 from . import _linalg
-from .cartan import RootSystem
+from .cartan import RootSystem, per_system
 from .errors import CapExceeded, InternalCheckError
 from .weyl import (
     DiagramAutomorphism,
@@ -198,7 +198,7 @@ class KottwitzClass:
         return min(tuple(_mod1(a + d) for a, d in zip(self.rep, delta)) for delta in denom)
 
 
-@lru_cache(maxsize=None)
+@per_system
 def _class_map(system: RootSystem):
     """Per coordinate i, in index order: the nonzero entries (j, d * C^{-1}[j][i])
     of column i of its component's inverse-Cartan block, the block's least
@@ -214,7 +214,24 @@ def _class_map(system: RootSystem):
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+def _generated_subgroup(system: RootSystem, generators) -> set[KottwitzClass]:
+    """The subgroup of the (finite) quotient generated by ``generators``, by
+    breadth-first closure of sums from zero."""
+    seen = {KottwitzClass.zero(system)}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for h in generators:
+                cand = g + h
+                if cand not in seen:
+                    seen.add(cand)
+                    nxt.append(cand)
+        frontier = nxt
+    return seen
+
+
+@per_system
 def kottwitz_group(system: RootSystem) -> tuple[KottwitzClass, ...]:
     """All elements of the finite quotient group, by closure from the generators."""
     generators = [
@@ -223,39 +240,17 @@ def kottwitz_group(system: RootSystem) -> tuple[KottwitzClass, ...]:
         )
         for i in range(system.rank)
     ]
-    seen = {KottwitzClass.zero(system)}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for h in generators:
-                cand = g + h
-                if cand not in seen:
-                    seen.add(cand)
-                    nxt.append(cand)
-        frontier = nxt
-    return tuple(sorted(seen, key=lambda k: k.rep))
+    return tuple(sorted(_generated_subgroup(system, generators), key=lambda k: k.rep))
 
 
-@lru_cache(maxsize=None)
+@per_system
 def _coinvariant_denominator(
     system: RootSystem, sigma: DiagramAutomorphism
 ) -> tuple[tuple[Fraction, ...], ...]:
     """The subgroup {g - sigma(g)} of the quotient, as a tuple of representatives."""
     group = kottwitz_group(system)
     generators = [g + (-(g.sigma_image(sigma))) for g in group]
-    seen = {KottwitzClass.zero(system)}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for h in generators:
-                cand = g + h
-                if cand not in seen:
-                    seen.add(cand)
-                    nxt.append(cand)
-        frontier = nxt
-    return tuple(sorted(k.rep for k in seen))
+    return tuple(sorted(k.rep for k in _generated_subgroup(system, generators)))
 
 
 def kottwitz(x: AffineElement) -> KottwitzClass:
@@ -350,7 +345,7 @@ def minuscule_omegas(system: RootSystem) -> tuple[AffineElement, ...]:
     return tuple(reduce(mul, combo) for combo in product(*factors))
 
 
-@lru_cache(maxsize=None)
+@per_system
 def omega_elements(system: RootSystem) -> tuple[AffineElement, ...]:
     """All length-zero elements, one per Kottwitz class, sorted by class representative.
 
@@ -364,7 +359,7 @@ def omega_elements(system: RootSystem) -> tuple[AffineElement, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@per_system
 def _omega_by_class(system: RootSystem) -> dict:
     return {kottwitz(el): el for el in omega_elements(system)}
 
@@ -393,7 +388,7 @@ class AffineSimple:
     element: AffineElement
 
 
-@lru_cache(maxsize=None)
+@per_system
 def affine_simples(system: RootSystem) -> tuple[AffineSimple, ...]:
     out = [
         AffineSimple(i, f"s{i + 1}", AffineElement.from_finite(
@@ -419,18 +414,13 @@ def affine_simples(system: RootSystem) -> tuple[AffineSimple, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _affine_simple_lookup(system: RootSystem) -> dict:
-    return {s.element.key(): s.index for s in affine_simples(system)}
-
-
-@lru_cache(maxsize=None)
+@per_system
 def twisted_affine_action(
     system: RootSystem, sigma: DiagramAutomorphism, omega: AffineElement
 ) -> tuple[int, ...]:
     """Permutation of the affine simple indices by conjugation-by-omega after sigma."""
-    lookup = _affine_simple_lookup(system)
     simples = affine_simples(system)
+    lookup = {s.element.key(): s.index for s in simples}
     omega_inv = omega.inverse()
     out = []
     for s in simples:

@@ -4,32 +4,28 @@ Elements are stored by their canonical form: the tuple of images of all
 simple roots (an integer matrix determining the permutation of the roots).
 Instances are interned per root system, so there are at most |W0| of them
 alive and every derived quantity (length, inverse, reduced word, support,
-root images) is computed once.
+root images) is computed once.  The intern table is ``system.memo[_intern]``,
+next to the system's other tables: it dies with the system.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from math import lcm
-from weakref import WeakKeyDictionary
 
-from .cartan import Coweight, Root, RootSystem
+from .cartan import Coweight, Root, RootSystem, per_system
 from .errors import CapExceeded
 
 W0_CAP_DEFAULT = 10 ** 6
-
-_INTERN: "WeakKeyDictionary[RootSystem, dict]" = WeakKeyDictionary()
 
 
 def _intern(system: RootSystem, images: tuple[Root, ...],
             length: int | None = None) -> "FiniteWeylElement":
     """The element with these simple-root images; ``length``, when the caller
     knows it, is recorded instead of being recounted from the root images."""
-    table = _INTERN.get(system)
+    table = system.memo.get(_intern)
     if table is None:
-        table = {}
-        _INTERN[system] = table
+        table = system.memo[_intern] = {}
     element = table.get(images)
     if element is None:
         element = FiniteWeylElement(system, images)
@@ -43,7 +39,7 @@ class FiniteWeylElement:
     """An element of W0, canonically the tuple of images of the simple roots."""
 
     __slots__ = ("system", "images", "_length", "_inverse", "_support",
-                 "_word", "_pos_images", "_inv_positive", "__weakref__")
+                 "_word", "_pos_images", "_inv_positive")
 
     def __init__(self, system: RootSystem, images: tuple[Root, ...]):
         self.system = system
@@ -222,7 +218,7 @@ def require_w0_within_cap(system: RootSystem, cap: int = W0_CAP_DEFAULT) -> None
         raise CapExceeded(f"|W0| = {order} exceeds the cap {cap}", estimate=order)
 
 
-@lru_cache(maxsize=None)
+@per_system
 def _all_elements(system: RootSystem, cap: int) -> tuple[FiniteWeylElement, ...]:
     require_w0_within_cap(system, cap)
     identity = FiniteWeylElement.identity(system)

@@ -15,7 +15,7 @@ from adlv.alcove import (
 from adlv.cartan import RootSystem
 from adlv.iwahori import AffineElement, enumerate_affine
 from adlv.notation import parse_affine, parse_sigma
-from adlv.weyl import _INTERN, DiagramAutomorphism, FiniteWeylElement, enumerate_w0
+from adlv.weyl import DiagramAutomorphism, FiniteWeylElement, _intern, enumerate_w0
 
 
 def sid(system):
@@ -148,9 +148,9 @@ def test_w_x_interns_only_members(descriptor, element):
     system = RootSystem.from_descriptor(descriptor)
     profile = AlcoveProfile.build(parse_affine(system, element), sid(system))
     profile.phi_x  # everything W_x reads is computed before counting
-    before = len(_INTERN[system])
+    before = len(system.memo[_intern])
     members = profile.w_x
-    assert len(_INTERN[system]) - before <= len(members) + system.rank
+    assert len(system.memo[_intern]) - before <= len(members) + system.rank
 
 
 def test_strips_examples(a2):

@@ -219,6 +219,17 @@ def test_base_alcove_barycenter(a2, b2):
         assert bary[i] > 0
 
 
+@pytest.mark.parametrize("descriptor", ["A1", "A3", "B3", "C3", "D4", "G2", "F4", "E6",
+                                        "A2+B2"])
+def test_base_alcove_barycenter_averages_the_vertices(descriptor):
+    system = RootSystem.from_descriptor(descriptor)
+    expected = [Fraction(0)] * system.rank
+    for comp, vertices in zip(system.components, system.base_alcove_vertices()):
+        for i in comp.indices:
+            expected[i] = sum((v[i] for v in vertices), Fraction(0)) / len(vertices)
+    assert system.base_alcove_barycenter() == tuple(expected)
+
+
 # -- the integer coweight kernel against the Fraction formulas ---------------------
 
 _KERNEL_SYSTEMS = {d: RootSystem.from_descriptor(d) for d in ("A2", "B2", "G2", "A3", "D4")}

@@ -276,6 +276,24 @@ def test_config_file_and_overrides(tmp_path, capsys):
     assert json.loads(out)["length_bound"] == 0
 
 
+def test_config_file_rejects_unknown_key(tmp_path, capsys):
+    config = tmp_path / "run.conf"
+    config.write_text("system=A2\n# misspelt below\nlenght_bound=2\n")
+    code, out, err = run_cli(["enumerate", "--config", str(config)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {config}:3: unknown key 'lenght_bound'\n"
+
+
+def test_config_file_rejects_non_integer_value(tmp_path, capsys):
+    config = tmp_path / "run.conf"
+    config.write_text("system=A2\nlength_bound=two\n")
+    code, out, err = run_cli(["enumerate", "--config", str(config)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {config}:2: length_bound must be an integer, got 'two'\n"
+
+
 def test_enumerate_rejects_svg_format(capsys):
     code, out, err = run_cli(
         ["enumerate", "--system", "A2", "--length-bound", "1", "--format", "svg"], capsys)

@@ -5,6 +5,8 @@ The k-value of an alcove against a root a is the integer k with the alcove
 strictly between the level-k and level-(k+1) hyperplanes of a.  The base
 alcove has k-value 0 against positive roots and -1 against negative ones;
 "x lies in the critical strip of a" is uniformly k(a, x) == k(a, base).
+W_x depends on Phi_x alone, so it is grown and sorted once per (system, Phi_x)
+and kept in the system's memo.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .cartan import Root, RootSystem
+from .cartan import Root, RootSystem, per_system
 from .errors import InternalCheckError
 from .iwahori import (
     AffineElement,
@@ -160,55 +162,73 @@ class AlcoveProfile:
 
     @cached_property
     def w_x(self) -> frozenset[FiniteWeylElement]:
-        """Elements r with r(positives minus phi_x) still positive, i.e. whose
-        inversion set N(r) lies in phi_x.
+        """Elements r whose inversion set N(r) lies in phi_x: the embedding
+        set, shared by every element of the system with this phi_x."""
+        return embedding_set(self.system, self.phi_x)
 
-        Grown upward from the identity: for r in W_x with beta = r^{-1}(alpha_i)
-        positive, N(s_i r) = N(r) + {beta}, so s_i r is a member exactly when
-        beta lies in phi_x (a set of positive roots).  The set is left-closed,
-        so each member r' is reached from s_i r' with i its smallest left
-        descent, and only from there.  A member is carried in integers as the
-        images of the simple roots under r and under r^{-1}, with the heights
-        of the latter (j is a left descent of r iff r^{-1}(alpha_j) < 0); only
-        members are interned, each with its length |N(r)|, the search depth.
-        """
-        system = self.system
-        phi_x = self.phi_x
-        # links[i]: the nonzero <alpha_j, alpha_i^v> = cartan[i][j], as (j, value)
-        links = [tuple((j, c) for j, c in enumerate(row) if c) for row in system.cartan_matrix]
-        identity = FiniteWeylElement.identity(system).images
-        members = [(identity, 0)]
-        frontier = [(identity, identity, (1,) * system.rank)]
-        depth = 0
-        while frontier:
-            depth += 1
-            nxt = []
-            for images, inv, heights in frontier:
-                for i, beta in enumerate(inv):
-                    if beta not in phi_x:
-                        continue
-                    link = links[i]
-                    # r^{-1} s_i: u_j -> u_j - <alpha_j, alpha_i^v> u_i, so only the
-                    # heights of i and its neighbours change
-                    h = heights[i]
-                    new_heights = list(heights)
-                    for j, c in link:
-                        new_heights[j] -= c * h
-                    if any(hj < 0 for hj in new_heights[:i]):
-                        continue  # s_i r has a smaller left descent
-                    new_inv = list(inv)
-                    for j, c in link:
-                        new_inv[j] = tuple(a - c * b for a, b in zip(inv[j], beta))
-                    # s_i r: g -> g - <g, alpha_i^v> alpha_i changes coordinate i
-                    new_images = []
-                    for g in images:
-                        p = sum(c * g[k] for k, c in link)
-                        new_images.append(g[:i] + (g[i] - p,) + g[i + 1:] if p else g)
-                    new_images = tuple(new_images)
-                    members.append((new_images, depth))
-                    nxt.append((new_images, tuple(new_inv), tuple(new_heights)))
-            frontier = nxt
-        return frozenset(_intern(system, images, length) for images, length in members)
+    @property
+    def w_x_sorted(self) -> tuple[FiniteWeylElement, ...]:
+        """W_x in ``sort_key`` order, sorted once per phi_x.  Reads ``w_x``
+        first, so the set is always grown (and timed) under that name."""
+        self.w_x
+        return embedding_order(self.system, self.phi_x)
+
+
+@per_system
+def embedding_set(system: RootSystem, phi_x: frozenset[Root]) -> frozenset[FiniteWeylElement]:
+    """Elements r with r(positives minus phi_x) still positive, i.e. whose
+    inversion set N(r) lies in phi_x.
+
+    Grown upward from the identity: for r in W_x with beta = r^{-1}(alpha_i)
+    positive, N(s_i r) = N(r) + {beta}, so s_i r is a member exactly when
+    beta lies in phi_x (a set of positive roots).  The set is left-closed,
+    so each member r' is reached from s_i r' with i its smallest left
+    descent, and only from there.  A member is carried in integers as the
+    images of the simple roots under r and under r^{-1}, with the heights
+    of the latter (j is a left descent of r iff r^{-1}(alpha_j) < 0); only
+    members are interned, each with its length |N(r)|, the search depth.
+    """
+    # links[i]: the nonzero <alpha_j, alpha_i^v> = cartan[i][j], as (j, value)
+    links = [tuple((j, c) for j, c in enumerate(row) if c) for row in system.cartan_matrix]
+    identity = FiniteWeylElement.identity(system).images
+    members = [(identity, 0)]
+    frontier = [(identity, identity, (1,) * system.rank)]
+    depth = 0
+    while frontier:
+        depth += 1
+        nxt = []
+        for images, inv, heights in frontier:
+            for i, beta in enumerate(inv):
+                if beta not in phi_x:
+                    continue
+                link = links[i]
+                # r^{-1} s_i: u_j -> u_j - <alpha_j, alpha_i^v> u_i, so only the
+                # heights of i and its neighbours change
+                h = heights[i]
+                new_heights = list(heights)
+                for j, c in link:
+                    new_heights[j] -= c * h
+                if any(hj < 0 for hj in new_heights[:i]):
+                    continue  # s_i r has a smaller left descent
+                new_inv = list(inv)
+                for j, c in link:
+                    new_inv[j] = tuple(a - c * b for a, b in zip(inv[j], beta))
+                # s_i r: g -> g - <g, alpha_i^v> alpha_i changes coordinate i
+                new_images = []
+                for g in images:
+                    p = sum(c * g[k] for k, c in link)
+                    new_images.append(g[:i] + (g[i] - p,) + g[i + 1:] if p else g)
+                new_images = tuple(new_images)
+                members.append((new_images, depth))
+                nxt.append((new_images, tuple(new_inv), tuple(new_heights)))
+        frontier = nxt
+    return frozenset(_intern(system, images, length) for images, length in members)
+
+
+@per_system
+def embedding_order(system: RootSystem, phi_x: frozenset[Root]) -> tuple[FiniteWeylElement, ...]:
+    """``embedding_set(system, phi_x)`` in ``sort_key`` order."""
+    return tuple(sorted(embedding_set(system, phi_x), key=FiniteWeylElement.sort_key))
 
 
 def w_x_set_bruteforce(x: AffineElement) -> frozenset[FiniteWeylElement]:

@@ -608,7 +608,7 @@ def check_jrx_postcondition(system: RootSystem, sigma: DiagramAutomorphism,
     pairs = 0
     for x in enumerate_affine(system, bound):
         profile = AlcoveProfile.build(x, sigma)
-        for r in sorted(profile.w_x, key=lambda u: u.sort_key()):
+        for r in profile.w_x_sorted:
             j_rx(profile, r)  # raises InternalCheckError on failure
             pairs += 1
     return _ok(cid, f"{pairs} (x, r) pairs satisfy the alcove postcondition")

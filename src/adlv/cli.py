@@ -174,7 +174,7 @@ def profile_json(profile: AlcoveProfile) -> dict:
         "w": format_finite(profile.w),
         "eta": format_finite(profile.eta),
         "phi_x": [list(a) for a in sorted(profile.phi_x)],
-        "W_x": [format_finite(r) for r in sorted(profile.w_x, key=lambda u: u.sort_key())],
+        "W_x": [format_finite(r) for r in profile.w_x_sorted],
         "shrunken": profile.shrunken,
         "strips": [list(a) for a in profile.strips],
     }
@@ -387,6 +387,7 @@ def cmd_bgx(args) -> int:
     if not system.is_dominant(mu):
         raise NotationError(f"mu = {list(mu)} is not dominant")
     report = bgx_cordial(v, mu, sigma)
+    w_x = [format_finite(r) for r in report.w_x_sorted]  # formula == alcove, or it raised
     document = {
         "document": "bgx",
         "system": config.system,
@@ -394,10 +395,8 @@ def cmd_bgx(args) -> int:
         "v": format_finite(v),
         "mu": list(mu),
         "x": format_affine(report.x),
-        "w_x_formula": [format_finite(r)
-                        for r in sorted(report.w_x_formula, key=lambda u: u.sort_key())],
-        "w_x_alcove": [format_finite(r)
-                       for r in sorted(report.w_x_alcove, key=lambda u: u.sort_key())],
+        "w_x_formula": w_x,
+        "w_x_alcove": w_x,
         "support_tests": [
             {"r": format_finite(r), "support": _indices_1based(j), "full": ok}
             for r, j, ok in report.support_tests

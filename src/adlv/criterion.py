@@ -58,10 +58,6 @@ class Verdict:
     witnesses: dict
 
 
-def _sorted_wx(profile: AlcoveProfile) -> list[FiniteWeylElement]:
-    return sorted(profile.w_x, key=lambda r: r.sort_key())
-
-
 @per_system
 def sigma_component_groups(
     system: RootSystem, sigma: DiagramAutomorphism
@@ -130,7 +126,7 @@ def decide_nonempty(
     if not active:
         return Verdict(True, RULE_SHORTCUT, {"affine_support": tuple(sorted(letters))})
     checked = []
-    for r in _sorted_wx(profile):
+    for r in profile.w_x_sorted:
         j_set = profile.j_rx(r)
         for finite in active:
             if not finite <= j_set:
@@ -370,6 +366,7 @@ class BgxReport:
     x: AffineElement
     w_x_formula: frozenset[FiniteWeylElement]
     w_x_alcove: frozenset[FiniteWeylElement]
+    w_x_sorted: tuple[FiniteWeylElement, ...]  # W_x (both sets are equal) in sort_key order
     support_tests: tuple[tuple[FiniteWeylElement, frozenset[int], bool], ...]
     all_full: bool
     mu_central: bool
@@ -398,7 +395,7 @@ def bgx_cordial(
         raise InternalCheckError("stabilizer formula disagrees with the alcove computation")
     full = frozenset(range(system.rank))
     tests = []
-    for r in _sorted_wx(profile):
+    for r in profile.w_x_sorted:
         j_set = profile.j_rx(r)
         tests.append((r, j_set, j_set == full))
     all_full = all(ok for _, _, ok in tests)
@@ -415,7 +412,7 @@ def bgx_cordial(
             cap_stable = b_g_mu_cap_stable(system, mu, sigma)
     else:
         conclusion = "undetermined"
-    return BgxReport(x, formula, profile.w_x, tuple(tests), all_full,
+    return BgxReport(x, formula, profile.w_x, profile.w_x_sorted, tuple(tests), all_full,
                      central, conclusion, points, cap_stable)
 
 

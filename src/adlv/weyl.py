@@ -60,13 +60,7 @@ class FiniteWeylElement:
 
     @classmethod
     def simple(cls, system: RootSystem, i: int) -> "FiniteWeylElement":
-        cartan = system.cartan_matrix
-        images = []
-        for j in range(system.rank):
-            coords = [1 if k == j else 0 for k in range(system.rank)]
-            coords[i] -= cartan[i][j]  # s_i(alpha_j) = alpha_j - <alpha_j, alpha_i^v> alpha_i
-            images.append(tuple(coords))
-        return _intern(system, tuple(images))
+        return simple_reflections(system)[i]
 
     def __eq__(self, other) -> bool:
         return self is other or (
@@ -151,6 +145,21 @@ class FiniteWeylElement:
 
     def sort_key(self):
         return (self.length, self.images)
+
+
+@per_system
+def simple_reflections(system: RootSystem) -> tuple[FiniteWeylElement, ...]:
+    """s_1, ..., s_n, built and interned once per system."""
+    cartan = system.cartan_matrix
+    out = []
+    for i in range(system.rank):
+        images = []
+        for j in range(system.rank):
+            coords = [1 if k == j else 0 for k in range(system.rank)]
+            coords[i] -= cartan[i][j]  # s_i(alpha_j) = alpha_j - <alpha_j, alpha_i^v> alpha_i
+            images.append(tuple(coords))
+        out.append(_intern(system, tuple(images), 1))
+    return tuple(out)
 
 
 def reduced_word(w: FiniteWeylElement, pick: str = "smallest") -> tuple[int, ...]:

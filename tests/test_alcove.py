@@ -130,14 +130,20 @@ def test_w_x_bfs_equals_bruteforce(descriptor, bound):
     ("G2", "id", 8), ("B3", "id", 4), ("D4", "id", 3), ("A3", "(1 3)", 4),
 ])
 def test_w_x_and_decomposition_match_references(descriptor, sigma_text, bound):
-    """Inversion-set growth against the W0 filter, and the integer dominant
-    decomposition against the rational barycenter route."""
+    """Inversion-set growth (memoized per phi_x) against the W0 filter, and the
+    integer dominant decomposition against the rational barycenter route."""
     system = RootSystem.from_descriptor(descriptor)
     sigma = parse_sigma(system, sigma_text)
+    by_phi_x = {}
+    count = 0
     for x in enumerate_affine(system, bound):
         profile = AlcoveProfile.build(x, sigma)
         assert profile.w_x == w_x_set_bruteforce(x)
+        assert by_phi_x.setdefault(profile.phi_x, profile.w_x) is profile.w_x
+        assert profile.w_x_sorted == tuple(sorted(profile.w_x, key=lambda r: r.sort_key()))
         assert profile.decomposition == audit._dominant_decompose_by_barycenter(x)
+        count += 1
+    assert len(by_phi_x) < count  # some phi_x repeats, so sharing was exercised
 
 
 @pytest.mark.parametrize("descriptor,element", [

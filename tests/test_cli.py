@@ -636,6 +636,27 @@ def test_python_dash_m_adlv():
 # -- determinism and schema ----------------------------------------------------------
 
 
+def test_enumerate_grows_w_x_once_per_phi_x(capsys):
+    """D4 L<=1 has 24 rows but only 6 distinct strip sets Phi_x."""
+    walk = adlv.alcove.embedding_set.__wrapped__.__code__
+    walked = []
+
+    def profiler(frame, event, arg):
+        if event == "call" and frame.f_code is walk:
+            walked.append(frame.f_locals["phi_x"])
+
+    previous = sys.getprofile()
+    sys.setprofile(profiler)
+    try:
+        code, out, _ = run_cli(["enumerate", "--system", "D4", "--length-bound", "1",
+                                "--jobs", "1"], capsys)
+    finally:
+        sys.setprofile(previous)
+    assert code == 0
+    assert len(json.loads(out)["rows"]) == 24
+    assert len(walked) == len(set(walked)) == 6
+
+
 def run_cli_subprocess(args):
     proc = subprocess.run(
         [sys.executable, "-m", "adlv.cli", *args],

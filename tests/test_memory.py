@@ -8,10 +8,10 @@ import weakref
 import pytest
 
 import adlv
-from adlv.alcove import AlcoveProfile
+from adlv.alcove import AlcoveProfile, embedding_order, embedding_set
 from adlv.cartan import RootSystem, per_system
 from adlv.criterion import decide_nonempty, oracle_nonempty
-from adlv.iwahori import kottwitz_group, omega_elements
+from adlv.iwahori import enumerate_affine, kottwitz_group, omega_elements
 from adlv.notation import parse_affine
 from adlv.weyl import DiagramAutomorphism, _intern, enumerate_w0
 
@@ -64,6 +64,25 @@ def test_per_system_keys_on_positional_arguments():
     assert calls == [1, 2]
     with pytest.raises(TypeError):
         table(system, n=1)
+
+
+def test_embedding_sets_live_in_the_system_memo_and_die_with_it():
+    system = RootSystem.from_descriptor("B3")
+    sigma = DiagramAutomorphism.identity(system)
+    strip_sets = set()
+    for x in enumerate_affine(system, 3):
+        profile = AlcoveProfile.build(x, sigma)
+        w_x, w_x_sorted = profile.w_x, profile.w_x_sorted
+        assert system.memo[(embedding_set.__wrapped__, profile.phi_x)] is w_x
+        assert system.memo[(embedding_order.__wrapped__, profile.phi_x)] is w_x_sorted
+        strip_sets.add(profile.phi_x)
+    walked = [key for key in system.memo
+              if isinstance(key, tuple) and key[0] is embedding_set.__wrapped__]
+    assert len(walked) == len(strip_sets)
+    ref = weakref.ref(system)
+    del system, sigma, x, profile, w_x, w_x_sorted
+    gc.collect()
+    assert ref() is None
 
 
 def _lru_cached_names() -> set[str]:

@@ -15,8 +15,22 @@ from adlv.weyl import (
     longest_element,
     reduced_word,
     sigma_support,
+    simple_reflections,
     support,
 )
+
+
+@pytest.mark.parametrize("descriptor", ["A2", "B3", "G2", "D4", "A1+B2"])
+def test_simple_reflections_built_once_per_system(descriptor):
+    system = RootSystem.from_descriptor(descriptor)
+    identity = FiniteWeylElement.identity(system)
+    simples = simple_reflections(system)
+    assert system.memo[(simple_reflections.__wrapped__,)] is simples
+    for i, s in enumerate(simples):
+        assert FiniteWeylElement.simple(system, i) is s
+        assert s.right_descents() == [i]
+        assert s.length == 1 == sum(1 for img in s.positive_images() if sum(img) < 0)
+        assert s * s is identity
 
 
 def test_simple_reflection_action(a2):

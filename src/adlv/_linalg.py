@@ -18,12 +18,6 @@ def _to_rows(matrix) -> list[list[Fraction]]:
     return [[Fraction(entry) for entry in row] for row in matrix]
 
 
-def identity_matrix(n: int) -> Matrix:
-    return tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(n)) for i in range(n)
-    )
-
-
 def mat_vec(matrix, vector) -> Vector:
     """Exact product; integer inputs give integer entries."""
     return tuple(sum(a * v for a, v in zip(row, vector)) for row in matrix)

@@ -25,7 +25,8 @@ from .iwahori import (
     kottwitz,
     make_dominant,
 )
-from .weyl import DiagramAutomorphism, FiniteWeylElement, _intern, enumerate_w0, sigma_support
+from .weyl import (DiagramAutomorphism, FiniteWeylElement, _intern, _table, enumerate_w0,
+                   sigma_support, simple_reflections)
 
 
 def base_k(system: RootSystem, root: Root) -> int:
@@ -183,46 +184,34 @@ def embedding_set(system: RootSystem, phi_x: frozenset[Root]) -> frozenset[Finit
     positive, N(s_i r) = N(r) + {beta}, so s_i r is a member exactly when
     beta lies in phi_x (a set of positive roots).  The set is left-closed,
     so each member r' is reached from s_i r' with i its smallest left
-    descent, and only from there.  A member is carried in integers as the
-    images of the simple roots under r and under r^{-1}, with the heights
-    of the latter (j is a left descent of r iff r^{-1}(alpha_j) < 0); only
-    members are interned, each with its length |N(r)|, the search depth.
+    descent, and only from there.  A member r is carried as the root
+    permutations of r and r^{-1} (j is a left descent of r iff r^{-1}(alpha_j)
+    is negative); only members are interned, each with its length |N(r)|,
+    the search depth.
     """
-    # links[i]: the nonzero <alpha_j, alpha_i^v> = cartan[i][j], as (j, value)
-    links = [tuple((j, c) for j, c in enumerate(row) if c) for row in system.cartan_matrix]
-    identity = FiniteWeylElement.identity(system).images
-    members = [(identity, 0)]
-    frontier = [(identity, identity, (1,) * system.rank)]
+    identity = FiniteWeylElement.identity(system)
+    simple, npos = identity.key, len(system.positive_roots)  # numbers of alpha_j, positives
+    inside = {k for k, root in enumerate(system.all_roots) if root in phi_x}
+    s_perms = [(s.root_perm, _table(s.root_perm)) for s in simple_reflections(system)]
+    members = [(identity.root_perm, 0)]
+    frontier = [(identity.root_perm, identity.root_perm)]
     depth = 0
     while frontier:
         depth += 1
         nxt = []
-        for images, inv, heights in frontier:
-            for i, beta in enumerate(inv):
-                if beta not in phi_x:
-                    continue
-                link = links[i]
-                # r^{-1} s_i: u_j -> u_j - <alpha_j, alpha_i^v> u_i, so only the
-                # heights of i and its neighbours change
-                h = heights[i]
-                new_heights = list(heights)
-                for j, c in link:
-                    new_heights[j] -= c * h
-                if any(hj < 0 for hj in new_heights[:i]):
+        for perm, inv in frontier:
+            through_inv = _table(inv)
+            for i, (s_i, through_s_i) in enumerate(s_perms):
+                if inv[simple[i]] not in inside:
+                    continue  # beta = r^{-1}(alpha_i) lies outside phi_x
+                new_inv = s_i.translate(through_inv)  # (s_i r)^{-1} = r^{-1} s_i
+                if any(new_inv[simple[j]] >= npos for j in range(i)):
                     continue  # s_i r has a smaller left descent
-                new_inv = list(inv)
-                for j, c in link:
-                    new_inv[j] = tuple(a - c * b for a, b in zip(inv[j], beta))
-                # s_i r: g -> g - <g, alpha_i^v> alpha_i changes coordinate i
-                new_images = []
-                for g in images:
-                    p = sum(c * g[k] for k, c in link)
-                    new_images.append(g[:i] + (g[i] - p,) + g[i + 1:] if p else g)
-                new_images = tuple(new_images)
-                members.append((new_images, depth))
-                nxt.append((new_images, tuple(new_inv), tuple(new_heights)))
+                new_perm = perm.translate(through_s_i)
+                members.append((new_perm, depth))
+                nxt.append((new_perm, new_inv))
         frontier = nxt
-    return frozenset(_intern(system, images, length) for images, length in members)
+    return frozenset(_intern(system, perm, length) for perm, length in members)
 
 
 @per_system

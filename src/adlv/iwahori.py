@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import product
 from math import lcm
-from operator import mul
+from operator import add, mul
 
 from . import _linalg
 from .cartan import RootSystem, per_system
@@ -21,7 +21,6 @@ from .errors import CapExceeded, InternalCheckError
 from .weyl import (
     DiagramAutomorphism,
     FiniteWeylElement,
-    _intern,
     longest_element,
     require_w0_within_cap,
     weyl_matrix,
@@ -69,9 +68,11 @@ class AffineElement:
         return cls((0,) * w.system.rank, w)
 
     def __mul__(self, other: "AffineElement") -> "AffineElement":
-        # (t^a u)(t^b v) = t^{a + u.b} uv
-        moved = self.finite.act_on_coweight(other.translation)
-        translation = tuple(a + b for a, b in zip(self.translation, moved))
+        # (t^a u)(t^b v) = t^{a + u.b} uv, and u.0 = 0
+        translation = self.translation
+        if any(other.translation):
+            translation = tuple(map(add, translation,
+                                    self.finite.act_on_coweight(other.translation)))
         return _unchecked(translation, self.finite * other.finite)
 
     def inverse(self) -> "AffineElement":
@@ -405,7 +406,7 @@ def affine_simples(system: RootSystem) -> tuple[AffineSimple, ...]:
             images.append(tuple(
                 int(alpha_j[k] - coeff * theta[k]) for k in range(system.rank)
             ))
-        s_theta = _intern(system, tuple(images))
+        s_theta = FiniteWeylElement.from_images(system, tuple(images))
         element = AffineElement(theta_coroot, s_theta)
         if element.length != 1:
             raise InternalCheckError("affine node reflection must have length 1")

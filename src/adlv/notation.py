@@ -168,21 +168,3 @@ def parse_kappa(system: RootSystem, text: str) -> KottwitzClass | None:
 def format_fraction(value) -> str:
     f = Fraction(value)
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
-def fraction_tuple_str(values) -> list[str]:
-    return [format_fraction(v) for v in values]
-
-
-def root_str(root) -> str:
-    """Compact display of a root as a sum of simple roots, e.g. ``a1+2a2``."""
-    if all(c == 0 for c in root):
-        return "0"
-    sign = "-" if sum(root) < 0 else ""
-    coords = [abs(c) for c in root]
-    terms = []
-    for i, c in enumerate(coords):
-        if c == 0:
-            continue
-        terms.append(f"a{i + 1}" if c == 1 else f"{c}a{i + 1}")
-    return sign + "+".join(terms)

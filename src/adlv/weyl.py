@@ -1,49 +1,106 @@
 """The finite Weyl group: elements, lengths, reduced words, supports, sigma-action.
 
-Elements are stored by their canonical form: the tuple of images of all
-simple roots (an integer matrix determining the permutation of the roots).
-Instances are interned per root system, so there are at most |W0| of them
-alive and every derived quantity (length, inverse, reduced word, support,
-root images) is computed once.  The intern table is ``system.memo[_intern]``,
-next to the system's other tables: it dies with the system.
+W0 acts faithfully on the roots, so an element is the permutation it makes
+of the system's ``all_roots``: ``root_perm[k]`` is the number of
+w(all_roots[k]), a ``bytes`` entry, so at most 256 roots (more raise
+``CapExceeded``).  A product is one ``bytes.translate`` of two permutations
+and an inverse one ``bytes.maketrans``; only generators (the identity, the
+simple reflections and elements given by their simple-root images) are
+built by root arithmetic.  ``images``, the simple-root images as shared
+``all_roots`` tuples, is the canonical form for sorting and output.
+Instances are interned per system on the numbers of their simple-root
+images, so at most |W0| are alive and every derived quantity is computed
+once.  The intern table is ``system.memo[_intern]``, next to the system's
+other tables: it dies with the system.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import lcm
+from operator import add, mul
 
 from .cartan import Coweight, Root, RootSystem, per_system
 from .errors import CapExceeded
 
 W0_CAP_DEFAULT = 10 ** 6
+ROOT_CAP = 256  # a bytes entry numbers at most this many roots
 
 
-def _intern(system: RootSystem, images: tuple[Root, ...],
+class _RootIndex(dict):
+    """The intern table of one system, numbers of the simple-root images ->
+    element, with the numbering it is keyed on: ``roots`` is ``all_roots``
+    (the ``npos`` positive roots first), ``number`` maps a root to its index
+    and ``simple`` holds the numbers of the simple roots."""
+
+    __slots__ = ("roots", "number", "simple", "npos", "steps")
+
+    def __init__(self, system: RootSystem):
+        super().__init__()
+        roots = system.all_roots
+        if len(roots) > ROOT_CAP:
+            raise CapExceeded(f"{len(roots)} roots exceed the root-permutation limit "
+                              f"of {ROOT_CAP}", estimate=len(roots))
+        self.roots = roots
+        self.number = number = {root: k for k, root in enumerate(roots)}
+        self.simple = bytes(number[tuple(int(j == i) for j in range(system.rank))]
+                            for i in range(system.rank))
+        self.npos = len(system.positive_roots)
+        # each positive root above the simple ones is a lower one plus some alpha_j
+        self.steps: list[tuple[int, int]] = []
+        for root in system.positive_roots[system.rank:]:
+            for j in range(system.rank):
+                lower = root[:j] + (root[j] - 1,) + root[j + 1:]
+                if lower in number:
+                    self.steps.append((number[lower], j))
+                    break
+
+
+def _index(system: RootSystem) -> _RootIndex:
+    if _intern not in system.memo:
+        system.memo[_intern] = _RootIndex(system)
+    return system.memo[_intern]
+
+
+def _table(perm: bytes) -> bytes:
+    """``perm`` padded to a ``bytes.translate`` table: ``v.translate(_table(u))``
+    is the composition k -> u[v[k]], done in C."""
+    return perm.ljust(ROOT_CAP, b"\0")
+
+
+def _inverted(perm: bytes) -> bytes:
+    """The inverse permutation: ``maketrans`` sends perm[k] to k."""
+    return bytes.maketrans(perm, bytes(range(len(perm))))[:len(perm)]
+
+
+def _intern(system: RootSystem, root_perm: bytes,
             length: int | None = None) -> "FiniteWeylElement":
-    """The element with these simple-root images; ``length``, when the caller
-    knows it, is recorded instead of being recounted from the root images."""
-    table = system.memo.get(_intern)
-    if table is None:
-        table = system.memo[_intern] = {}
-    element = table.get(images)
+    """The element permuting the roots by ``root_perm``; ``length``, when the
+    caller knows it, is recorded instead of being recounted.  Every caller
+    has built the system's root index first."""
+    table = system.memo[_intern]
+    key = table.simple.translate(_table(root_perm))
+    element = table.get(key)
     if element is None:
-        element = FiniteWeylElement(system, images)
-        table[images] = element
+        element = table[key] = FiniteWeylElement(system, root_perm, key)
     if length is not None and element._length is None:
         element._length = length
     return element
 
 
 class FiniteWeylElement:
-    """An element of W0, canonically the tuple of images of the simple roots."""
+    """An element of W0: its permutation of the roots, canonically the tuple
+    of images of the simple roots."""
 
-    __slots__ = ("system", "images", "_length", "_inverse", "_support",
-                 "_word", "_pos_images", "_inv_positive")
+    __slots__ = ("system", "root_perm", "key", "images", "_length", "_inverse",
+                 "_support", "_word", "_pos_images", "_inv_positive")
 
-    def __init__(self, system: RootSystem, images: tuple[Root, ...]):
+    def __init__(self, system: RootSystem, root_perm: bytes, key: bytes):
         self.system = system
-        self.images = images
+        self.root_perm = root_perm
+        self.key = key  # the numbers of the simple-root images
+        self.images: tuple[Root, ...] = tuple(map(system.memo[_intern].roots.__getitem__, key))
         self._length: int | None = None
         self._inverse: "FiniteWeylElement | None" = None
         self._support: frozenset[int] | None = None
@@ -52,11 +109,26 @@ class FiniteWeylElement:
         self._inv_positive: tuple[bool, ...] | None = None
 
     @classmethod
+    def from_images(cls, system: RootSystem, images, length: int | None = None
+                    ) -> "FiniteWeylElement":
+        """The element with these simple-root images.  A new element's root
+        permutation comes from root arithmetic, so only generators are built
+        this way."""
+        table = _index(system)
+        element = table.get(bytes(map(table.number.__getitem__, images)))
+        if element is not None:
+            return element
+        # w is additive and the positive roots come by height; w(-a) = -w(a)
+        moved = [images[root.index(1)] for root in table.roots[:system.rank]]
+        for lower, j in table.steps:
+            moved.append(tuple(map(add, moved[lower], images[j])))
+        half, npos = bytes(map(table.number.__getitem__, moved)), table.npos
+        return _intern(system, half + bytes((k + npos) % (2 * npos) for k in half), length)
+
+    @classmethod
     def identity(cls, system: RootSystem) -> "FiniteWeylElement":
-        return _intern(system, tuple(
-            tuple(1 if j == i else 0 for j in range(system.rank))
-            for i in range(system.rank)
-        ))
+        table = _index(system)
+        return table.get(table.simple) or _intern(system, bytes(range(len(table.roots))), 0)
 
     @classmethod
     def simple(cls, system: RootSystem, i: int) -> "FiniteWeylElement":
@@ -69,40 +141,29 @@ class FiniteWeylElement:
         )
 
     def __hash__(self) -> int:
-        return hash(self.images)
+        return hash(self.images)  # bytes hashes are salted per process
 
     def __repr__(self) -> str:
         word = reduced_word(self)
         return "W0<e>" if not word else "W0<" + " ".join(f"s{i+1}" for i in word) + ">"
 
     def act_on_root(self, root) -> Root:
-        cols = self.images
-        n = self.system.rank
-        out = [0] * n
-        for j, coeff in enumerate(root):
-            if coeff:
-                col = cols[j]
-                for k in range(n):
-                    out[k] += coeff * col[k]
-        return tuple(out)
+        table = self.system.memo[_intern]
+        try:
+            return table.roots[self.root_perm[table.number[root]]]
+        except KeyError:
+            raise ValueError(f"{root} is not a root") from None
 
     def __mul__(self, other: "FiniteWeylElement") -> "FiniteWeylElement":
-        return _intern(
-            self.system, tuple(self.act_on_root(img) for img in other.images)
-        )
+        """u v(alpha_j) = u(v(alpha_j)): the key is u's permutation read at v's
+        key, and the whole composition is made only for a new element."""
+        through = _table(self.root_perm)
+        element = self.system.memo[_intern].get(other.key.translate(through))
+        return element or _intern(self.system, other.root_perm.translate(through))
 
     def inverse(self) -> "FiniteWeylElement":
-        """w^{-1}(alpha_j) is the root beta with w(beta) = alpha_j: read it off the
-        positive roots whose image has height +-1."""
         if self._inverse is None:
-            preimages: list[Root] = [()] * self.system.rank
-            for alpha, image in zip(self.system.positive_roots, self.positive_images()):
-                height = sum(image)
-                if height == 1:
-                    preimages[image.index(1)] = alpha
-                elif height == -1:
-                    preimages[image.index(-1)] = tuple(-c for c in alpha)
-            self._inverse = _intern(self.system, tuple(preimages))
+            self._inverse = _intern(self.system, _inverted(self.root_perm), self._length)
             self._inverse._inverse = self
         return self._inverse
 
@@ -112,36 +173,36 @@ class FiniteWeylElement:
         ints, Fraction coordinates give Fractions."""
         if len(mu) != self.system.rank:
             raise ValueError("dimension mismatch")
-        return tuple(sum(a * m for a, m in zip(row, mu)) for row in self.inverse().images)
+        return tuple(sum(map(mul, row, mu)) for row in self.inverse().images)
 
     @property
     def length(self) -> int:
         if self._length is None:
-            self._length = sum(1 for img in self.positive_images() if sum(img) < 0)
+            npos = self.system.memo[_intern].npos
+            self._length = sum(1 for k in self.root_perm[:npos] if k >= npos)
         return self._length
 
     def positive_images(self) -> tuple[Root, ...]:
         """Images of the positive roots, aligned with system.positive_roots."""
         if self._pos_images is None:
-            self._pos_images = tuple(
-                self.act_on_root(alpha) for alpha in self.system.positive_roots
-            )
+            table = self.system.memo[_intern]
+            self._pos_images = tuple(map(table.roots.__getitem__, self.root_perm[:table.npos]))
         return self._pos_images
 
     def inverse_positive(self) -> tuple[bool, ...]:
         """Whether w^{-1}(alpha) is positive, per positive root alpha."""
         if self._inv_positive is None:
-            inv = self.inverse()
-            self._inv_positive = tuple(sum(img) > 0 for img in inv.positive_images())
+            npos = self.system.memo[_intern].npos
+            self._inv_positive = tuple(k < npos for k in self.inverse().root_perm[:npos])
         return self._inv_positive
 
     def is_identity(self) -> bool:
-        """No right descent: every simple root stays positive."""
-        return all(sum(img) > 0 for img in self.images)
+        return self.key == self.system.memo[_intern].simple
 
     def right_descents(self) -> list[int]:
         """Indices i with w(alpha_i) negative, i.e. length(w s_i) < length(w)."""
-        return [i for i, img in enumerate(self.images) if sum(img) < 0]
+        npos = self.system.memo[_intern].npos
+        return [i for i, k in enumerate(self.key) if k >= npos]
 
     def sort_key(self):
         return (self.length, self.images)
@@ -158,7 +219,7 @@ def simple_reflections(system: RootSystem) -> tuple[FiniteWeylElement, ...]:
             coords = [1 if k == j else 0 for k in range(system.rank)]
             coords[i] -= cartan[i][j]  # s_i(alpha_j) = alpha_j - <alpha_j, alpha_i^v> alpha_i
             images.append(tuple(coords))
-        out.append(_intern(system, tuple(images), 1))
+        out.append(FiniteWeylElement.from_images(system, tuple(images), 1))
     return tuple(out)
 
 
@@ -271,22 +332,7 @@ class DiagramAutomorphism:
             for j in range(n):
                 if cartan[self.perm[i]][self.perm[j]] != cartan[i][j]:
                     raise ValueError("permutation does not preserve the Cartan matrix")
-        object.__setattr__(self, "order", self._order())
-
-    def _order(self) -> int:
-        result = 1
-        seen = set()
-        for start in range(len(self.perm)):
-            if start in seen:
-                continue
-            size = 0
-            i = start
-            while i not in seen:
-                seen.add(i)
-                i = self.perm[i]
-                size += 1
-            result = lcm(result, size)
-        return result
+        object.__setattr__(self, "order", lcm(*(len(self.orbit(i)) for i in range(n))))
 
     @classmethod
     def identity(cls, system: RootSystem) -> "DiagramAutomorphism":
@@ -296,10 +342,7 @@ class DiagramAutomorphism:
         return all(self.perm[i] == i for i in range(len(self.perm)))
 
     def inverse(self) -> "DiagramAutomorphism":
-        inv = [0] * len(self.perm)
-        for i, p in enumerate(self.perm):
-            inv[p] = i
-        return DiagramAutomorphism(self.system, tuple(inv))
+        return DiagramAutomorphism(self.system, tuple(map(self.perm.index, range(len(self.perm)))))
 
     def index(self, i: int) -> int:
         return self.perm[i]
@@ -312,24 +355,27 @@ class DiagramAutomorphism:
             j = self.perm[j]
         return frozenset(out)
 
-    def root(self, root) -> Root:
-        out = [0] * len(self.perm)
-        for i, coeff in enumerate(root):
-            out[self.perm[i]] = coeff
-        return tuple(out)
-
     def coweight(self, mu) -> Coweight:
+        """Coordinate i moves to perm(i); roots move the same way."""
         out = [0] * len(self.perm)
         for i, coeff in enumerate(mu):
             out[self.perm[i]] = coeff
         return tuple(out)
 
+    @cached_property
+    def _root_perms(self) -> tuple[bytes, bytes]:
+        """sigma's permutation of the root numbers, as a translation table,
+        and its inverse."""
+        table = _index(self.system)
+        perm = bytes(table.number[self.coweight(root)] for root in table.roots)
+        return _table(perm), _inverted(perm)
+
     def weyl(self, w: FiniteWeylElement) -> FiniteWeylElement:
-        """The automorphism of W0 sending s_i to s_{perm(i)}; preserves length."""
-        images: list[Root] = [()] * len(self.perm)
-        for i in range(len(self.perm)):
-            images[self.perm[i]] = self.root(w.images[i])
-        return _intern(self.system, tuple(images))
+        """The automorphism of W0 sending s_i to s_{perm(i)}, i.e. conjugation
+        w -> sigma w sigma^{-1} of root permutations; preserves length."""
+        perm, inverse = self._root_perms
+        return _intern(self.system, inverse.translate(_table(w.root_perm)).translate(perm),
+                       w._length)
 
     def component_image(self, component_index: int) -> int:
         start = self.system.components[component_index].start

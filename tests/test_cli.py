@@ -1,6 +1,7 @@
 """External surfaces: element notation, CLI commands, rendering, JSON schema."""
 
 import json
+import os
 import subprocess
 import sys
 from collections import Counter
@@ -496,6 +497,14 @@ def test_check_refuses_w0_over_cap(system, element, capsys):
     assert err == f"error: |W0| = {order} exceeds the cap 1000000\n"
 
 
+def test_check_refuses_more_than_256_roots(capsys):
+    # E8+E6 has 240 + 72 roots; a root permutation is a bytes object
+    code, out, err = run_cli(["check", "s1 s2", "--system", "E8+E6"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err == "error: 312 roots exceed the root-permutation limit of 256\n"
+
+
 def test_check_e6_never_sweeps_w0(monkeypatch, capsys):
     def refuse(*args):
         raise AssertionError("W0 enumerated during a single check")
@@ -680,6 +689,25 @@ def test_jobs_determinism_twisted():
     code2, out2 = run_cli_subprocess([*base, "--jobs", "3"])
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+HASHES_OF_W0 = ("from adlv import RootSystem, enumerate_w0; "
+                "print([hash(w) for w in enumerate_w0(RootSystem.from_descriptor('B3'))])")
+
+
+@pytest.mark.parametrize("args", [
+    ["-m", "adlv", "enumerate", "--system", "A3", "--sigma", "(1 3)", "--length-bound", "4",
+     "--format", "csv"],
+    ["-c", HASHES_OF_W0],
+])
+def test_output_does_not_depend_on_the_hash_seed(args):
+    """Element hashes are ints of the simple-root images, not salted bytes
+    hashes, so element hashes and set iteration order agree across processes."""
+    procs = [subprocess.run([sys.executable, *args], capture_output=True, timeout=600,
+                            env={**os.environ, "PYTHONHASHSEED": seed})
+             for seed in ("1", "2")]
+    assert [proc.returncode for proc in procs] == [0, 0]
+    assert procs[0].stdout.strip() and procs[0].stdout == procs[1].stdout
 
 
 def load_schema():

@@ -1,13 +1,17 @@
 """Finite Weyl group: actions, words, supports, enumeration, the sigma-action."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from adlv import audit
+from adlv import _linalg, audit
 from adlv.cartan import RootSystem
 from adlv.errors import CapExceeded
+from adlv.notation import parse_sigma
 from adlv.weyl import (
     DiagramAutomorphism,
     FiniteWeylElement,
@@ -223,3 +227,82 @@ def test_closed_form_support_matches_reduced_word(descriptor):
     system = RootSystem.from_descriptor(descriptor)
     for w in enumerate_w0(system):
         assert support(w) == frozenset(reduced_word(w))
+
+
+# -- root permutations against the literal matrix route -----------------------------
+
+def _with_sigma(descriptor, sigma_text):
+    system = RootSystem.from_descriptor(descriptor)
+    return system, parse_sigma(system, sigma_text)
+
+
+# built once, shared by every hypothesis example
+MATRIX_ROUTE_CASES = {
+    "A2": _with_sigma("A2", "id"), "G2": _with_sigma("G2", "id"),
+    "B3": _with_sigma("B3", "id"), "D4": _with_sigma("D4", "(1 3 4)"),
+    "F4": _with_sigma("F4", "id"), "E6": _with_sigma("E6", "(1 6)(3 5)"),
+}
+
+
+def _matrix_act(images, root):
+    """The root-action matrix (columns: simple-root images) applied to ``root``."""
+    return tuple(sum(c * images[j][k] for j, c in enumerate(root)) for k in range(len(images)))
+
+
+def _matrix_of_word(system, word):
+    """Simple-root images of s_{word[0]} ... s_{word[-1]} by integer matrix products."""
+    n = system.rank
+    images = tuple(tuple(int(k == j) for k in range(n)) for j in range(n))
+    for i in word:
+        s_i = tuple(tuple(int(k == j) - (k == i) * system.cartan_matrix[i][j] for k in range(n))
+                    for j in range(n))
+        images = tuple(_matrix_act(images, col) for col in s_i)
+    return images
+
+
+def _element_of_word(system, word):
+    w = FiniteWeylElement.identity(system)
+    for i in word:
+        w = w * FiniteWeylElement.simple(system, i)
+    return w
+
+
+@pytest.mark.parametrize("descriptor", list(MATRIX_ROUTE_CASES))
+@given(left=st.lists(st.integers(0, 7), max_size=16),
+       right=st.lists(st.integers(0, 7), max_size=16))
+def test_root_permutations_match_the_matrix_route(descriptor, left, right):
+    system, sigma = MATRIX_ROUTE_CASES[descriptor]
+    n = system.rank
+    left = [i % n for i in left]
+    right = [i % n for i in right]
+    u, v = _element_of_word(system, left), _element_of_word(system, right)
+    mu, mv = _matrix_of_word(system, left), _matrix_of_word(system, right)
+    assert u.images == mu and v.images == mv
+    assert (u * v).images == tuple(_matrix_act(mu, col) for col in mv)
+    inverse = _linalg.invert(tuple(tuple(mu[j][k] for j in range(n)) for k in range(n)))
+    assert u.inverse().images == tuple(tuple(inverse[k][j] for k in range(n)) for j in range(n))
+    assert u.length == sum(1 for a in system.positive_roots if sum(_matrix_act(mu, a)) < 0)
+    for a in system.all_roots:
+        assert u.act_on_root(a) == _matrix_act(mu, a)
+    # sigma(w)(alpha_{sigma(i)}) = sigma(w(alpha_i)), and sigma moves coordinate k to sigma(k)
+    back = [sigma.perm.index(k) for k in range(n)]
+    twisted = tuple(tuple(mu[back[i]][back[k]] for k in range(n)) for i in range(n))
+    assert sigma.weyl(u).images == twisted
+    assert sigma.weyl(u).length == u.length
+
+
+def test_act_on_root_refuses_a_non_root(a2):
+    s1 = FiniteWeylElement.simple(a2, 0)
+    for vector in [(1, -1), (2, 0), (0, 0), (1, 0, 0)]:
+        with pytest.raises(ValueError, match=re.escape(f"{vector} is not a root")):
+            s1.act_on_root(vector)
+
+
+def test_root_permutations_refuse_more_than_256_roots():
+    system = RootSystem.from_descriptor("E8+E6")
+    assert len(system.all_roots) == 312
+    with pytest.raises(CapExceeded, match="312 roots exceed the root-permutation limit of 256"):
+        FiniteWeylElement.identity(system)
+    e8 = RootSystem.from_descriptor("E8")  # 240 roots fit
+    s1 = FiniteWeylElement.simple(e8, 0)
+    assert len(s1.root_perm) == 240 and (s1 * s1).is_identity()

@@ -5,8 +5,9 @@ The k-value of an alcove against a root a is the integer k with the alcove
 strictly between the level-k and level-(k+1) hyperplanes of a.  The base
 alcove has k-value 0 against positive roots and -1 against negative ones;
 "x lies in the critical strip of a" is uniformly k(a, x) == k(a, base).
-W_x depends on Phi_x alone, so it is grown and sorted once per (system, Phi_x)
-and kept in the system's memo.
+W_x is the set of r with inversion set N(r) inside Phi_x, so it depends on
+Phi_x alone: ``weyl.embedding_set`` grows it, and ``weyl.embedding_order``
+sorts it, once per (system, Phi_x), kept in the system's memo.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .cartan import Root, RootSystem, per_system
+from .cartan import Root, RootSystem
 from .errors import InternalCheckError
 from .iwahori import (
     AffineElement,
@@ -25,8 +26,8 @@ from .iwahori import (
     kottwitz,
     make_dominant,
 )
-from .weyl import (DiagramAutomorphism, FiniteWeylElement, _intern, _table, enumerate_w0,
-                   sigma_support, simple_reflections)
+from .weyl import (DiagramAutomorphism, FiniteWeylElement, embedding_order, embedding_set,
+                   enumerate_w0, sigma_support)
 
 
 def base_k(system: RootSystem, root: Root) -> int:
@@ -95,17 +96,13 @@ class AlcoveProfile:
         return self.decomposition.w
 
     @cached_property
-    def sigma_inverse(self) -> DiagramAutomorphism:
-        return self.sigma.inverse()
-
-    @cached_property
     def eta(self) -> FiniteWeylElement:
         """sigma^{-1}(w) * v, the finite part seen from the dominant chamber."""
-        return self.sigma_inverse.weyl(self.w) * self.v
+        return self.sigma.inverse().weyl(self.w) * self.v
 
     def j_rx(self, r: FiniteWeylElement) -> frozenset[int]:
         """J_{r,x}: the sigma-support of sigma^{-1}(r) * eta * r^{-1}."""
-        return sigma_support(self.sigma_inverse.weyl(r) * self.eta * r.inverse(), self.sigma)
+        return sigma_support(self.sigma.inverse().weyl(r) * self.eta * r.inverse(), self.sigma)
 
     @cached_property
     def kappa(self) -> KottwitzClass:
@@ -175,58 +172,11 @@ class AlcoveProfile:
         return embedding_order(self.system, self.phi_x)
 
 
-@per_system
-def embedding_set(system: RootSystem, phi_x: frozenset[Root]) -> frozenset[FiniteWeylElement]:
-    """Elements r with r(positives minus phi_x) still positive, i.e. whose
-    inversion set N(r) lies in phi_x.
-
-    Grown upward from the identity: for r in W_x with beta = r^{-1}(alpha_i)
-    positive, N(s_i r) = N(r) + {beta}, so s_i r is a member exactly when
-    beta lies in phi_x (a set of positive roots).  The set is left-closed,
-    so each member r' is reached from s_i r' with i its smallest left
-    descent, and only from there.  A member r is carried as the root
-    permutations of r and r^{-1} (j is a left descent of r iff r^{-1}(alpha_j)
-    is negative); only members are interned, each with its length |N(r)|,
-    the search depth.
-    """
-    identity = FiniteWeylElement.identity(system)
-    simple, npos = identity.key, len(system.positive_roots)  # numbers of alpha_j, positives
-    inside = {k for k, root in enumerate(system.all_roots) if root in phi_x}
-    s_perms = [(s.root_perm, _table(s.root_perm)) for s in simple_reflections(system)]
-    members = [(identity.root_perm, 0)]
-    frontier = [(identity.root_perm, identity.root_perm)]
-    depth = 0
-    while frontier:
-        depth += 1
-        nxt = []
-        for perm, inv in frontier:
-            through_inv = _table(inv)
-            for i, (s_i, through_s_i) in enumerate(s_perms):
-                if inv[simple[i]] not in inside:
-                    continue  # beta = r^{-1}(alpha_i) lies outside phi_x
-                new_inv = s_i.translate(through_inv)  # (s_i r)^{-1} = r^{-1} s_i
-                if any(new_inv[simple[j]] >= npos for j in range(i)):
-                    continue  # s_i r has a smaller left descent
-                new_perm = perm.translate(through_s_i)
-                members.append((new_perm, depth))
-                nxt.append((new_perm, new_inv))
-        frontier = nxt
-    return frozenset(_intern(system, perm, length) for perm, length in members)
-
-
-@per_system
-def embedding_order(system: RootSystem, phi_x: frozenset[Root]) -> tuple[FiniteWeylElement, ...]:
-    """``embedding_set(system, phi_x)`` in ``sort_key`` order."""
-    return tuple(sorted(embedding_set(system, phi_x), key=FiniteWeylElement.sort_key))
-
-
-def w_x_set_bruteforce(x: AffineElement) -> frozenset[FiniteWeylElement]:
-    """Reference implementation: filter the whole finite Weyl group."""
-    system = x.system
-    phi = AlcoveProfile.build(x, DiagramAutomorphism.identity(system)).phi_x
-    complement = [a for a in system.positive_roots if a not in phi]
+def w_x_set_bruteforce(system: RootSystem, phi_x: frozenset[Root]) -> frozenset[FiniteWeylElement]:
+    """Reference implementation of W_x for the strip set ``phi_x``: filter the
+    whole finite Weyl group."""
+    complement = [a for a in system.positive_roots if a not in phi_x]
     return frozenset(
         r for r in enumerate_w0(system)
         if all(sum(r.act_on_root(g)) > 0 for g in complement)
     )
-

@@ -253,10 +253,6 @@ class RootSystem:
     def is_dominant(self, mu) -> bool:
         return all(Fraction(c) >= 0 for c in mu)
 
-    def simple_coroot(self, i: int) -> Coweight:
-        """alpha_i^v in fundamental-coweight coordinates (row i of the Cartan matrix)."""
-        return self.cartan_matrix[i]
-
     def coroot_of(self, root: Root) -> tuple[Fraction, ...]:
         """The coroot root^v = 2*root/(root,root) in fundamental-coweight coordinates."""
         d = self._symmetrizer()
@@ -317,9 +313,6 @@ class RootSystem:
         return scale, tuple(int(c * scale) for c in center)
 
     # -- classical invariants ------------------------------------------------
-
-    def positive_root_count(self) -> int:
-        return len(self.positive_roots)
 
     def weyl_order(self) -> int:
         order = 1

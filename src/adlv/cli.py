@@ -20,7 +20,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import audit
 from .alcove import AlcoveProfile
 from .criterion import (
     Verdict,
@@ -344,6 +343,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_crosscheck(args) -> int:
+    from . import audit  # only this command needs the battery
+
     config = config_from_sources(args)
     system, sigma, _ = build_context(config)
     results = audit.run_battery(system, sigma, config.length_bound, config.seed)

@@ -179,7 +179,7 @@ def _scan_elements(system: RootSystem, sigma: DiagramAutomorphism):
     """Sorted W0 as (w, w^{-1}, sigma(w)) triples."""
     return tuple(
         (w, w.inverse(), sigma.weyl(w))
-        for w in sorted(enumerate_w0(system), key=lambda u: u.sort_key())
+        for w in enumerate_w0(system)
     )
 
 
@@ -461,7 +461,7 @@ def dim_one_strip_rank2(profile: AlcoveProfile, b_kappa: KottwitzClass) -> int |
         raise InternalCheckError("single-strip root is not simple")
     s_x = FiniteWeylElement.simple(system, alpha_x.index(1))
     eta = profile.eta
-    conjugated = profile.sigma_inverse.weyl(s_x) * eta * s_x
+    conjugated = profile.sigma.inverse().weyl(s_x) * eta * s_x
     doubled = x.length + min(eta.length, conjugated.length) - defect(b_kappa, sigma)
     if doubled % 2 != 0:
         raise InternalCheckError(f"odd dimension numerator {doubled} for {x!r}")

@@ -12,6 +12,13 @@ Instances are interned per system on the numbers of their simple-root
 images, so at most |W0| are alive and every derived quantity is computed
 once.  The intern table is ``system.memo[_intern]``, next to the system's
 other tables: it dies with the system.
+
+Every subset of W0 that is listed is {r : N(r) ⊆ S} for a set S of positive
+roots, and one walk over inversion sets lists it (``embedding_set``, in
+``sort_key`` order ``embedding_order``): W0 itself is S = Phi+, the
+embedding set W_x is S = Phi_x, and the minimal coset representatives W^J
+are S = Phi+ minus Phi_J+.  Only this module knows the root-permutation
+format.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from operator import add, mul
 from .cartan import Coweight, Root, RootSystem, per_system
 from .errors import CapExceeded
 
-W0_CAP_DEFAULT = 10 ** 6
+W0_CAP = 10 ** 6  # systems with a larger W0 are not listed
 ROOT_CAP = 256  # a bytes entry numbers at most this many roots
 
 
@@ -223,34 +230,28 @@ def simple_reflections(system: RootSystem) -> tuple[FiniteWeylElement, ...]:
     return tuple(out)
 
 
-def reduced_word(w: FiniteWeylElement, pick: str = "smallest") -> tuple[int, ...]:
+def reduced_word(w: FiniteWeylElement) -> tuple[int, ...]:
     """A reduced word for w as a tuple of 0-based simple indices.
 
-    Deterministic: strip the smallest-index right descent at each step (or the
-    largest, used by tests to confirm support is word-independent).  The
-    returned letters multiply left-to-right to w.  The smallest-index word of
-    w is the word of w s_i followed by i, so stripping stops at the first
-    element whose word is already cached and splices that word in.
+    Deterministic: strip the smallest-index right descent at each step.  The
+    returned letters multiply left-to-right to w.  The word of w is the word
+    of w s_i followed by i, so stripping stops at the first element whose
+    word is already cached and splices that word in.
     """
-    smallest = pick == "smallest"
-    select = min if smallest else max
     letters: list[int] = []
     current = w
     prefix: tuple[int, ...] = ()
     while True:
-        if smallest and current._word is not None:
+        if current._word is not None:
             prefix = current._word
             break
         descents = current.right_descents()
         if not descents:
             break
-        i = select(descents)
-        letters.append(i)
-        current = current * FiniteWeylElement.simple(w.system, i)
-    word = prefix + tuple(reversed(letters))
-    if smallest:
-        w._word = word
-    return word
+        letters.append(descents[0])
+        current = current * FiniteWeylElement.simple(w.system, descents[0])
+    w._word = prefix + tuple(reversed(letters))
+    return w._word
 
 
 def support(w: FiniteWeylElement) -> frozenset[int]:
@@ -281,38 +282,62 @@ def longest_element(system: RootSystem, indices=None) -> FiniteWeylElement:
         w = w * simples[i]
 
 
-def require_w0_within_cap(system: RootSystem, cap: int = W0_CAP_DEFAULT) -> None:
-    """Refuse systems whose finite Weyl group is larger than ``cap``."""
+def require_w0_within_cap(system: RootSystem) -> None:
+    """Refuse systems whose finite Weyl group is larger than ``W0_CAP``."""
     order = system.weyl_order()
-    if order > cap:
-        raise CapExceeded(f"|W0| = {order} exceeds the cap {cap}", estimate=order)
+    if order > W0_CAP:
+        raise CapExceeded(f"|W0| = {order} exceeds the cap {W0_CAP}", estimate=order)
+
+
+def enumerate_w0(system: RootSystem) -> tuple[FiniteWeylElement, ...]:
+    """All elements of W0 in ``sort_key`` order: the elements whose inversion
+    set lies in all of Phi+.  Refused past ``W0_CAP``."""
+    require_w0_within_cap(system)
+    return embedding_order(system, frozenset(system.positive_roots))
 
 
 @per_system
-def _all_elements(system: RootSystem, cap: int) -> tuple[FiniteWeylElement, ...]:
-    require_w0_within_cap(system, cap)
+def embedding_set(system: RootSystem, roots: frozenset[Root]) -> frozenset[FiniteWeylElement]:
+    """The elements whose inversion set lies in the given positive roots:
+    r with N(r) ⊆ ``roots``, i.e. r(positives minus ``roots``) still positive.
+
+    Grown upward from the identity: for r a member with beta = r^{-1}(alpha_i)
+    positive, N(s_i r) = N(r) + {beta}, so s_i r is a member exactly when
+    beta lies in ``roots``.  The set is left-closed, so each member r' is
+    reached from s_i r' with i its smallest left descent, and only from
+    there.  A member r is carried as the root permutations of r and r^{-1}
+    (j is a left descent of r iff r^{-1}(alpha_j) is negative); only members
+    are interned, each with its length |N(r)|, the search depth.
+    """
     identity = FiniteWeylElement.identity(system)
-    seen = {identity.images}
-    result = [identity]
-    frontier = [identity]
-    simples = [FiniteWeylElement.simple(system, i) for i in range(system.rank)]
+    simple, npos = identity.key, len(system.positive_roots)  # numbers of alpha_j, positives
+    inside = {k for k, root in enumerate(system.all_roots) if root in roots}
+    s_perms = [(s.root_perm, _table(s.root_perm)) for s in simple_reflections(system)]
+    members = [(identity.root_perm, 0)]
+    frontier = [(identity.root_perm, identity.root_perm)]
+    depth = 0
     while frontier:
-        nxt = {}
-        for w in frontier:
-            for s in simples:
-                cand = w * s
-                if cand.images not in seen:
-                    nxt[cand.images] = cand
-        frontier = [nxt[k] for k in sorted(nxt)]
-        seen.update(nxt)
-        result.extend(frontier)
-    assert len(result) == system.weyl_order()
-    return tuple(result)
+        depth += 1
+        nxt = []
+        for perm, inv in frontier:
+            through_inv = _table(inv)
+            for i, (s_i, through_s_i) in enumerate(s_perms):
+                if inv[simple[i]] not in inside:
+                    continue  # beta = r^{-1}(alpha_i) lies outside roots
+                new_inv = s_i.translate(through_inv)  # (s_i r)^{-1} = r^{-1} s_i
+                if any(new_inv[simple[j]] >= npos for j in range(i)):
+                    continue  # s_i r has a smaller left descent
+                new_perm = perm.translate(through_s_i)
+                members.append((new_perm, depth))
+                nxt.append((new_perm, new_inv))
+        frontier = nxt
+    return frozenset(_intern(system, perm, length) for perm, length in members)
 
 
-def enumerate_w0(system: RootSystem, cap: int = W0_CAP_DEFAULT):
-    """All elements of W0, once each, by breadth-first closure (deterministic order)."""
-    return iter(_all_elements(system, cap))
+@per_system
+def embedding_order(system: RootSystem, roots: frozenset[Root]) -> tuple[FiniteWeylElement, ...]:
+    """``embedding_set(system, roots)`` in ``sort_key`` order."""
+    return tuple(sorted(embedding_set(system, roots), key=FiniteWeylElement.sort_key))
 
 
 @dataclass(frozen=True)
@@ -342,6 +367,11 @@ class DiagramAutomorphism:
         return all(self.perm[i] == i for i in range(len(self.perm)))
 
     def inverse(self) -> "DiagramAutomorphism":
+        return self._inverse
+
+    @cached_property
+    def _inverse(self) -> "DiagramAutomorphism":
+        """sigma^{-1}, built once per automorphism."""
         return DiagramAutomorphism(self.system, tuple(map(self.perm.index, range(len(self.perm)))))
 
     def index(self, i: int) -> int:

@@ -123,7 +123,8 @@ def test_w_x_examples(a2):
 def test_w_x_bfs_equals_bruteforce(descriptor, bound):
     system = RootSystem.from_descriptor(descriptor)
     for x in enumerate_affine(system, bound):
-        assert profile_of(x).w_x == w_x_set_bruteforce(x)
+        profile = profile_of(x)
+        assert profile.w_x == w_x_set_bruteforce(system, profile.phi_x)
 
 
 @pytest.mark.parametrize("descriptor,sigma_text,bound", [
@@ -138,7 +139,7 @@ def test_w_x_and_decomposition_match_references(descriptor, sigma_text, bound):
     count = 0
     for x in enumerate_affine(system, bound):
         profile = AlcoveProfile.build(x, sigma)
-        assert profile.w_x == w_x_set_bruteforce(x)
+        assert profile.w_x == w_x_set_bruteforce(system, profile.phi_x)
         assert by_phi_x.setdefault(profile.phi_x, profile.w_x) is profile.w_x
         assert profile.w_x_sorted == tuple(sorted(profile.w_x, key=lambda r: r.sort_key()))
         assert profile.decomposition == audit._dominant_decompose_by_barycenter(x)

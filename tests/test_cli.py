@@ -14,6 +14,7 @@ import pytest
 import adlv.alcove
 import adlv.cli
 import adlv.iwahori
+import adlv.weyl
 from adlv import audit
 from adlv.cartan import RootSystem
 from adlv.cli import main as cli_main
@@ -505,16 +506,34 @@ def test_check_refuses_more_than_256_roots(capsys):
     assert err == "error: 312 roots exceed the root-permutation limit of 256\n"
 
 
-def test_check_e6_never_sweeps_w0(monkeypatch, capsys):
-    def refuse(*args):
-        raise AssertionError("W0 enumerated during a single check")
-
-    monkeypatch.setattr("adlv.weyl._all_elements", refuse)
-    code, out, _ = run_cli(["check", "t[2,2,2,2,2,2] s1", "--system", "E6"], capsys)
+def test_check_e6_never_sweeps_w0(capsys):
+    """No inversion-set walk of a single check covers all 36 positive roots,
+    so W0 is never listed."""
+    code, out, walked = run_cli_walks(["check", "t[2,2,2,2,2,2] s1", "--system", "E6"], capsys)
     assert code == 0
+    assert walked and all(len(roots) < 36 for roots in walked)
     document = json.loads(out)
     assert document["rule"] == "sigma-support-criterion"
     assert document["nonempty"] is False
+
+
+def run_cli_walks(args, capsys):
+    """Run the CLI in process and record the root set S of every inversion-set
+    walk {r : N(r) ⊆ S} it makes (``weyl.embedding_set`` past its memo)."""
+    walk = adlv.weyl.embedding_set.__wrapped__.__code__
+    walked = []
+
+    def profiler(frame, event, arg):
+        if event == "call" and frame.f_code is walk:
+            walked.append(frame.f_locals["roots"])
+
+    previous = sys.getprofile()
+    sys.setprofile(profiler)
+    try:
+        code, out, _ = run_cli(args, capsys)
+    finally:
+        sys.setprofile(previous)
+    return code, out, walked
 
 
 # -- cost guards: call counts, no timing ----------------------------------------------
@@ -549,6 +568,30 @@ def test_enumerate_jobs_one_builds_one_root_system(monkeypatch, capsys):
                           "--length-bound", "2", "--format", "csv", "--jobs", "1"], capsys)
     assert code == 0
     assert len(built) == 1
+
+
+def test_enumerate_builds_sigma_and_its_inverse_once(monkeypatch, capsys):
+    built = []
+    original = DiagramAutomorphism.__post_init__
+
+    def counting_post_init(self):
+        built.append(self.perm)
+        original(self)
+
+    monkeypatch.setattr(DiagramAutomorphism, "__post_init__", counting_post_init)
+    code, out, _ = run_cli(["enumerate", "--system", "A3", "--sigma", "(1 3)",
+                            "--length-bound", "2", "--jobs", "1"], capsys)
+    assert code == 0
+    assert len(json.loads(out)["rows"]) == 60
+    assert len(built) <= 2
+
+
+def test_importing_the_cli_leaves_the_audit_out():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, adlv.cli; print('adlv.audit' in sys.modules)"],
+        capture_output=True, timeout=600)
+    assert proc.returncode == 0
+    assert proc.stdout == b"False\n"
 
 
 @pytest.mark.parametrize("kappa_b", ["zero", "match-x"])
@@ -647,20 +690,8 @@ def test_python_dash_m_adlv():
 
 def test_enumerate_grows_w_x_once_per_phi_x(capsys):
     """D4 L<=1 has 24 rows but only 6 distinct strip sets Phi_x."""
-    walk = adlv.alcove.embedding_set.__wrapped__.__code__
-    walked = []
-
-    def profiler(frame, event, arg):
-        if event == "call" and frame.f_code is walk:
-            walked.append(frame.f_locals["phi_x"])
-
-    previous = sys.getprofile()
-    sys.setprofile(profiler)
-    try:
-        code, out, _ = run_cli(["enumerate", "--system", "D4", "--length-bound", "1",
-                                "--jobs", "1"], capsys)
-    finally:
-        sys.setprofile(previous)
+    code, out, walked = run_cli_walks(["enumerate", "--system", "D4", "--length-bound", "1",
+                                       "--jobs", "1"], capsys)
     assert code == 0
     assert len(json.loads(out)["rows"]) == 24
     assert len(walked) == len(set(walked)) == 6

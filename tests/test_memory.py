@@ -8,12 +8,12 @@ import weakref
 import pytest
 
 import adlv
-from adlv.alcove import AlcoveProfile, embedding_order, embedding_set
+from adlv.alcove import AlcoveProfile
 from adlv.cartan import RootSystem, per_system
 from adlv.criterion import decide_nonempty, oracle_nonempty
 from adlv.iwahori import enumerate_affine, kottwitz_group, omega_elements
 from adlv.notation import parse_affine
-from adlv.weyl import DiagramAutomorphism, _intern, enumerate_w0
+from adlv.weyl import DiagramAutomorphism, _intern, embedding_order, embedding_set, enumerate_w0
 
 
 def _use_fresh_d4() -> weakref.ref:

@@ -1,7 +1,10 @@
 """Finite Weyl group: actions, words, supports, enumeration, the sigma-action."""
 
+import ast
 import random
 import re
+from itertools import combinations
+from pathlib import Path
 from fractions import Fraction
 
 import pytest
@@ -15,6 +18,8 @@ from adlv.notation import parse_sigma
 from adlv.weyl import (
     DiagramAutomorphism,
     FiniteWeylElement,
+    embedding_order,
+    embedding_set,
     enumerate_w0,
     longest_element,
     reduced_word,
@@ -118,8 +123,61 @@ def test_enumerate_counts(a2, b2, a3):
 def test_enumerate_cap():
     e8 = RootSystem.from_descriptor("E8")
     with pytest.raises(CapExceeded) as info:
-        list(enumerate_w0(e8, cap=1000))
+        enumerate_w0(e8)
     assert info.value.estimate == 696729600
+
+
+@pytest.mark.parametrize("descriptor", [
+    "A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2", "F4", "A1+A2"])
+def test_enumerate_w0_is_the_closure_of_the_simple_reflections(descriptor):
+    system = RootSystem.from_descriptor(descriptor)
+    simples = [FiniteWeylElement.simple(system, i) for i in range(system.rank)]
+    closure = {FiniteWeylElement.identity(system)}
+    frontier = list(closure)
+    while frontier:
+        frontier = {w * s for w in frontier for s in simples} - closure
+        closure |= frontier
+    elements = enumerate_w0(system)
+    assert set(elements) == closure
+    assert len(elements) == len(closure) == system.weyl_order()
+    assert list(elements) == sorted(elements, key=FiniteWeylElement.sort_key)
+
+
+@pytest.mark.parametrize("descriptor", ["A3", "B3", "C3", "D4", "G2", "F4", "A1+A2"])
+def test_embedding_set_lists_minimal_coset_representatives(descriptor):
+    """W^J, the w with no right descent in J, is the walk over Phi+ minus Phi_J+."""
+    system = RootSystem.from_descriptor(descriptor)
+    w0 = enumerate_w0(system)
+    for size in range(system.rank + 1):
+        for j_set in map(set, combinations(range(system.rank), size)):
+            outside_j = frozenset(a for a in system.positive_roots
+                                  if any(a[i] for i in range(system.rank) if i not in j_set))
+            expected = [w for w in w0 if not j_set & set(w.right_descents())]
+            assert embedding_set(system, outside_j) == frozenset(expected)
+            assert list(embedding_order(system, outside_j)) == expected
+
+
+def test_largest_descent_word_is_reduced(a3):
+    for w in enumerate_w0(a3):
+        word = audit._largest_descent_word(w)
+        assert len(word) == w.length
+        product = FiniteWeylElement.identity(a3)
+        for i in word:
+            product = product * FiniteWeylElement.simple(a3, i)
+        assert product is w
+
+
+def test_only_weyl_knows_the_root_permutation_format():
+    private = {"_intern", "_table", "_inverted", "_index"}
+    package = Path(audit.__file__).parent
+    for path in package.glob("*.py"):
+        if path.name == "weyl.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("weyl"):
+                assert not private & {alias.name for alias in node.names}, path.name
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                assert not (node.value.id == "weyl" and node.attr in private), path.name
 
 
 def test_apply_sigma_examples(a3, a3_flip):

@@ -95,15 +95,23 @@ def solve_affine(matrix, rhs) -> tuple[Vector, tuple[Vector, ...]] | None:
 
 
 def fixed_space_dimension(matrix) -> int:
-    """dim ker(matrix - I), exact."""
+    """dim ker(matrix - I), exact: n minus the rank found by fraction-free
+    elimination, so integer matrices stay in integers."""
     n = len(matrix)
-    shifted = tuple(
-        tuple(Fraction(matrix[i][j]) - (1 if i == j else 0) for j in range(n))
-        for i in range(n)
-    )
-    solved = solve_affine(shifted, (Fraction(0),) * n)
-    assert solved is not None
-    return len(solved[1])
+    rows = [[entry - (i == j) for j, entry in enumerate(row)] for i, row in enumerate(matrix)]
+    rank = 0
+    for col in range(n):
+        pivot = next((r for r in range(rank, n) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        lead = rows[rank]
+        for r in range(rank + 1, n):
+            factor = rows[r][col]
+            if factor:
+                rows[r] = [lead[col] * entry - factor * top for entry, top in zip(rows[r], lead)]
+        rank += 1
+    return n - rank
 
 
 def feasible(constraints: list[tuple[Vector, Fraction]], n_vars: int) -> bool:

@@ -5,6 +5,10 @@ The k-value of an alcove against a root a is the integer k with the alcove
 strictly between the level-k and level-(k+1) hyperplanes of a.  The base
 alcove has k-value 0 against positive roots and -1 against negative ones;
 "x lies in the critical strip of a" is uniformly k(a, x) == k(a, base).
+The profile holds the k-values by root number (the index into
+``system.all_roots``: the positive roots, then their negatives in the same
+order), for the positive roots only, as k(-a, x) = -1 - k(a, x); the strips,
+Phi_x and the roots below the base alcove are read off those numbers.
 W_x is the set of r with inversion set N(r) inside Phi_x, so it depends on
 Phi_x alone: ``weyl.embedding_set`` grows it, and ``weyl.embedding_order``
 sorts it, once per (system, Phi_x), kept in the system's memo.
@@ -26,8 +30,8 @@ from .iwahori import (
     kottwitz,
     make_dominant,
 )
-from .weyl import (DiagramAutomorphism, FiniteWeylElement, embedding_order, embedding_set,
-                   enumerate_w0, sigma_support)
+from .weyl import (DiagramAutomorphism, FiniteWeylElement, act_on_numbers, embedding_order,
+                   embedding_set, enumerate_w0, positive_pairings, product_support)
 
 
 def base_k(system: RootSystem, root: Root) -> int:
@@ -101,8 +105,10 @@ class AlcoveProfile:
         return self.sigma.inverse().weyl(self.w) * self.v
 
     def j_rx(self, r: FiniteWeylElement) -> frozenset[int]:
-        """J_{r,x}: the sigma-support of sigma^{-1}(r) * eta * r^{-1}."""
-        return sigma_support(self.sigma.inverse().weyl(r) * self.eta * r.inverse(), self.sigma)
+        """J_{r,x}: the sigma-support of sigma^{-1}(r) * eta * r^{-1}, with
+        sigma^{-1}(r) = sigma^{-1} r sigma composed as root maps."""
+        sigma = self.sigma
+        return sigma.closed_set(product_support(sigma.inverse(), r, sigma, self.eta, r.inverse()))
 
     @cached_property
     def kappa(self) -> KottwitzClass:
@@ -115,44 +121,46 @@ class AlcoveProfile:
         return affine_sigma_support(self.x, self.sigma, self.kappa)
 
     @cached_property
+    def k_numbers(self) -> tuple[int, ...]:
+        """k(alpha, x) per positive root number, by the closed form on one
+        decomposition: <v^{-1}(alpha), mu> = <alpha, v.mu>, less one when
+        (vw)^{-1}(alpha) is negative.  Negative roots follow from
+        k(-alpha) = -1 - k(alpha)."""
+        pairings = positive_pairings(self.system, self.v.act_on_coweight(self.mu))
+        positive = (self.v * self.w).inverse_positive()
+        return tuple([p if up else p - 1 for p, up in zip(pairings, positive)])
+
+    @cached_property
     def k_values(self) -> dict[Root, int]:
-        """k(a, x) for every root a, by the closed form on one decomposition."""
-        system = self.system
-        mu = self.decomposition.mu
-        v_inv_images = self.v.inverse().positive_images()
-        vw_inv_positive = (self.v * self.w).inverse_positive()
-        out: dict[Root, int] = {}
-        for idx, alpha in enumerate(system.positive_roots):
-            inner = v_inv_images[idx]
-            pairing = sum(a * m for a, m in zip(inner, mu))
-            out[alpha] = pairing + (0 if vw_inv_positive[idx] else -1)
-            out[system.negate(alpha)] = -pairing + (-1 if vw_inv_positive[idx] else 0)
-        return out
+        """k(a, x) for every root a, read from ``k_numbers``."""
+        k = self.k_numbers
+        return dict(zip(self.system.all_roots, k + tuple([-1 - c for c in k])))
+
+    @cached_property
+    def _strip_numbers(self) -> bytes:
+        """The numbers of the positive roots beta with k(beta, x) = 0."""
+        return bytes([n for n, k in enumerate(self.k_numbers) if not k])
 
     @cached_property
     def phi_x(self) -> frozenset[Root]:
-        """Positive roots alpha with x inside the strip of v(alpha)."""
-        system = self.system
-        k_values = self.k_values
-        return frozenset(
-            alpha for alpha, image in zip(system.positive_roots, self.v.positive_images())
-            if k_values[image] == base_k(system, image)
-        )
+        """Positive roots alpha with x inside the strip of v(alpha): the
+        preimages v^{-1}(beta) of the strip roots beta, all positive, since
+        beta is positive on x(base), which lies in the chamber of v."""
+        preimages = act_on_numbers(self.v.inverse(), self._strip_numbers)
+        return frozenset(map(self.system.all_roots.__getitem__, preimages))
 
     @cached_property
-    def below_base(self) -> frozenset[Root]:
-        """Roots a with k(a, x) below the base alcove's k-value."""
-        system = self.system
-        return frozenset(
-            a for a, k in self.k_values.items() if k < base_k(system, a)
-        )
+    def below_base(self) -> bytes:
+        """The numbers of the roots a with k(a, x) below the base alcove's
+        k-value.  For positive alpha that is k(alpha) < 0, and for -alpha it
+        is k(alpha) > 0, so each non-strip pair contributes one number."""
+        npos = len(self.k_numbers)
+        return bytes([n if k < 0 else n + npos for n, k in enumerate(self.k_numbers) if k])
 
     @cached_property
     def strips(self) -> tuple[Root, ...]:
         """Critical strips containing x, one positive representative each."""
-        return tuple(
-            beta for beta in self.system.positive_roots if self.k_values[beta] == 0
-        )
+        return tuple(map(self.system.all_roots.__getitem__, self._strip_numbers))
 
     @property
     def shrunken(self) -> bool:

@@ -14,15 +14,17 @@ from fractions import Fraction
 from itertools import product
 
 from . import _linalg
-from .alcove import AlcoveProfile, DominantDecomposition, barycenter, w_x_set_bruteforce
+from .alcove import AlcoveProfile, DominantDecomposition, barycenter, base_k, w_x_set_bruteforce
 from .cartan import RootSystem, subset_predicates, sandwich_positivizer
 from .errors import InternalCheckError
 from .criterion import (
     DimConflictError,
     DimTable,
-    _minimal_alcove_support,
+    RULE_ORACLE,
+    Verdict,
     _oracle_scan,
-    _scan_elements,
+    _twisted_support,
+    _violated_supports,
     bgx_cordial,
     decide_nonempty,
     defect,
@@ -627,23 +629,59 @@ def check_jrx_postcondition(system: RootSystem, sigma: DiagramAutomorphism,
     return _ok(cid, f"{pairs} (x, r) pairs satisfy the alcove postcondition")
 
 
+def _minimal_alcove_support_by_roots(profile: AlcoveProfile, below: frozenset,
+                                     w: FiniteWeylElement) -> frozenset[int]:
+    """Reference for the scan's T(w), computed from root tuples, with ``below``
+    the roots whose k-value lies below the base alcove's."""
+    system = profile.system
+    letters: set[int] = set()
+    for alpha, a in zip(system.positive_roots, w.positive_images()):
+        if a in below:
+            letters.update(i for i, c in enumerate(alpha) if c)
+    if len(letters) < system.rank:
+        letters |= support(w.inverse() * profile.x.finite * profile.sigma.weyl(w))
+    return frozenset(letters)
+
+
+def _oracle_scan_over_w0(profile: AlcoveProfile) -> Verdict:
+    """Reference for the coset scan: T(w) for every w in W0, then the first
+    (J, w) pair in order with T(w) ⊆ J."""
+    system = profile.system
+    below = frozenset(a for a, k in profile.k_values.items() if k < base_k(system, a))
+    scan = enumerate_w0(system)
+    supports = [_minimal_alcove_support_by_roots(profile, below, w) for w in scan]
+    subsets = sigma_stable_subsets(system, profile.sigma, True)
+    for j_set in subsets:
+        for w, t_set in zip(scan, supports):
+            if t_set <= j_set:
+                return Verdict(False, RULE_ORACLE, {"j": j_set, "w": w})
+    return Verdict(True, RULE_ORACLE, {"pairs_scanned": len(scan) * len(subsets)})
+
+
 def check_oracle_reduction_vs_literal(system: RootSystem, sigma: DiagramAutomorphism,
                                       bound: int = 4) -> CheckResult:
-    """The minimal-support shortcut used by the scan equals the literal test."""
+    """The minimal-support shortcut used by the scan equals the literal test,
+    and the coset scan gives the verdict and witness of the scan over W0."""
     cid = "oracle-reduction-vs-literal"
     pairs = 0
-    scan = _scan_elements(system, sigma)
+    scan = enumerate_w0(system)
     subsets = sigma_stable_subsets(system, sigma, False)
     for x in enumerate_affine(system, bound):
         profile = AlcoveProfile.build(x, sigma)
-        for w, w_inv, sigma_w in scan:
-            t_set = _minimal_alcove_support(profile, w, w_inv, sigma_w)
+        for w in scan:
+            t_mask = _violated_supports(profile, w) | _twisted_support(profile, w)
             for j_set in subsets:
                 pairs += 1
-                if is_jw_alcove(profile, j_set, w) != (t_set <= j_set):
+                inside = not t_mask & ~sum(1 << i for i in j_set)
+                if is_jw_alcove(profile, j_set, w) != inside:
                     return _fail(cid, "reduction disagrees with the literal conditions",
                                  {"x": format_affine(x), "w": format_finite(w),
                                   "J": sorted(j_set)})
+        coset, full = _oracle_scan(profile), _oracle_scan_over_w0(profile)
+        if (coset.nonempty, coset.witnesses) != (full.nonempty, full.witnesses):
+            return _fail(cid, "coset scan differs from the scan over W0",
+                         {"x": format_affine(x), "coset": coset.nonempty,
+                          "full": full.nonempty})
     return _ok(cid, f"{pairs} (x, J, w) triples agree with the literal test")
 
 

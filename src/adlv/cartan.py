@@ -245,13 +245,13 @@ class RootSystem:
         )
 
     def in_coweight_lattice(self, mu) -> bool:
-        return all(Fraction(c).denominator == 1 for c in mu)
+        return all(type(c) is int or Fraction(c).denominator == 1 for c in mu)
 
     def in_coroot_lattice(self, mu) -> bool:
         return all(c.denominator == 1 for c in self.coroot_coordinates(mu))
 
     def is_dominant(self, mu) -> bool:
-        return all(Fraction(c) >= 0 for c in mu)
+        return all(c >= 0 if type(c) is int else Fraction(c) >= 0 for c in mu)
 
     def coroot_of(self, root: Root) -> tuple[Fraction, ...]:
         """The coroot root^v = 2*root/(root,root) in fundamental-coweight coordinates."""

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .alcove import AlcoveProfile
+from .cartan import per_system
 from .criterion import (
     Verdict,
     bgx_cordial,
@@ -144,7 +145,13 @@ def _indices_1based(indices) -> list[int]:
 
 
 def _kappa_str(kappa: KottwitzClass) -> str:
-    return ";".join(format_fraction(c) for c in kappa.rep)
+    return _kappa_text(kappa.system, kappa.rep)
+
+
+@per_system
+def _kappa_text(system, rep) -> str:
+    """The text of a class representative, kept per class in the system's memo."""
+    return ";".join(format_fraction(c) for c in rep)
 
 
 def _witnesses_json(witnesses: dict) -> dict:

@@ -8,8 +8,14 @@ Two independent deciders are provided and cross-checked:
   exactly when the affine sigma-support is not full; reducible sums are
   decided factor by factor);
 - ``oracle_nonempty``: the Levi-avoidance scan — x is nonempty iff it is
-  not a (J, w)-alcove for any proper sigma-stable J — asserted only when
-  the affine sigma-support of x is full.
+  not a (J, w)-alcove for any proper sigma-stable J (Görtz-He-Nie,
+  "P-alcoves and nonemptiness of affine Deligne-Lusztig varieties", Ann.
+  Sci. ENS 48, 2015) — asserted only when the affine sigma-support of x is
+  full.  It scans the minimal coset representatives W^J of the maximal
+  proper sigma-stable J, skipping each J that the dimension of the space
+  fixed by x_fin sigma rules out, so a nonempty verdict never lists W0; its
+  ``pairs_scanned`` is the formula |W0| x (number of proper sigma-stable J).
+  The scan over all of W0 is kept as a reference in ``adlv.audit``.
 
 Alongside: the generic-class set for cordial v*t^mu elements, bounded
 enumeration of the class set below a dominant coweight, the defect of a
@@ -20,6 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 from . import _linalg
 from .alcove import AlcoveProfile, base_k
@@ -40,8 +48,12 @@ from .iwahori import (
 from .weyl import (
     DiagramAutomorphism,
     FiniteWeylElement,
+    act_on_numbers,
+    embedding_order,
     enumerate_w0,
-    support,
+    positive_root_supports,
+    product_support,
+    require_w0_within_cap,
     weyl_matrix,
 )
 
@@ -174,32 +186,55 @@ def is_jw_alcove(profile: AlcoveProfile, j_set: frozenset[int], w: FiniteWeylEle
     return True
 
 
+def _violated_supports(profile: AlcoveProfile, w: FiniteWeylElement) -> int:
+    """With ``_twisted_support``, the minimal alcove support T(w): the
+    smallest index set with x a (J, w)-alcove iff T(w) ⊆ J, as a bitmask
+    (bit i for alpha_i).  This part collects the supports of the positive
+    roots whose w-image violates the k-value inequality (condition two): the
+    positive numbers among w^{-1}(below_base), one ``bytes.translate``."""
+    return reduce(or_, map(positive_root_supports(profile.system).__getitem__,
+                           act_on_numbers(w.inverse(), profile.below_base)), 0)
+
+
+def _twisted_support(profile: AlcoveProfile, w: FiniteWeylElement) -> int:
+    """The support of the twisted conjugate's finite part w^{-1} x_fin sigma(w)
+    (condition one; the translation part plays no role), composed as root
+    maps with sigma(w) = sigma w sigma^{-1}."""
+    sigma = profile.sigma
+    return product_support(w.inverse(), profile.x.finite, sigma, w, sigma.inverse())
+
+
 @per_system
-def _scan_elements(system: RootSystem, sigma: DiagramAutomorphism):
-    """Sorted W0 as (w, w^{-1}, sigma(w)) triples."""
-    return tuple(
-        (w, w.inverse(), sigma.weyl(w))
-        for w in enumerate_w0(system)
-    )
+def _scan_plan(system: RootSystem, sigma: DiagramAutomorphism
+               ) -> tuple[tuple[frozenset[int], int, int], ...]:
+    """Per proper sigma-stable J, in ``sigma_stable_subsets`` order: J, the
+    bitmask of the indices outside J and the number of sigma-orbits there
+    (one exactly for the maximal J)."""
+    full = (1 << system.rank) - 1
+    plan = []
+    for j_set in sigma_stable_subsets(system, sigma, True):
+        outside = full & ~sum(1 << i for i in j_set)
+        orbits = {sigma.orbit(i) for i in range(system.rank) if outside >> i & 1}
+        plan.append((j_set, outside, len(orbits)))
+    return tuple(plan)
 
 
-def _minimal_alcove_support(profile: AlcoveProfile, w, w_inv, sigma_w) -> frozenset[int]:
-    """Smallest index set T with: x is a (J, w)-alcove iff T is a subset of J.
+@per_system
+def _fixed_dimension(system: RootSystem, sigma: DiagramAutomorphism,
+                     x_fin: FiniteWeylElement) -> int:
+    """dim of the coweights fixed by x_fin sigma, a sigma-conjugacy invariant
+    of x_fin."""
+    return _linalg.fixed_space_dimension(_linalg.mat_mul(weyl_matrix(x_fin), sigma.matrix()))
 
-    T collects the support of the twisted conjugate's finite part
-    w^{-1} x_fin sigma(w) (condition one; the translation part plays no role)
-    and the supports of the positive roots whose w-image violates the k-value
-    inequality (condition two).
-    """
-    system = profile.system
-    below = profile.below_base
-    letters: set[int] = set()
-    for alpha, a in zip(system.positive_roots, w.positive_images()):
-        if a in below:
-            letters.update(i for i, c in enumerate(alpha) if c)
-    if len(letters) < system.rank:
-        letters |= support(w_inv * profile.x.finite * sigma_w)
-    return frozenset(letters)
+
+@per_system
+def coset_representatives(system: RootSystem, j_set: frozenset[int]
+                          ) -> tuple[FiniteWeylElement, ...]:
+    """W^J, the minimal representatives of the cosets w W_J, in ``sort_key``
+    order: the elements whose inversion set avoids Phi_J+."""
+    return embedding_order(system, frozenset(
+        alpha for alpha in system.positive_roots
+        if any(c for i, c in enumerate(alpha) if i not in j_set)))
 
 
 def oracle_nonempty(
@@ -211,9 +246,9 @@ def oracle_nonempty(
     """Nonempty iff x is not a (J, w)-alcove for any proper sigma-stable J.
 
     Only asserted under its hypotheses: matching class invariant and full
-    affine sigma-support.  The first witness pair in (J, w) order is reported;
-    the scan uses the per-w minimal alcove support, which agrees with testing
-    ``is_jw_alcove`` pair by pair (cross-checked in the audit suite).
+    affine sigma-support.  A nonempty verdict scans the minimal coset
+    representatives of the maximal proper sigma-stable J only; an empty one
+    reports the first witness pair in (J, w) order.  See ``_oracle_scan``.
     """
     if profile is None:
         profile = AlcoveProfile.build(x, sigma)
@@ -225,18 +260,64 @@ def oracle_nonempty(
 
 
 def _oracle_scan(profile: AlcoveProfile) -> Verdict:
-    """The raw (J, w) scan, without the oracle's hypotheses."""
-    scan = _scan_elements(profile.system, profile.sigma)
-    supports = [
-        _minimal_alcove_support(profile, w, w_inv, sigma_w)
-        for w, w_inv, sigma_w in scan
-    ]
-    subsets = sigma_stable_subsets(profile.system, profile.sigma, True)
-    for j_set in subsets:
-        for (w, _, _), t_set in zip(scan, supports):
-            if t_set <= j_set:
+    """The raw (J, w) scan, without the oracle's hypotheses, over minimal
+    coset representatives.
+
+    x is a (J, w)-alcove iff T(w) ⊆ J (``_violated_supports``).  That test is
+    monotone in J, and for sigma-stable J it depends only on the coset
+    w W_J.  So some proper J admits some w iff a maximal proper J admits a w
+    in W^J, and a nonempty verdict scans W^J for the maximal J alone, never
+    listing W0.  An empty verdict walks J in ``sigma_stable_subsets`` order
+    (only the J inside a maximal J that admits a w) over W^J, with both
+    parts of T(w) memoized, and reports the first hit: ``sort_key`` begins
+    with length, so the first element of a union of cosets w W_J lies in
+    W^J, and the pair is the one a scan of all of W0 would report.  The
+    twisted part of T(w) is computed only for the w whose violations lie
+    inside J.
+
+    A J is skipped, maximal or not, when condition one cannot hold for it:
+    u = w^{-1} x_fin sigma(w) in W_J fixes the fundamental coweights outside
+    J, so u sigma, a conjugate of x_fin sigma, fixes one dimension per
+    sigma-orbit outside J.  For sigma = 1, J = ∅ thus needs x_fin = 1; an
+    elliptic x_fin sigma is decided without a scan.
+
+    ``pairs_scanned`` of a nonempty verdict is the count of (J, w) pairs
+    over all of W0, |W0| times the number of proper sigma-stable J, a
+    formula.  Systems over ``W0_CAP`` are refused.
+    """
+    system, sigma = profile.system, profile.sigma
+    require_w0_within_cap(system)
+    fixed = _fixed_dimension(system, sigma, profile.x.finite)
+    violated: dict[bytes, int] = {}  # per w, the two parts of T(w)
+    twisted: dict[bytes, int] = {}
+
+    def first_admitted(j_set: frozenset[int], outside: int) -> FiniteWeylElement | None:
+        for w in coset_representatives(system, j_set):
+            letters = violated.get(w.key)
+            if letters is None:
+                letters = violated[w.key] = _violated_supports(profile, w)
+            if letters & outside:
+                continue
+            letters = twisted.get(w.key)
+            if letters is None:
+                letters = twisted[w.key] = _twisted_support(profile, w)
+            if not letters & outside:
+                return w
+        return None
+
+    plan = [(j_set, outside, orbits) for j_set, outside, orbits in _scan_plan(system, sigma)
+            if orbits <= fixed]
+    admitting = [j_set for j_set, outside, orbits in plan
+                 if orbits == 1 and first_admitted(j_set, outside)]
+    if not admitting:
+        pairs = system.weyl_order() * len(sigma_stable_subsets(system, sigma, True))
+        return Verdict(True, RULE_ORACLE, {"pairs_scanned": pairs})
+    for j_set, outside, _ in plan:
+        if any(j_set <= m for m in admitting):
+            w = first_admitted(j_set, outside)
+            if w is not None:
                 return Verdict(False, RULE_ORACLE, {"j": j_set, "w": w})
-    return Verdict(True, RULE_ORACLE, {"pairs_scanned": len(scan) * len(subsets)})
+    raise InternalCheckError("a maximal J admits a w but no J in the scan does")
 
 
 def j_rx(profile: AlcoveProfile, r: FiniteWeylElement) -> frozenset[int]:

@@ -505,16 +505,34 @@ def fixes_point_of_closed_base_alcove(x: AffineElement, sigma: DiagramAutomorphi
 
 def enumerate_affine(system: RootSystem, length_bound: int,
                      cap: int = ENUM_CAP_DEFAULT):
-    """All x with length(x) <= length_bound, in (length, translation, finite) order."""
+    """All x with length(x) <= length_bound, in (length, translation, finite) order.
+
+    Level by level, x s for each affine simple s.  For a finite s_i only the
+    Iwahori-Matsumoto term of the positive root among +-w(alpha_i) changes
+    (x = t^mu w), so x s_i is longer by one exactly when p = <w(alpha_i), mu>
+    has p <= 0 for w(alpha_i) positive and p < 0 for it negative, and
+    shorter otherwise: no product is made for a rejected candidate.  The
+    affine simple reflections keep the full count.
+    """
     simples = affine_simples(system)
+    finite = [(s.index, s.element) for s in simples if s.index < system.rank]
+    affine = [s.element for s in simples if s.index >= system.rank]
     level = sorted(omega_elements(system), key=lambda el: el.sort_key())
     count = len(level)
     yield from level
     for target in range(1, length_bound + 1):
         nxt = {}
         for x in level:
-            for s in simples:
-                y = x * s.element
+            mu, images = x.translation, x.finite.images
+            for i, s in finite:
+                image = images[i]
+                p = sum(map(mul, image, mu))
+                if p <= 0 if sum(image) > 0 else p < 0:
+                    y = x * s
+                    y._length = target
+                    nxt[y.key()] = y
+            for s in affine:
+                y = x * s
                 if y.length == target:
                     nxt[y.key()] = y
         level = sorted(nxt.values(), key=lambda el: el.sort_key())

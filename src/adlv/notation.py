@@ -109,8 +109,11 @@ def parse_finite(system: RootSystem, text: str) -> FiniteWeylElement:
 
 
 def format_finite(w: FiniteWeylElement) -> str:
-    word = reduced_word(w)
-    return "e" if not word else " ".join(f"s{i + 1}" for i in word)
+    """The reduced word as text, kept on the interned element."""
+    if w._text is None:
+        word = reduced_word(w)
+        w._text = "e" if not word else " ".join(f"s{i + 1}" for i in word)
+    return w._text
 
 
 def parse_affine(system: RootSystem, text: str) -> AffineElement:

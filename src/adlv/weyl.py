@@ -18,15 +18,17 @@ roots, and one walk over inversion sets lists it (``embedding_set``, in
 ``sort_key`` order ``embedding_order``): W0 itself is S = Phi+, the
 embedding set W_x is S = Phi_x, and the minimal coset representatives W^J
 are S = Phi+ minus Phi_J+.  Only this module knows the root-permutation
-format.
+format; other modules work on root numbers (indices into ``all_roots``)
+through ``act_on_numbers`` and read supports as bitmasks of simple indices
+(bit i for alpha_i) through ``product_support``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from math import lcm
-from operator import add, mul
+from operator import add, getitem, mul, or_
 
 from .cartan import Coweight, Root, RootSystem, per_system
 from .errors import CapExceeded
@@ -39,9 +41,15 @@ class _RootIndex(dict):
     """The intern table of one system, numbers of the simple-root images ->
     element, with the numbering it is keyed on: ``roots`` is ``all_roots``
     (the ``npos`` positive roots first), ``number`` maps a root to its index
-    and ``simple`` holds the numbers of the simple roots."""
+    and ``simple`` holds the numbers of the simple roots.  The positive roots
+    come by height: the first ``rank`` are alpha_i for i in ``lowest``, and
+    ``steps`` builds each later one as (number of a lower root, j), adding
+    alpha_j.  ``deviations[k][a]`` is the bitmask of the indices i at which
+    the coordinates of root a differ from delta_ki, and ``supports[a]`` that
+    of the simple roots a positive root a involves (0 for a negative a)."""
 
-    __slots__ = ("roots", "number", "simple", "npos", "steps")
+    __slots__ = ("roots", "number", "simple", "npos", "lowest", "steps", "deviations",
+                 "supports")
 
     def __init__(self, system: RootSystem):
         super().__init__()
@@ -54,7 +62,7 @@ class _RootIndex(dict):
         self.simple = bytes(number[tuple(int(j == i) for j in range(system.rank))]
                             for i in range(system.rank))
         self.npos = len(system.positive_roots)
-        # each positive root above the simple ones is a lower one plus some alpha_j
+        self.lowest = tuple(root.index(1) for root in roots[:system.rank])
         self.steps: list[tuple[int, int]] = []
         for root in system.positive_roots[system.rank:]:
             for j in range(system.rank):
@@ -62,6 +70,12 @@ class _RootIndex(dict):
                 if lower in number:
                     self.steps.append((number[lower], j))
                     break
+        masks = [sum(1 << i for i, c in enumerate(root) if c) for root in roots]
+        self.deviations = tuple(
+            tuple(mask & ~(1 << k) | (root[k] != 1) << k for root, mask in zip(roots, masks))
+            for k in range(system.rank)
+        )
+        self.supports = tuple(masks[:self.npos]) + (0,) * self.npos
 
 
 def _index(system: RootSystem) -> _RootIndex:
@@ -101,7 +115,7 @@ class FiniteWeylElement:
     of images of the simple roots."""
 
     __slots__ = ("system", "root_perm", "key", "images", "_length", "_inverse",
-                 "_support", "_word", "_pos_images", "_inv_positive")
+                 "_support", "_word", "_text", "_pos_images", "_inv_positive")
 
     def __init__(self, system: RootSystem, root_perm: bytes, key: bytes):
         self.system = system
@@ -112,6 +126,7 @@ class FiniteWeylElement:
         self._inverse: "FiniteWeylElement | None" = None
         self._support: frozenset[int] | None = None
         self._word: tuple[int, ...] | None = None
+        self._text: str | None = None  # the notation's text, set by notation.format_finite
         self._pos_images: tuple[Root, ...] | None = None
         self._inv_positive: tuple[bool, ...] | None = None
 
@@ -126,7 +141,7 @@ class FiniteWeylElement:
         if element is not None:
             return element
         # w is additive and the positive roots come by height; w(-a) = -w(a)
-        moved = [images[root.index(1)] for root in table.roots[:system.rank]]
+        moved = [images[i] for i in table.lowest]
         for lower, j in table.steps:
             moved.append(tuple(map(add, moved[lower], images[j])))
         half, npos = bytes(map(table.number.__getitem__, moved)), table.npos
@@ -255,18 +270,53 @@ def reduced_word(w: FiniteWeylElement) -> tuple[int, ...]:
 
 
 def support(w: FiniteWeylElement) -> frozenset[int]:
-    """Simple indices appearing in any (equivalently each) reduced word.
-
-    Closed form: i is missing from the support exactly when w lies in the
-    parabolic subgroup fixing the fundamental coweight omega_i^v, i.e. when
-    the i-th coordinate of w(alpha_k) is delta_ki for every k.
-    """
+    """Simple indices appearing in any (equivalently each) reduced word."""
     if w._support is None:
-        w._support = frozenset(
-            i for i in range(w.system.rank)
-            if any(img[i] != (1 if k == i else 0) for k, img in enumerate(w.images))
-        )
+        mask = product_support(w)
+        w._support = frozenset(i for i in range(w.system.rank) if mask >> i & 1)
     return w._support
+
+
+def positive_pairings(system: RootSystem, mu) -> list:
+    """<alpha, mu> for every positive root alpha, in root-number order: one
+    addition per root above the simple ones."""
+    table = _index(system)
+    out = [mu[i] for i in table.lowest]
+    for lower, j in table.steps:
+        out.append(out[lower] + mu[j])
+    return out
+
+
+def act_on_numbers(w: FiniteWeylElement, numbers: bytes) -> bytes:
+    """The numbers of w(a) for the roots a numbered by ``numbers``: one
+    ``bytes.translate``."""
+    return numbers.translate(_table(w.root_perm))
+
+
+def positive_root_supports(system: RootSystem) -> tuple[int, ...]:
+    """Per root number, the bitmask of the simple roots a positive root
+    involves, and 0 for a negative root: OR-ing it over numbers collects the
+    supports of the positive roots among them."""
+    return _index(system).supports
+
+
+def product_support(*factors) -> int:
+    """The support of the composite root map factors[0] o factors[1] o ...,
+    an element of W0, as a bitmask.  A factor is a FiniteWeylElement or a
+    DiagramAutomorphism (the root map of its index permutation).
+
+    Only the numbers of the simple-root images are composed, one
+    ``bytes.translate`` per factor, so no product is interned.  Closed form:
+    i is missing from the support exactly when the product lies in the
+    parabolic subgroup fixing the fundamental coweight omega_i^v, i.e. when
+    the i-th coordinate of its image of alpha_k is delta_ki for every k.
+    """
+    table = _index(factors[0].system)
+    key = table.simple
+    for factor in reversed(factors):
+        key = key.translate(factor._root_perms[0] if isinstance(factor, DiagramAutomorphism)
+                            else _table(factor.root_perm))
+    return reduce(or_, map(getitem, table.deviations, key), 0)
 
 
 def longest_element(system: RootSystem, indices=None) -> FiniteWeylElement:
@@ -377,6 +427,19 @@ class DiagramAutomorphism:
     def index(self, i: int) -> int:
         return self.perm[i]
 
+    @cached_property
+    def _closed_sets(self) -> dict[int, frozenset[int]]:
+        return {}
+
+    def closed_set(self, mask: int) -> frozenset[int]:
+        """The smallest sigma-stable set of simple indices containing those
+        whose bits are set in ``mask``, built once per mask."""
+        out = self._closed_sets.get(mask)
+        if out is None:
+            out = self._closed_sets[mask] = frozenset(
+                j for i in range(len(self.perm)) if mask >> i & 1 for j in self.orbit(i))
+        return out
+
     def orbit(self, i: int) -> frozenset[int]:
         out = {i}
         j = self.perm[i]
@@ -422,10 +485,7 @@ class DiagramAutomorphism:
 
 def sigma_support(w: FiniteWeylElement, sigma: DiagramAutomorphism) -> frozenset[int]:
     """Minimal sigma-stable set of simple indices containing the support."""
-    out: set[int] = set()
-    for i in support(w):
-        out |= sigma.orbit(i)
-    return frozenset(out)
+    return sigma.closed_set(product_support(w))
 
 
 def weyl_matrix(w: FiniteWeylElement) -> tuple[tuple[int, ...], ...]:

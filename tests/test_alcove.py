@@ -212,3 +212,37 @@ def test_profile_k_values_match_function(b2):
         point = barycenter(x)
         for a in b2.all_roots:
             assert profile.k_values[a] == math.floor(b2.pair(a, point))
+
+
+def k_values_by_roots(profile):
+    """Reference k-values: the closed form on root tuples, every root keyed."""
+    system = profile.system
+    v_inv_images = profile.v.inverse().positive_images()
+    vw_inv_positive = (profile.v * profile.w).inverse_positive()
+    out = {}
+    for idx, alpha in enumerate(system.positive_roots):
+        pairing = sum(a * m for a, m in zip(v_inv_images[idx], profile.mu))
+        out[alpha] = pairing + (0 if vw_inv_positive[idx] else -1)
+        out[system.negate(alpha)] = -pairing + (-1 if vw_inv_positive[idx] else 0)
+    return out
+
+
+@pytest.mark.parametrize("descriptor,sigma_text,bound", [
+    ("G2", "id", 8), ("B3", "id", 4), ("D4", "id", 3), ("A3", "(1 3)", 4),
+])
+def test_root_number_k_values_match_root_dict(descriptor, sigma_text, bound):
+    """Phi_x, the strips and the roots below the base alcove, read off the
+    k-values by root number, against their definitions on a dict of roots."""
+    system = RootSystem.from_descriptor(descriptor)
+    sigma = parse_sigma(system, sigma_text)
+    for x in enumerate_affine(system, bound):
+        profile = AlcoveProfile.build(x, sigma)
+        k = k_values_by_roots(profile)
+        assert profile.k_values == k
+        assert profile.phi_x == frozenset(
+            alpha for alpha, image in zip(system.positive_roots, profile.v.positive_images())
+            if k[image] == base_k(system, image))
+        assert profile.strips == tuple(beta for beta in system.positive_roots if k[beta] == 0)
+        below = [system.all_roots[n] for n in profile.below_base]
+        assert len(below) == len(set(below))
+        assert set(below) == {a for a, value in k.items() if value < base_k(system, a)}

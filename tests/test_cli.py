@@ -1,5 +1,6 @@
 """External surfaces: element notation, CLI commands, rendering, JSON schema."""
 
+import contextlib
 import json
 import os
 import subprocess
@@ -13,6 +14,7 @@ import pytest
 
 import adlv.alcove
 import adlv.cli
+import adlv.criterion
 import adlv.iwahori
 import adlv.weyl
 from adlv import audit
@@ -442,21 +444,13 @@ def test_crosscheck_failure_exit_code(monkeypatch, capsys):
 def test_crosscheck_detects_injected_fault(a2, monkeypatch):
     # flipping the direction convention inside the k-value closed form must
     # break the strip-set complement property and be caught with a witness
-    def flipped_k_values(self):
-        system = self.system
-        mu = self.decomposition.mu
-        v_inv_images = self.v.inverse().positive_images()
-        vw_inv_positive = (self.v * self.w).inverse_positive()
-        out = {}
-        for idx, alpha in enumerate(system.positive_roots):
-            inner = v_inv_images[idx]
-            pairing = sum(a * m for a, m in zip(inner, mu))
-            out[alpha] = pairing + (-1 if vw_inv_positive[idx] else 0)
-            out[system.negate(alpha)] = -pairing + (0 if vw_inv_positive[idx] else -1)
-        return out
+    def flipped_k_numbers(self):
+        pairings = adlv.weyl.positive_pairings(self.system, self.v.act_on_coweight(self.mu))
+        positive = (self.v * self.w).inverse_positive()
+        return tuple(p - 1 if up else p for p, up in zip(pairings, positive))
 
-    monkeypatch.setattr(adlv.alcove.AlcoveProfile, "k_values",
-                        property(flipped_k_values))
+    monkeypatch.setattr(adlv.alcove.AlcoveProfile, "k_numbers",
+                        property(flipped_k_numbers))
     result = audit.check_strip_complement_radical_closed(a2, 4)
     assert not result.passed
     assert result.counterexample is not None
@@ -520,6 +514,14 @@ def test_check_e6_never_sweeps_w0(capsys):
 def run_cli_walks(args, capsys):
     """Run the CLI in process and record the root set S of every inversion-set
     walk {r : N(r) ⊆ S} it makes (``weyl.embedding_set`` past its memo)."""
+    with recording_walks() as walked:
+        code, out, _ = run_cli(args, capsys)
+    return code, out, walked
+
+
+@contextlib.contextmanager
+def recording_walks():
+    """The root sets of the inversion-set walks made inside the block."""
     walk = adlv.weyl.embedding_set.__wrapped__.__code__
     walked = []
 
@@ -530,10 +532,32 @@ def run_cli_walks(args, capsys):
     previous = sys.getprofile()
     sys.setprofile(profiler)
     try:
-        code, out, _ = run_cli(args, capsys)
+        yield walked
     finally:
         sys.setprofile(previous)
-    return code, out, walked
+
+
+@pytest.mark.parametrize("system_name,element", [
+    ("E6", "t[2,2,2,2,2,2] s1 s2 s3 s4 s5 s6"),
+    ("E6", "t[1,2,-2,2,-1,-2] s4 s3 s2 s4 s2 s1 s2"),
+    ("F4", "t[-1,1,2,1] s1 s2 s3 s4 s1 s2 s3 s1"),
+    ("F4", "t[2,-2,1,-2] s1 s2 s3 s4 s2 s3 s1 s2 s3 s4 s2 s3 s1 s2 s3 s1 s2"),
+    ("F4", "t[3,-2,2,3] s4 s1 s2 s3 s1 s2 s1"),
+])
+def test_nonempty_oracle_never_lists_w0(system_name, element):
+    """A nonempty oracle verdict scans minimal coset representatives of the
+    maximal J only: no walk covers all of Phi+."""
+    system = RootSystem.from_descriptor(system_name)
+    sigma = parse_sigma(system, "id")
+    x = parse_affine(system, element)
+    profile = adlv.alcove.AlcoveProfile.build(x, sigma)
+    assert profile.affine_support.full
+    with recording_walks() as walked:
+        verdict = adlv.criterion.oracle_nonempty(x, profile.kappa, sigma, profile)
+    assert verdict.nonempty
+    assert verdict.witnesses["pairs_scanned"] == system.weyl_order() * len(
+        adlv.criterion.sigma_stable_subsets(system, sigma, True))
+    assert all(len(roots) < len(system.positive_roots) for roots in walked)
 
 
 # -- cost guards: call counts, no timing ----------------------------------------------

@@ -1,5 +1,7 @@
 """The nonemptiness deciders, the class-set machinery, and the dimension formulas."""
 
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,7 @@ from adlv.criterion import (
     RULE_SHORTCUT,
     DimConflictError,
     DimTable,
+    _oracle_scan,
     anresult_filter,
     bgx_cordial,
     class_point,
@@ -42,7 +45,7 @@ from adlv.iwahori import (
     enumerate_affine,
     kottwitz,
 )
-from adlv.notation import parse_affine
+from adlv.notation import format_affine, parse_affine, parse_sigma
 from adlv.weyl import DiagramAutomorphism, FiniteWeylElement, enumerate_w0, longest_element
 
 
@@ -180,6 +183,48 @@ def test_oracle_reduction_finite_part_scan(descriptor, sigma_perm):
     sigma = sid(system) if sigma_perm is None else DiagramAutomorphism(system, sigma_perm)
     result = audit.check_oracle_reduction_vs_literal(system, sigma, 3)
     assert result.passed, result.counterexample
+
+
+def assert_coset_scan_matches_w0_scan(profile):
+    coset, full = _oracle_scan(profile), audit._oracle_scan_over_w0(profile)
+    assert (coset.nonempty, coset.witnesses) == (full.nonempty, full.witnesses), \
+        format_affine(profile.x)
+
+
+@pytest.mark.parametrize("descriptor,sigma_text,bound", [
+    ("A3", "id", 6), ("A3", "(1 3)", 6), ("B3", "id", 5), ("D4", "(1 3 4)", 4), ("G2", "id", 8),
+])
+def test_coset_oracle_matches_w0_scan(descriptor, sigma_text, bound):
+    """Verdict and witness of the scan over minimal coset representatives
+    against the scan over all of W0, on every element, full affine
+    sigma-support or not."""
+    system = RootSystem.from_descriptor(descriptor)
+    sigma = parse_sigma(system, sigma_text)
+    supports = Counter()
+    for x in enumerate_affine(system, bound):
+        profile = AlcoveProfile.build(x, sigma)
+        supports[profile.affine_support.full] += 1
+        assert_coset_scan_matches_w0_scan(profile)
+    assert supports[True] and supports[False]
+
+
+@pytest.mark.parametrize("sigma_text", ["id", "(1 3 5)(2 4 6)(7 8 9)"])
+def test_coset_oracle_matches_w0_scan_rank_nine(sigma_text):
+    """A seeded sample of A2+A2+A2+A1+A1+A1 (|W0| = 1728), some elements
+    without full affine sigma-support."""
+    system = RootSystem.from_descriptor("A2+A2+A2+A1+A1+A1")
+    sigma = parse_sigma(system, sigma_text)
+    rng = random.Random(9)
+    supports = Counter()
+    for _ in range(10):
+        mu = tuple(rng.randint(-2, 2) for _ in range(system.rank))
+        finite = FiniteWeylElement.identity(system)
+        for _ in range(rng.randint(0, 12)):
+            finite = finite * FiniteWeylElement.simple(system, rng.randrange(system.rank))
+        profile = AlcoveProfile.build(AffineElement(mu, finite), sigma)
+        supports[profile.affine_support.full] += 1
+        assert_coset_scan_matches_w0_scan(profile)
+    assert supports[True] and supports[False]
 
 
 # -- J_{r,x} ---------------------------------------------------------------------

@@ -10,6 +10,7 @@ from adlv import audit
 from adlv.cartan import RootSystem
 from adlv.iwahori import (
     AffineElement,
+    _im_length,
     KottwitzClass,
     affine_sigma_support,
     affine_simples,
@@ -333,3 +334,36 @@ def test_integer_newton_and_class_sums_match_rational_routes(descriptor, sigma_t
             total = kx + g
             assert total == audit._class_sum_by_mod1(kx, g)
             assert all(type(c) is Fraction for c in total.rep)
+
+
+def enumerate_by_full_count(system, bound):
+    """Reference enumeration: every x s for every affine simple s, kept when
+    the full Iwahori-Matsumoto count of the product is one more."""
+    level = sorted(omega_elements(system), key=lambda el: el.sort_key())
+    out = list(level)
+    for target in range(1, bound + 1):
+        nxt = {}
+        for x in level:
+            for s in affine_simples(system):
+                y = x * s.element
+                if _im_length(y) == target:
+                    nxt[y.key()] = y
+        level = sorted(nxt.values(), key=lambda el: el.sort_key())
+        out += level
+    return [(y.key(), _im_length(y)) for y in out]
+
+
+@pytest.mark.parametrize("descriptor,bound", [
+    ("A2", 8), ("G2", 8), ("B3", 4), ("D4", 3), ("A3", 5),
+])
+def test_enumerate_affine_one_root_step_matches_full_count(descriptor, bound):
+    system = RootSystem.from_descriptor(descriptor)
+    listed = [(x.key(), x.length) for x in enumerate_affine(system, bound)]
+    assert listed == enumerate_by_full_count(system, bound)
+
+
+def test_dominance_and_lattice_tests_take_ints_and_rationals(a2):
+    assert a2.is_dominant((0, 3)) and not a2.is_dominant((1, -1))
+    assert a2.is_dominant((Fraction(1, 2), Fraction(0))) and not a2.is_dominant((Fraction(-1, 3), 1))
+    assert a2.in_coweight_lattice((2, -5)) and a2.in_coweight_lattice((Fraction(4, 2), -1))
+    assert not a2.in_coweight_lattice((Fraction(1, 2), 0))

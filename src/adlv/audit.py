@@ -904,13 +904,7 @@ def check_wronglem_search(systems_with_sigma, coord_bound: int = 3) -> CheckResu
     cid = "wronglem-search"
     searched = 0
     for system, sigma in systems_with_sigma:
-        component_orbit = {0}
-        while True:
-            extra = {sigma.component_image(c) for c in component_orbit} - component_orbit
-            if not extra:
-                break
-            component_orbit |= extra
-        if len(component_orbit) != len(system.components):
+        if len(sigma_component_groups(system, sigma)) != 1:
             continue  # not sigma-connected
         for j_set in sigma_stable_subsets(system, sigma, True):
             j_list = sorted(j_set)

@@ -33,7 +33,7 @@ from .errors import NotationError
 Root = tuple[int, ...]
 Coweight = tuple  # int/Fraction entries, fundamental-coweight basis
 
-# positive-root counts and Weyl group orders per irreducible type, keyed by letter
+# valid ranks (lowest, highest or None) per irreducible type, keyed by letter
 _RANK_RANGE = {
     "A": (1, None),
     "B": (2, None),

@@ -1,11 +1,12 @@
 """Command-line front end.
 
-Subcommands: check, enumerate, crosscheck, render, bgx.  Exit codes:
-0 ok, 1 property failure, 2 parse/validation error, 3 cap exceeded,
-4 unsupported geometry, 5 internal error (a failed postcondition or any
-other library error).  Every failure writes one ``error:`` line to stderr.
-Enumeration output is byte-deterministic for a fixed configuration,
-independent of the worker count.
+Subcommands: check, enumerate, crosscheck, render, bgx; each takes only
+the options (and config-file keys) it reads, listed in ``COMMANDS``.  Exit
+codes: 0 ok, 1 property failure, 2 parse/validation error, 3 cap exceeded,
+4 unsupported geometry, 5 internal error (a failed postcondition, a library
+precondition ``ValueError``, or any other library error).  Every failure
+writes one ``error:`` line to stderr.  Enumeration output is
+byte-deterministic for a fixed configuration, independent of the worker count.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 from .alcove import AlcoveProfile
 from .cartan import per_system
@@ -58,10 +60,10 @@ EXIT_INTERNAL = 5
 # exception type -> exit code; the first entry the exception is an instance of wins
 EXIT_CODES = (
     (NotationError, EXIT_PARSE),
-    (ValueError, EXIT_PARSE),
     (CapExceeded, EXIT_CAP),
     (UnsupportedGeometry, EXIT_GEOMETRY),
     (AdlvError, EXIT_INTERNAL),
+    (ValueError, EXIT_INTERNAL),
 )
 
 
@@ -71,24 +73,37 @@ class RunConfig:
     sigma: str = "id"
     length_bound: int = 6
     kappa_b: str = "zero"  # integer vector "[...]", "zero", or "match-x"
-    format: str = "json"  # json | csv | svg
+    format: str = "json"  # json | csv
     out: str | None = None
     jobs: int = 1
     cap: int = ENUM_CAP_DEFAULT
     seed: int = 0
 
 
-_TEXT_KEYS = ("system", "sigma", "kappa_b", "format", "out")
-_INT_KEYS = ("length_bound", "jobs", "cap", "seed")
+# option -> (type, help); every option but config is also a config-file key
+OPTIONS = {
+    "config": (str, "key=value config file; flags override"),
+    "system": (str, "root-system descriptor, e.g. A2 or A2+A2"),
+    "sigma": (str, 'diagram action: "id" or cycles like "(1 3)"'),
+    "length_bound": (int, "largest element length"),
+    "kappa_b": (str, 'basic-class designator: "[c1,...,cn]", "zero" or "match-x"'),
+    "format": (str, "json or csv"),
+    "out": (str, "output path (default stdout)"),
+    "jobs": (int, "worker processes for enumeration (at most the CPU count)"),
+    "cap": (int, "enumeration size cap"),
+    "seed": (int, "seed for randomized checks"),
+}
 
 
-def read_config_file(path: str) -> dict:
-    """key=value lines; integer keys as ints, a bad key or value refused at its line."""
+def read_config_file(path: str, keys: tuple[str, ...]) -> dict:
+    """key=value lines of the given keys, integer keys as ints; refused at a bad line."""
     try:
         with open(path, encoding="utf-8") as handle:
             lines = handle.readlines()
     except OSError as exc:
         raise NotationError(f"cannot read config file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise NotationError(str(exc)) from None
     values: dict[str, str | int] = {}
     for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
@@ -97,22 +112,23 @@ def read_config_file(path: str) -> dict:
         if "=" not in line:
             raise NotationError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = (part.strip() for part in line.partition("="))
-        if key in _INT_KEYS:
+        if key not in keys:
+            raise NotationError(f"{path}:{lineno}: unknown key {key!r}")
+        if OPTIONS[key][0] is int:
             try:
                 value = int(value)
             except ValueError:
                 raise NotationError(
                     f"{path}:{lineno}: {key} must be an integer, got {value!r}") from None
-        elif key not in _TEXT_KEYS:
-            raise NotationError(f"{path}:{lineno}: unknown key {key!r}")
         values[key] = value
     return values
 
 
 def config_from_sources(args: argparse.Namespace) -> RunConfig:
-    values = read_config_file(args.config) if getattr(args, "config", None) else {}
-    for key in _TEXT_KEYS + _INT_KEYS:
-        override = getattr(args, key, None)
+    keys = COMMANDS[args.command].keys
+    values = read_config_file(args.config, keys) if args.config else {}
+    for key in keys:
+        override = getattr(args, key)
         if override is not None:
             values[key] = override
     if "system" not in values:
@@ -127,14 +143,7 @@ def config_from_sources(args: argparse.Namespace) -> RunConfig:
 
 def build_context(config: RunConfig):
     system = parse_system(config.system)
-    sigma = parse_sigma(system, config.sigma)
-    if config.kappa_b == "match-x":
-        kappa = None
-    elif config.kappa_b == "zero":
-        kappa = KottwitzClass.zero(system)
-    else:
-        kappa = parse_kappa(system, config.kappa_b)
-    return system, sigma, kappa
+    return system, parse_sigma(system, config.sigma), parse_kappa(system, config.kappa_b)
 
 
 # -- serialization helpers ---------------------------------------------------------
@@ -382,7 +391,7 @@ def cmd_render(args) -> int:
     system, sigma, kappa = build_context(config)
     if kappa is None:
         raise NotationError("render needs a fixed class (--kappa-b vector), not match-x")
-    svg = render_svg(system, sigma, kappa, config.length_bound, enum_cap=config.cap)
+    svg = render_svg(system, sigma, kappa, config.length_bound, config.cap)
     _emit(svg, config.out)
     return EXIT_OK
 
@@ -428,19 +437,30 @@ def cmd_bgx(args) -> int:
 # -- argument parsing --------------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="key=value config file; flags override")
-    parser.add_argument("--system", help="root-system descriptor, e.g. A2 or A2+A2")
-    parser.add_argument("--sigma", help='diagram action: "id" or cycles like "(1 3)"')
-    parser.add_argument("--length-bound", dest="length_bound", type=int)
-    parser.add_argument("--kappa-b", dest="kappa_b",
-                        help='basic-class designator: "[c1,...,cn]", "zero" or "match-x"')
-    parser.add_argument("--format", choices=["json", "csv", "svg"])
-    parser.add_argument("--out", help="output path (default stdout)")
-    parser.add_argument("--jobs", type=int,
-                        help="worker processes for enumeration (at most the CPU count)")
-    parser.add_argument("--cap", type=int, help="enumeration size cap")
-    parser.add_argument("--seed", type=int, help="seed for randomized checks")
+@dataclass(frozen=True)
+class Command:
+    handler: Callable[[argparse.Namespace], int]
+    help: str
+    positionals: dict[str, str]  # name -> help
+    keys: tuple[str, ...]  # the OPTIONS it reads, besides config
+
+
+COMMANDS = {
+    "check": Command(cmd_check, "decide one element",
+                     {"element": 'element notation, e.g. "t[1,0] s1 s2"'},
+                     ("system", "sigma", "kappa_b", "out")),
+    "enumerate": Command(cmd_enumerate, "decide all elements up to a length bound", {},
+                         ("system", "sigma", "length_bound", "kappa_b", "format", "out",
+                          "jobs", "cap")),
+    "crosscheck": Command(cmd_crosscheck, "run the property-check battery", {},
+                          ("system", "sigma", "length_bound", "out", "seed")),
+    "render": Command(cmd_render, "rank-2 apartment picture (SVG)", {},
+                      ("system", "sigma", "length_bound", "kappa_b", "out", "cap")),
+    "bgx": Command(cmd_bgx, "class-set report for v t^mu",
+                   {"v": 'finite element, e.g. "s1 s2 s1"',
+                    "mu": "dominant coweight vector, e.g. [1,0]"},
+                   ("system", "sigma", "out")),
+}
 
 
 @lru_cache(maxsize=1)
@@ -450,37 +470,21 @@ def make_parser() -> argparse.ArgumentParser:
         description="Exact nonemptiness checks for single affine Deligne-Lusztig "
                     "varieties at Iwahori level (basic case).")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_check = sub.add_parser("check", help="decide one element")
-    p_check.add_argument("element", help='element notation, e.g. "t[1,0] s1 s2"')
-    _add_common(p_check)
-    p_check.set_defaults(func=cmd_check)
-
-    p_enum = sub.add_parser("enumerate", help="decide all elements up to a length bound")
-    _add_common(p_enum)
-    p_enum.set_defaults(func=cmd_enumerate)
-
-    p_cross = sub.add_parser("crosscheck", help="run the property-check battery")
-    _add_common(p_cross)
-    p_cross.set_defaults(func=cmd_crosscheck)
-
-    p_render = sub.add_parser("render", help="rank-2 apartment picture (SVG)")
-    _add_common(p_render)
-    p_render.set_defaults(func=cmd_render)
-
-    p_bgx = sub.add_parser("bgx", help="class-set report for v t^mu")
-    p_bgx.add_argument("v", help='finite element, e.g. "s1 s2 s1"')
-    p_bgx.add_argument("mu", help="dominant coweight vector, e.g. [1,0]")
-    _add_common(p_bgx)
-    p_bgx.set_defaults(func=cmd_bgx)
-
+    for name, command in COMMANDS.items():
+        subparser = sub.add_parser(name, help=command.help)
+        for positional, text in command.positionals.items():
+            subparser.add_argument(positional, help=text)
+        for key in ("config", *command.keys):
+            kind, text = OPTIONS[key]
+            subparser.add_argument("--" + key.replace("_", "-"), dest=key, type=kind,
+                                   help=text)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return COMMANDS[args.command].handler(args)
     except (ValueError, AdlvError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))

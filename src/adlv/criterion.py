@@ -34,6 +34,7 @@ from .alcove import AlcoveProfile, base_k
 from .cartan import RootSystem, per_system
 from .errors import AdlvError, InternalCheckError
 from .iwahori import (
+    ENUM_CAP_DEFAULT,
     AffineElement,
     AffineSimple,
     AffineSupport,
@@ -82,12 +83,10 @@ def sigma_component_groups(
     for start in range(len(system.components)):
         if start in seen:
             continue
-        orbit = {start}
-        while True:
-            extra = {sigma.component_image(c) for c in orbit} - orbit
-            if not extra:
-                break
-            orbit |= extra
+        orbit, c = {start}, sigma.component_image(start)
+        while c != start:  # sigma permutes the summands
+            orbit.add(c)
+            c = sigma.component_image(c)
         seen |= orbit
         finite = frozenset(i for c in orbit for i in system.components[c].indices)
         nodes = finite | frozenset(system.rank + c for c in orbit)
@@ -405,13 +404,13 @@ def enumerate_b_g_mu(
     mu,
     sigma: DiagramAutomorphism,
     length_cap: int | None = None,
-    enum_cap: int | None = None,
+    cap: int = ENUM_CAP_DEFAULT,
 ) -> tuple[SigmaConjClassPoint, ...]:
     """Distinct class points with matching invariant and Newton point below the
     sigma-average of mu, collected from a length-capped scan of the group.
 
-    The default cap length(t^mu) + #positive-roots is a heuristic; see
-    ``b_g_mu_cap_stable`` for the doubling audit.
+    The default length cap length(t^mu) + #positive-roots is a heuristic;
+    ``bgx_cordial`` audits it by doubling.
     """
     if not system.is_dominant(mu) or not system.in_coweight_lattice(mu):
         raise ValueError("mu must be a dominant integral coweight")
@@ -420,8 +419,7 @@ def enumerate_b_g_mu(
     target_kappa = KottwitzClass.from_translation(system, mu).coinvariant(sigma)
     average = sigma_average(system, mu, sigma)
     points: set[SigmaConjClassPoint] = set()
-    kwargs = {} if enum_cap is None else {"cap": enum_cap}
-    for y in enumerate_affine(system, length_cap, **kwargs):
+    for y in enumerate_affine(system, length_cap, cap):
         if kottwitz(y).coinvariant(sigma) != target_kappa:
             continue
         point = class_point(y, sigma)
@@ -429,14 +427,6 @@ def enumerate_b_g_mu(
         if all(c >= 0 for c in system.coroot_coordinates(diff)):
             points.add(point)
     return tuple(sorted(points, key=lambda p: p.sort_key()))
-
-
-def b_g_mu_cap_stable(system, mu, sigma, enum_cap: int | None = None) -> bool:
-    """Doubling audit for the scan cap: True when the point set is already stable."""
-    base_cap = translation_length(system, mu) + len(system.positive_roots)
-    first = enumerate_b_g_mu(system, mu, sigma, base_cap, enum_cap)
-    second = enumerate_b_g_mu(system, mu, sigma, 2 * base_cap, enum_cap)
-    return first == second
 
 
 # -- the generic-class report for v t^mu -------------------------------------------
@@ -489,8 +479,10 @@ def bgx_cordial(
     elif all_full:
         conclusion = "equals-b-g-mu"
         if with_points:
-            points = enumerate_b_g_mu(system, mu, sigma)
-            cap_stable = b_g_mu_cap_stable(system, mu, sigma)
+            # doubling audit for the scan's length cap: stable if nothing new shows
+            length_cap = translation_length(system, mu) + len(system.positive_roots)
+            points = enumerate_b_g_mu(system, mu, sigma, length_cap)
+            cap_stable = points == enumerate_b_g_mu(system, mu, sigma, 2 * length_cap)
     else:
         conclusion = "undetermined"
     return BgxReport(x, formula, profile.w_x, profile.w_x_sorted, tuple(tests), all_full,

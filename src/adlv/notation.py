@@ -36,11 +36,18 @@ def parse_system(descriptor: str) -> RootSystem:
     return RootSystem.from_descriptor(descriptor)
 
 
+def _integer(digits: str, position: int | None = None) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+        raise NotationError(f"an integer of {len(digits)} digits is too long", position) from None
+
+
 def parse_int_vector(text: str, rank: int, position: int = 0) -> tuple[int, ...]:
     m = re.fullmatch(_VECTOR, text.strip())
     if not m:
         raise NotationError(f"expected an integer vector like [1,0], got {text!r}", position)
-    entries = tuple(int(c) for c in m.group(1).split(",")) if m.group(1) else ()
+    entries = tuple(_integer(c, position) for c in m.group(1).split(",")) if m.group(1) else ()
     if len(entries) != rank:
         raise NotationError(
             f"vector {text!r} has {len(entries)} entries; the system has rank {rank}",
@@ -56,7 +63,7 @@ def parse_sigma(system: RootSystem, text: str) -> DiagramAutomorphism:
         raise NotationError(f"bad permutation {text!r}; use id or cycles like (1 3)")
     perm = list(range(system.rank))
     for cycle_text in re.findall(r"\(([^()]*)\)", text):
-        entries = [int(tok) - 1 for tok in re.split(r"[ ,]+", cycle_text.strip()) if tok]
+        entries = [_integer(tok) - 1 for tok in re.split(r"[ ,]+", cycle_text.strip()) if tok]
         if any(i < 0 or i >= system.rank for i in entries):
             raise NotationError(f"cycle {cycle_text!r} is out of range for rank {system.rank}")
         if len(set(entries)) != len(entries):
@@ -101,7 +108,7 @@ def parse_finite(system: RootSystem, text: str) -> FiniteWeylElement:
         sm = re.fullmatch(r"s(\d+)", token)
         if not sm:
             raise NotationError(f"unknown finite-word token {token!r}", pos)
-        idx = int(sm.group(1)) - 1
+        idx = _integer(sm.group(1), pos) - 1
         if not 0 <= idx < system.rank:
             raise NotationError(f"reflection index {token!r} out of range", pos)
         element = element * FiniteWeylElement.simple(system, idx)
@@ -140,7 +147,7 @@ def parse_affine(system: RootSystem, text: str) -> AffineElement:
             continue
         sm = re.fullmatch(r"s(\d+)", token)
         if sm:
-            idx = int(sm.group(1)) - 1
+            idx = _integer(sm.group(1), pos) - 1
             if not 0 <= idx < system.rank:
                 raise NotationError(f"reflection index {token!r} out of range", pos)
             element = element * AffineElement.from_finite(
@@ -160,10 +167,13 @@ def format_affine(x: AffineElement) -> str:
 
 
 def parse_kappa(system: RootSystem, text: str) -> KottwitzClass | None:
-    """A class designator: an integer vector (class of that translation) or match-x."""
+    """A class designator: an integer vector (class of that translation), zero,
+    or match-x (None: each element's own class)."""
     text = text.strip()
     if text == "match-x":
         return None
+    if text == "zero":
+        return KottwitzClass.zero(system)
     coords = parse_int_vector(text, system.rank)
     return KottwitzClass.from_translation(system, coords)
 

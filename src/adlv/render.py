@@ -14,7 +14,7 @@ from .alcove import AlcoveProfile
 from .cartan import RootSystem
 from .criterion import decide_nonempty
 from .errors import UnsupportedGeometry
-from .iwahori import KottwitzClass, enumerate_affine, kottwitz, omega_of_kottwitz
+from .iwahori import ENUM_CAP_DEFAULT, KottwitzClass, enumerate_affine, kottwitz, omega_of_kottwitz
 from .weyl import DiagramAutomorphism
 
 SQRT3 = Fraction(1_732_050_807_568_877, 10 ** 15)
@@ -154,7 +154,7 @@ def render_svg(
     sigma: DiagramAutomorphism,
     kappa_b: KottwitzClass,
     length_bound: int,
-    enum_cap: int | None = None,
+    cap: int = ENUM_CAP_DEFAULT,
 ) -> str:
     """The apartment picture: strip bands, alcoves colored by verdict, grid lines."""
     if system.rank != 2:
@@ -163,9 +163,8 @@ def render_svg(
     base_cycle = _alcove_vertex_cycle(system)
     omega_b = omega_of_kottwitz(system, kappa_b)
 
-    kwargs = {} if enum_cap is None else {"cap": enum_cap}
     alcove_reps = [
-        x for x in enumerate_affine(system, length_bound, **kwargs)
+        x for x in enumerate_affine(system, length_bound, cap)
         if kottwitz(x).is_zero()
     ]
     polygons = []

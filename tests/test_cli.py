@@ -1,8 +1,10 @@
 """External surfaces: element notation, CLI commands, rendering, JSON schema."""
 
+import argparse
 import contextlib
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -298,6 +300,66 @@ def test_config_file_rejects_non_integer_value(tmp_path, capsys):
     assert err == f"error: {config}:2: length_bound must be an integer, got 'two'\n"
 
 
+def test_config_file_rejects_key_its_command_does_not_read(tmp_path, capsys):
+    config = tmp_path / "run.conf"
+    config.write_text("system=A1\nlength_bound=1\nseed=1\n")
+    code, out, err = run_cli(["enumerate", "--config", str(config)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {config}:3: unknown key 'seed'\n"
+    code, out, _ = run_cli(["crosscheck", "--config", str(config)], capsys)
+    assert code == 0
+    assert json.loads(out)["length_bound"] == 1
+
+
+FLAGS_READ = {
+    "check": "--config --system --sigma --kappa-b --out",
+    "enumerate": "--config --system --sigma --length-bound --kappa-b --format --out --jobs --cap",
+    "crosscheck": "--config --system --sigma --length-bound --out --seed",
+    "render": "--config --system --sigma --length-bound --kappa-b --out --cap",
+    "bgx": "--config --system --sigma --out",
+}
+
+
+@pytest.mark.parametrize("command", FLAGS_READ)
+def test_subcommand_flags_match_the_readme(command):
+    parser = adlv.cli.make_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    parsed = {option for action in subparsers.choices[command]._actions
+              for option in action.option_strings} - {"-h", "--help"}
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    listed = next(line for line in readme.splitlines() if line.startswith(f"- `{command}"))
+    assert parsed == set(re.findall(r"--[a-z-]+", listed)) == set(FLAGS_READ[command].split())
+
+
+@pytest.mark.parametrize("args", [
+    ["check", "e", "--system", "A2", "--jobs", "2"],
+    ["render", "--system", "A2", "--format", "json"],
+    ["crosscheck", "--system", "A2", "--kappa-b", "[1]"],
+    ["bgx", "s1", "[1,0]", "--system", "A2", "--length-bound", "3"],
+    ["enumerate", "--system", "A2", "--seed", "1"],
+], ids=lambda args: args[0])
+def test_flag_its_command_does_not_read_is_refused(args, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli_main(args)
+    captured = capsys.readouterr()
+    assert info.value.code == 2
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err
+
+
+@pytest.mark.parametrize("args, message", [
+    (["check", "t[" + "1" * 5000 + ",0]", "--system", "A2"], "at char 0: an integer"),
+    (["check", "s1 s" + "1" * 5000, "--system", "A2"], "at char 3: an integer"),
+    (["check", "e", "--system", "A3", "--sigma", "(1 " + "3" * 5000 + ")"], "an integer"),
+], ids=["vector", "reflection", "sigma"])
+def test_overlong_integer_is_validation_error(args, message, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message} of 5000 digits is too long\n"
+
+
 def test_enumerate_rejects_svg_format(capsys):
     code, out, err = run_cli(
         ["enumerate", "--system", "A2", "--length-bound", "1", "--format", "svg"], capsys)
@@ -350,6 +412,17 @@ def test_internal_error_exits_5_with_one_line(monkeypatch, capsys):
     assert code == 5
     assert out == ""
     assert err == "error: stabilizer formula disagrees with the alcove computation\n"
+
+
+def test_library_value_error_exits_5_with_one_line(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise ValueError("oracle precondition: class invariants must match")
+
+    monkeypatch.setattr("adlv.cli.decide_nonempty", broken)
+    code, out, err = run_cli(["check", "e", "--system", "A2"], capsys)
+    assert code == 5
+    assert out == ""
+    assert err == "error: oracle precondition: class invariants must match\n"
 
 
 def test_render_strip_band_counts(capsys):

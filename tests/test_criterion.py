@@ -45,7 +45,7 @@ from adlv.iwahori import (
     enumerate_affine,
     kottwitz,
 )
-from adlv.notation import format_affine, parse_affine, parse_sigma
+from adlv.notation import format_affine, parse_affine, parse_finite, parse_sigma
 from adlv.weyl import DiagramAutomorphism, FiniteWeylElement, enumerate_w0, longest_element
 
 
@@ -370,9 +370,9 @@ def test_enumerate_b_g_mu_newton_polygons(a2):
         (1, 1),
     ]
     assert all(p.kappa_coinv == (0, 0) for p in points)
-    from adlv.criterion import b_g_mu_cap_stable
-
-    assert b_g_mu_cap_stable(a2, (1, 1), sid(a2))
+    report = bgx_cordial(parse_finite(a2, "s1 s2"), (1, 1), sid(a2))
+    assert report.points == points
+    assert report.cap_stable
 
 
 def test_enumerate_b_g_mu_dominance_filter(a2):

@@ -12,6 +12,16 @@ Phi_x and the roots below the base alcove are read off those numbers.
 W_x is the set of r with inversion set N(r) inside Phi_x, so it depends on
 Phi_x alone: ``weyl.embedding_set`` grows it, and ``weyl.embedding_order``
 sorts it, once per (system, Phi_x), kept in the system's memo.
+
+``AlcoveProfile.build`` computes a profile in closed form from x alone.
+``walk_profiles`` instead carries each profile along the length walk
+(``iwahori.walk_affine``) from the parent's: the step x = x' s crosses one
+wall H_{beta, c}, which changes k(beta) to 2c - 1 - k(beta) and no other
+k-value (length counts separating hyperplanes).  A chamber wall (c = 0)
+turns v into s_beta v; any other wall keeps v and right-multiplies t^mu w
+by s.  The class is the class of the walk's root omega, and the affine
+sigma-support gains the index of omega s omega^{-1}, closed under the
+twisted action.  Only the length-zero roots are built in closed form.
 """
 
 from __future__ import annotations
@@ -23,12 +33,17 @@ from functools import cached_property
 from .cartan import Root, RootSystem
 from .errors import InternalCheckError
 from .iwahori import (
+    ENUM_CAP_DEFAULT,
     AffineElement,
     AffineSupport,
+    Edge,
     KottwitzClass,
     affine_sigma_support,
+    affine_simples,
     kottwitz,
     make_dominant,
+    twisted_affine_action,
+    walk_affine,
 )
 from .weyl import (DiagramAutomorphism, FiniteWeylElement, act_on_numbers, embedding_order,
                    embedding_set, enumerate_w0, positive_pairings, product_support)
@@ -178,6 +193,77 @@ class AlcoveProfile:
         first, so the set is always grown (and timed) under that name."""
         self.w_x
         return embedding_order(self.system, self.phi_x)
+
+
+def walk_profiles(system: RootSystem, sigma: DiagramAutomorphism, length_bound: int,
+                  cap: int = ENUM_CAP_DEFAULT):
+    """The profile of every element of ``iwahori.walk_affine``, in its order.
+
+    A length-zero root gets ``AlcoveProfile.build``; every longer element
+    gets ``_crossed``, its parent's profile changed by the edge's wall.  The
+    state is the profiles of the current and the previous level, each with
+    its root omega's twisted action xi (s -> omega sigma(s) omega^{-1} on
+    the affine simple indices) and conjugation s -> omega s omega^{-1}, read
+    off xi: sigma sends s_i to s_sigma(i) and the affine node of a
+    component to that of its image.
+    """
+    simples = affine_simples(system)
+    rank = system.rank
+    sigma_nodes = [sigma.index(i) for i in range(rank)] + [
+        rank + sigma.component_image(c) for c in range(len(system.components))]
+    previous: list = []
+    current: list = []
+    length = 0
+    for edge in walk_affine(system, length_bound, cap):
+        if edge.x.length != length:
+            previous, current, length = current, [], edge.x.length
+        if edge.parent is None:
+            xi = twisted_affine_action(system, sigma, edge.x)
+            conjugation = [0] * len(xi)
+            for node, image in zip(sigma_nodes, xi):
+                conjugation[node] = image
+            entry = (AlcoveProfile.build(edge.x, sigma), conjugation, xi)
+        else:
+            parent, conjugation, xi = previous[edge.parent]
+            entry = (_crossed(parent, edge, simples[edge.node].element,
+                              conjugation[edge.node], xi), conjugation, xi)
+        current.append(entry)
+        yield entry[0]
+
+
+def _crossed(parent: AlcoveProfile, edge: Edge, s: AffineElement, letter: int,
+             xi: tuple[int, ...]) -> AlcoveProfile:
+    """The profile of edge.x = x' s from that of its parent x', where the
+    step crosses the wall H_{beta, c}:
+
+    - k(beta) becomes 2c - 1 - k(beta), and no other k-value changes;
+    - on a chamber wall (c = 0), v becomes s_beta v = w' s w'^{-1} v, with
+      w' the finite part of x'; otherwise v stays and t^mu w becomes
+      t^mu w s;
+    - the class stays; with x' = x'_a omega, edge.x = x'_a (omega s
+      omega^{-1}) omega, so the support gains ``letter``, the index of
+      omega s omega^{-1}, closed under the twisted action ``xi``.
+    """
+    d, beta, c = parent.decomposition, edge.root, edge.level
+    if c:
+        rest = AffineElement(d.mu, d.w) * s
+        decomposition = DominantDecomposition(d.v, rest.translation, rest.finite)
+    else:
+        w = parent.x.finite
+        decomposition = DominantDecomposition(w * s.finite * w.inverse() * d.v, d.mu, d.w)
+    k = list(parent.k_numbers)
+    k[beta] = 2 * c - 1 - k[beta]
+    support = parent.affine_support
+    if letter not in support.letters:
+        letters = set(support.letters)
+        while letter not in letters:
+            letters.add(letter)
+            letter = xi[letter]
+        support = AffineSupport(frozenset(letters), len(letters) == len(xi))
+    child = AlcoveProfile(edge.x, parent.sigma, decomposition)
+    # the cached properties the step derives, set as their closed forms would
+    child.__dict__.update(kappa=parent.kappa, affine_support=support, k_numbers=tuple(k))
+    return child
 
 
 def w_x_set_bruteforce(system: RootSystem, phi_x: frozenset[Root]) -> frozenset[FiniteWeylElement]:

@@ -14,7 +14,8 @@ from fractions import Fraction
 from itertools import product
 
 from . import _linalg
-from .alcove import AlcoveProfile, DominantDecomposition, barycenter, base_k, w_x_set_bruteforce
+from .alcove import (AlcoveProfile, DominantDecomposition, barycenter, base_k, walk_profiles,
+                     w_x_set_bruteforce)
 from .cartan import RootSystem, subset_predicates, sandwich_positivizer
 from .errors import InternalCheckError
 from .criterion import (
@@ -482,9 +483,17 @@ def check_shortcut_precondition_central(system: RootSystem,
 def check_affine_support_fixed_point(system: RootSystem,
                                      sigma: DiagramAutomorphism,
                                      bound: int = 6) -> CheckResult:
+    """The closed-form support against the descent loop and the walked
+    profile's class and support against the closed forms; then finite support
+    against the fixed-point test."""
     cid = "affine-support-fixed-point"
-    for x in enumerate_affine(system, bound):
-        closed = affine_sigma_support(x, sigma)
+    for walked in walk_profiles(system, sigma, bound):
+        x = walked.x
+        kappa = kottwitz(x)
+        closed = affine_sigma_support(x, sigma, kappa)
+        if walked.kappa != kappa or walked.affine_support != closed:
+            return _fail(cid, "walked class or support differs from the closed form",
+                         {"x": format_affine(x), "letters": sorted(walked.affine_support.letters)})
         if closed != _affine_sigma_support_by_descent(x, sigma):
             return _fail(cid, "closed-form affine support differs from the descent loop",
                          {"x": format_affine(x), "letters": sorted(closed.letters)})
@@ -524,7 +533,8 @@ def check_parabolic_newton_difference(system: RootSystem, sigma: DiagramAutomorp
 
 
 def check_k_value_oracle(system: RootSystem, bound: int) -> CheckResult:
-    """Closed form vs the barycenter floor, plus the two k-value identities."""
+    """Closed form vs the barycenter floor, plus the two k-value identities;
+    the walked profile's decomposition and k-values vs the closed forms."""
     cid = "k-value-oracle"
     triples = [
         (a, b, s)
@@ -534,11 +544,16 @@ def check_k_value_oracle(system: RootSystem, bound: int) -> CheckResult:
         if s in system._root_set
     ]
     count = 0
-    for x in enumerate_affine(system, bound):
+    for walked in walk_profiles(system, DiagramAutomorphism.identity(system), bound):
+        x = walked.x
         point = barycenter(x)
-        profile = AlcoveProfile.build(x, DiagramAutomorphism.identity(system))
+        profile = AlcoveProfile.build(x, walked.sigma)
         if profile.decomposition != _dominant_decompose_by_barycenter(x):
             return _fail(cid, "integer decomposition differs from the barycenter route",
+                         {"x": format_affine(x)})
+        if (walked.decomposition != profile.decomposition
+                or walked.k_numbers != profile.k_numbers):
+            return _fail(cid, "walked decomposition or k-values differ from the closed form",
                          {"x": format_affine(x)})
         k_values = profile.k_values
         for a in system.all_roots:

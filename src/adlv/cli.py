@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
-from .alcove import AlcoveProfile
+from .alcove import AlcoveProfile, walk_profiles
 from .cartan import per_system
 from .criterion import (
     Verdict,
@@ -229,9 +229,8 @@ def _witness_brief(verdict: Verdict) -> str:
     return ""
 
 
-def _row_for_element(system, sigma, kappa_b: KottwitzClass | None,
-                     x: AffineElement) -> dict:
-    profile = AlcoveProfile.build(x, sigma)
+def _row(kappa_b: KottwitzClass | None, profile: AlcoveProfile) -> dict:
+    x, sigma = profile.x, profile.sigma
     kappa_x = profile.kappa
     target = kappa_x if kappa_b is None else kappa_b
     verdict = decide_nonempty(x, target, sigma, profile)
@@ -274,20 +273,23 @@ def _worker_rows(payload) -> list[dict]:
     config_dict, notations = payload
     config = RunConfig(**config_dict)
     system, sigma, kappa = build_context(config)
-    return [
-        _row_for_element(system, sigma, kappa, parse_affine(system, text))
-        for text in notations
-    ]
+    return [_row(kappa, AlcoveProfile.build(parse_affine(system, text), sigma))
+            for text in notations]
 
 
 def enumerate_rows(config: RunConfig) -> list[dict]:
     """One row per element, in enumeration order (which pool.map keeps).
-    At most one worker process per CPU, whatever ``jobs`` asks for."""
+    At most one worker process per CPU, whatever ``jobs`` asks for.  One
+    job reads each profile off the length walk (``alcove.walk_profiles``);
+    with more, each element's profile is built from its parsed text."""
     system, sigma, kappa = build_context(config)
-    elements = list(enumerate_affine(system, config.length_bound, cap=config.cap))
     jobs = min(config.jobs, os.cpu_count() or 1)
-    if jobs == 1 or len(elements) < 2 * jobs:
-        return [_row_for_element(system, sigma, kappa, x) for x in elements]
+    if jobs == 1:
+        return [_row(kappa, profile)
+                for profile in walk_profiles(system, sigma, config.length_bound, config.cap)]
+    elements = list(enumerate_affine(system, config.length_bound, cap=config.cap))
+    if len(elements) < 2 * jobs:
+        return [_row(kappa, AlcoveProfile.build(x, sigma)) for x in elements]
     notations = [format_affine(x) for x in elements]
     chunk = (len(notations) + jobs - 1) // jobs
     payloads = [
@@ -463,9 +465,17 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses a command line with one ``error:`` line and exit 2, with no
+    usage line; its subparsers are of the same class."""
+
+    def error(self, message: str):
+        self.exit(EXIT_PARSE, f"error: {message}\n")
+
+
 @lru_cache(maxsize=1)
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="adlv",
         description="Exact nonemptiness checks for single affine Deligne-Lusztig "
                     "varieties at Iwahori level (basic case).")

@@ -3,7 +3,11 @@
 An element x = t^mu * w is a pair (integral coweight, finite Weyl element).
 This module provides the group law, the Iwahori-Matsumoto length, the class
 map to the coweight-modulo-coroot quotient with its sigma-coinvariants, the
-Newton point, the base-alcove stabilizer and the affine sigma-support.
+Newton point, the base-alcove stabilizer, the affine sigma-support and the
+length walk.  ``walk_affine`` lists the elements by length from Omega, each
+as an ``Edge``: x = x' s with its parent x' one shorter, the affine simple s
+and the wall H_{beta, c} between the alcoves x'(base) and x(base), with beta
+positive; ``enumerate_affine`` is its view on the elements alone.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from functools import reduce
 from itertools import product
 from math import lcm
 from operator import add, mul
+from typing import NamedTuple
 
 from . import _linalg
 from .cartan import RootSystem, per_system
@@ -21,6 +26,7 @@ from .errors import CapExceeded, InternalCheckError
 from .weyl import (
     DiagramAutomorphism,
     FiniteWeylElement,
+    act_on_numbers,
     longest_element,
     require_w0_within_cap,
     weyl_matrix,
@@ -503,41 +509,79 @@ def fixes_point_of_closed_base_alcove(x: AffineElement, sigma: DiagramAutomorphi
 # -- bounded enumeration of the whole group --------------------------------------
 
 
-def enumerate_affine(system: RootSystem, length_bound: int,
-                     cap: int = ENUM_CAP_DEFAULT):
-    """All x with length(x) <= length_bound, in (length, translation, finite) order.
+class Edge(NamedTuple):
+    """An element of the length walk and the step that reached it: x = x' s
+    for the parent x' (at position ``parent`` of the previous level) and the
+    affine simple s numbered ``node``, whose alcove x(base) lies across the
+    wall H_{beta, c} = {p : <beta, p> = c} from x'(base), with beta the
+    positive root numbered ``root`` and c = ``level``.  A length-zero element
+    is a root of the walk, with the four step fields None."""
 
-    Level by level, x s for each affine simple s.  For a finite s_i only the
-    Iwahori-Matsumoto term of the positive root among +-w(alpha_i) changes
-    (x = t^mu w), so x s_i is longer by one exactly when p = <w(alpha_i), mu>
-    has p <= 0 for w(alpha_i) positive and p < 0 for it negative, and
-    shorter otherwise: no product is made for a rejected candidate.  The
-    affine simple reflections keep the full count.
+    x: AffineElement
+    parent: int | None = None
+    node: int | None = None
+    root: int | None = None
+    level: int | None = None
+
+
+def walk_affine(system: RootSystem, length_bound: int, cap: int = ENUM_CAP_DEFAULT):
+    """Every x with length(x) <= length_bound as an ``Edge``, in (length,
+    translation, finite) order.
+
+    Level by level from Omega, x' s for each affine simple s.  With
+    x' = t^mu w, the step crosses the image under x' of the base alcove's
+    wall for s: H_{w(alpha_i), p} with p = <w(alpha_i), mu> for a finite s_i,
+    H_{w(theta), c} with c = 1 + <w(theta), mu> for the affine node of a
+    component with highest root theta.  Only the Iwahori-Matsumoto term of
+    that one root changes, so x' s_i is longer exactly when p <= 0 for
+    w(alpha_i) positive and p < 0 for it negative, and x' s_0 exactly when
+    c > 0, or c = 0 with w(theta) negative: no product is made for a
+    rejected candidate.  The edge records the wall with its root made
+    positive (beta = -w(alpha_i) and level -p when w(alpha_i) is negative).
+    An element reached from several parents keeps its first edge.
     """
+    npos, roots = len(system.positive_roots), system.all_roots
     simples = affine_simples(system)
-    finite = [(s.index, s.element) for s in simples if s.index < system.rank]
-    affine = [s.element for s in simples if s.index >= system.rank]
-    level = sorted(omega_elements(system), key=lambda el: el.sort_key())
+    finite = [s.element for s in simples[:system.rank]]
+    affine = [(s.index, s.element) for s in simples[system.rank:]]
+    thetas = bytes(map(roots.index, system.highest_roots))
+    level = [Edge(x) for x in sorted(omega_elements(system), key=AffineElement.sort_key)]
     count = len(level)
     yield from level
     for target in range(1, length_bound + 1):
         nxt = {}
-        for x in level:
-            mu, images = x.translation, x.finite.images
-            for i, s in finite:
-                image = images[i]
-                p = sum(map(mul, image, mu))
-                if p <= 0 if sum(image) > 0 else p < 0:
-                    y = x * s
-                    y._length = target
-                    nxt[y.key()] = y
-            for s in affine:
-                y = x * s
-                if y.length == target:
-                    nxt[y.key()] = y
-        level = sorted(nxt.values(), key=lambda el: el.sort_key())
+
+        def step(y, position, node, number, c):
+            """Keep y = x' s, whose wall is H_{root number, c} (c signed for
+            the root as numbered, which may be negative), if new."""
+            key = y.key()
+            if key not in nxt:
+                y._length = target
+                nxt[key] = (Edge(y, position, node, number, c) if number < npos
+                            else Edge(y, position, node, number - npos, -c))
+
+        for position, edge in enumerate(level):
+            x = edge.x
+            mu, w = x.translation, x.finite
+            for i, number in enumerate(w.key):
+                p = sum(map(mul, roots[number], mu))
+                if p <= 0 if number < npos else p < 0:
+                    step(x * finite[i], position, i, number, p)
+            for (node, s), number in zip(affine, act_on_numbers(w, thetas)):
+                c = 1 + sum(map(mul, roots[number], mu))
+                if c > 0 if number < npos else c >= 0:
+                    step(x * s, position, node, number, c)
+        level = sorted(nxt.values(), key=lambda e: e.x.sort_key())
         count += len(level)
         if count > cap:
             raise CapExceeded(
                 f"enumeration at length {target} exceeds cap {cap}", estimate=count)
         yield from level
+
+
+def enumerate_affine(system: RootSystem, length_bound: int,
+                     cap: int = ENUM_CAP_DEFAULT):
+    """All x with length(x) <= length_bound, in (length, translation, finite)
+    order: the elements of ``walk_affine``."""
+    for edge in walk_affine(system, length_bound, cap):
+        yield edge.x

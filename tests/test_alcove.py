@@ -10,10 +10,11 @@ from adlv.alcove import (
     barycenter,
     base_k,
     dominant_decompose,
+    walk_profiles,
     w_x_set_bruteforce,
 )
 from adlv.cartan import RootSystem
-from adlv.iwahori import AffineElement, enumerate_affine
+from adlv.iwahori import AffineElement, enumerate_affine, walk_affine
 from adlv.notation import parse_affine, parse_sigma
 from adlv.weyl import DiagramAutomorphism, FiniteWeylElement, _intern, enumerate_w0
 
@@ -246,3 +247,42 @@ def test_root_number_k_values_match_root_dict(descriptor, sigma_text, bound):
         below = [system.all_roots[n] for n in profile.below_base]
         assert len(below) == len(set(below))
         assert set(below) == {a for a, value in k.items() if value < base_k(system, a)}
+
+
+WALKED_FIELDS = ("v", "mu", "w", "k_numbers", "kappa", "affine_support", "phi_x", "below_base")
+
+
+@pytest.mark.parametrize("descriptor,sigma_text,bound", [
+    ("A2", "id", 9), ("G2", "id", 11), ("B3", "id", 5), ("C3", "id", 4), ("F4", "id", 2),
+    ("D4", "id", 3), ("A2+A1", "id", 4), ("A3", "id", 2), ("A3", "(1 3)", 4),
+    ("A4", "(1 4)(2 3)", 3), ("D4", "(1 3 4)", 3), ("A2+A2", "(1 3)(2 4)", 3),
+])
+def test_walked_profiles_equal_closed_forms(descriptor, sigma_text, bound):
+    """Each profile carried from its parent across one wall against
+    ``AlcoveProfile.build`` of the same element, on simply- and
+    non-simply-laced, reducible and twisted systems."""
+    system = RootSystem.from_descriptor(descriptor)
+    sigma = parse_sigma(system, sigma_text)
+    walked = list(walk_profiles(system, sigma, bound))
+    assert [p.x for p in walked] == list(enumerate_affine(system, bound))
+    for profile in walked:
+        closed = AlcoveProfile.build(profile.x, sigma)
+        for field in WALKED_FIELDS:
+            assert getattr(profile, field) == getattr(closed, field), (profile.x, field)
+
+
+def test_walk_edges_cross_one_wall(g2):
+    """Each edge's wall H_{beta, c} separates the two alcoves: the parent's
+    and the child's k-values at beta are c - 1 and c, in some order, and the
+    child is one longer."""
+    levels = {}
+    sigma = sid(g2)
+    for edge in walk_affine(g2, 8):
+        levels.setdefault(edge.x.length, []).append(edge.x)
+        if edge.parent is None:
+            continue
+        parent = levels[edge.x.length - 1][edge.parent]
+        beta = g2.positive_roots[edge.root]
+        pair = {profile_of(parent, sigma).k_values[beta], profile_of(edge.x, sigma).k_values[beta]}
+        assert pair == {edge.level - 1, edge.level}
+        assert edge.x.length == parent.length + 1

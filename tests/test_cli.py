@@ -345,7 +345,25 @@ def test_flag_its_command_does_not_read_is_refused(args, capsys):
     captured = capsys.readouterr()
     assert info.value.code == 2
     assert captured.out == ""
-    assert "unrecognized arguments" in captured.err
+    assert captured.err.startswith("error: unrecognized arguments: ")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
+@pytest.mark.parametrize("args, message", [
+    ([], "the following arguments are required: command"),
+    (["check", "--system", "A2"], "the following arguments are required: element"),
+    (["chek"], "argument command: invalid choice: 'chek' (choose from 'check', "
+               "'enumerate', 'crosscheck', 'render', 'bgx')"),
+    (["enumerate", "--system", "A2", "--jobs", "two"],
+     "argument --jobs: invalid int value: 'two'"),
+], ids=["no-command", "no-element", "bad-command", "bad-int"])
+def test_argparse_refusal_is_one_error_line(args, message, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli_main(args)
+    captured = capsys.readouterr()
+    assert info.value.code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("args, message", [
@@ -693,6 +711,8 @@ def test_importing_the_cli_leaves_the_audit_out():
 
 @pytest.mark.parametrize("kappa_b", ["zero", "match-x"])
 def test_enumerate_row_computes_class_and_support_once(kappa_b, monkeypatch, capsys):
+    """With one job every row's profile comes off the length walk: the
+    closed forms run for the length-zero roots alone, each once."""
     supports = _count_calls(monkeypatch, adlv.iwahori, "affine_sigma_support")
     classes = _count_calls(monkeypatch, adlv.iwahori, "kottwitz")
     profiles = Counter()
@@ -705,16 +725,18 @@ def test_enumerate_row_computes_class_and_support_once(kappa_b, monkeypatch, cap
     monkeypatch.setattr(adlv.alcove.AlcoveProfile, "build", classmethod(counting_build))
     code, out, _ = run_cli(["enumerate", "--system", "A3", "--sigma", "(1 3)",
                             "--length-bound", "3", "--kappa-b", kappa_b,
-                            "--format", "json"], capsys)
+                            "--format", "json", "--jobs", "1"], capsys)
     assert code == 0
     system = RootSystem.from_descriptor("A3")
     elements = [parse_affine(system, row["x"]) for row in json.loads(out)["rows"]]
     assert len(elements) > 100
-    assert sorted(supports) == sorted(x.key() for x in elements)
+    roots = sorted(x.key() for x in elements if x.length == 0)
+    assert len(roots) == 4
+    assert sorted(supports) == roots
     assert set(supports.values()) == {1}
-    # length-zero elements are also classified once while Omega is built
-    assert all(classes[x.key()] == 1 for x in elements if x.length > 0)
-    assert sorted(profiles) == sorted(x.key() for x in elements)
+    # Omega is classified once while it is built, and each root once more
+    assert all(classes[x.key()] == 0 for x in elements if x.length > 0)
+    assert sorted(profiles) == roots
     assert set(profiles.values()) == {1}
 
 

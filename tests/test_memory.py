@@ -8,7 +8,7 @@ import weakref
 import pytest
 
 import adlv
-from adlv.alcove import AlcoveProfile
+from adlv.alcove import AlcoveProfile, walk_profiles
 from adlv.cartan import RootSystem, per_system
 from adlv.criterion import decide_nonempty, oracle_nonempty
 from adlv.iwahori import enumerate_affine, kottwitz_group, omega_elements
@@ -83,6 +83,35 @@ def test_embedding_sets_live_in_the_system_memo_and_die_with_it():
     del system, sigma, x, profile, w_x, w_x_sorted
     gc.collect()
     assert ref() is None
+
+
+def _walk_fresh_d4() -> weakref.ref:
+    """Build a D4 system, read every profile off the length walk and drop it."""
+    system = RootSystem.from_descriptor("D4")
+    sigma = DiagramAutomorphism.identity(system)
+    for profile in walk_profiles(system, sigma, 2):
+        decide_nonempty(profile.x, profile.kappa, sigma, profile)
+    return weakref.ref(system)
+
+
+def test_system_walked_is_freed():
+    ref = _walk_fresh_d4()
+    gc.collect()
+    assert ref() is None
+
+
+def test_walk_adds_no_memo_key():
+    """The walk keeps its state in the generator: after the closed forms have
+    run over the same elements, walking them adds no key to the memo."""
+    system = RootSystem.from_descriptor("D4")
+    sigma = DiagramAutomorphism.identity(system)
+    for x in enumerate_affine(system, 2):
+        profile = AlcoveProfile.build(x, sigma)
+        profile.affine_support, profile.k_numbers
+    keys = set(system.memo)
+    walked = list(walk_profiles(system, sigma, 2))
+    assert len(walked) == 80
+    assert set(system.memo) == keys
 
 
 def _lru_cached_names() -> set[str]:

@@ -26,6 +26,7 @@ twisted action.  Only the length-zero roots are built in closed form.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -205,7 +206,9 @@ def walk_profiles(system: RootSystem, sigma: DiagramAutomorphism, length_bound: 
     its root omega's twisted action xi (s -> omega sigma(s) omega^{-1} on
     the affine simple indices) and conjugation s -> omega s omega^{-1}, read
     off xi: sigma sends s_i to s_sigma(i) and the affine node of a
-    component to that of its image.
+    component to that of its image.  The walk's edges are listed in full
+    first, so a cap is refused before any profile exists; each edge is
+    dropped once read.
     """
     simples = affine_simples(system)
     rank = system.rank
@@ -214,7 +217,9 @@ def walk_profiles(system: RootSystem, sigma: DiagramAutomorphism, length_bound: 
     previous: list = []
     current: list = []
     length = 0
-    for edge in walk_affine(system, length_bound, cap):
+    edges = deque(walk_affine(system, length_bound, cap))
+    while edges:
+        edge = edges.popleft()
         if edge.x.length != length:
             previous, current, length = current, [], edge.x.length
         if edge.parent is None:

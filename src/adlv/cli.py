@@ -20,6 +20,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice, zip_longest
 from typing import Callable
 
 from .alcove import AlcoveProfile, walk_profiles
@@ -31,12 +32,7 @@ from .criterion import (
     oracle_nonempty,
 )
 from .errors import AdlvError, CapExceeded, NotationError, UnsupportedGeometry
-from .iwahori import (
-    ENUM_CAP_DEFAULT,
-    AffineElement,
-    KottwitzClass,
-    enumerate_affine,
-)
+from .iwahori import ENUM_CAP_DEFAULT, AffineElement, KottwitzClass
 from .notation import (
     format_affine,
     format_finite,
@@ -138,6 +134,8 @@ def config_from_sources(args: argparse.Namespace) -> RunConfig:
         raise NotationError("length bound must be nonnegative")
     if config.jobs < 1:
         raise NotationError("jobs must be at least 1")
+    if config.cap < 1:
+        raise NotationError("cap must be at least 1")
     return config
 
 
@@ -269,38 +267,26 @@ def _row(kappa_b: KottwitzClass | None, profile: AlcoveProfile) -> dict:
     }
 
 
-def _worker_rows(payload) -> list[dict]:
-    config_dict, notations = payload
-    config = RunConfig(**config_dict)
+def _part_rows(payload) -> list[dict]:
+    """The rows of every ``parts``-th profile of the length walk, from the
+    ``part``-th on; the walk itself runs in full."""
+    config, part, parts = payload
     system, sigma, kappa = build_context(config)
-    return [_row(kappa, AlcoveProfile.build(parse_affine(system, text), sigma))
-            for text in notations]
+    profiles = walk_profiles(system, sigma, config.length_bound, config.cap)
+    return [_row(kappa, profile) for profile in islice(profiles, part, None, parts)]
 
 
 def enumerate_rows(config: RunConfig) -> list[dict]:
-    """One row per element, in enumeration order (which pool.map keeps).
-    At most one worker process per CPU, whatever ``jobs`` asks for.  One
-    job reads each profile off the length walk (``alcove.walk_profiles``);
-    with more, each element's profile is built from its parsed text."""
-    system, sigma, kappa = build_context(config)
+    """One row per element, in the order of the length walk
+    (``alcove.walk_profiles``), whose profiles every row reads.  With
+    ``jobs`` workers, at most one per CPU, each walks in full and decides
+    every ``jobs``-th row; the parts are interleaved back into walk order."""
     jobs = min(config.jobs, os.cpu_count() or 1)
     if jobs == 1:
-        return [_row(kappa, profile)
-                for profile in walk_profiles(system, sigma, config.length_bound, config.cap)]
-    elements = list(enumerate_affine(system, config.length_bound, cap=config.cap))
-    if len(elements) < 2 * jobs:
-        return [_row(kappa, AlcoveProfile.build(x, sigma)) for x in elements]
-    notations = [format_affine(x) for x in elements]
-    chunk = (len(notations) + jobs - 1) // jobs
-    payloads = [
-        (dict(config.__dict__), notations[i:i + chunk])
-        for i in range(0, len(notations), chunk)
-    ]
-    rows = []
+        return _part_rows((config, 0, 1))
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for part in pool.map(_worker_rows, payloads):
-            rows.extend(part)
-    return rows
+        parts = list(pool.map(_part_rows, [(config, k, jobs) for k in range(jobs)]))
+    return [row for rows in zip_longest(*parts) for row in rows if row is not None]
 
 
 def rows_to_csv(rows: list[dict]) -> str:

@@ -538,7 +538,8 @@ def walk_affine(system: RootSystem, length_bound: int, cap: int = ENUM_CAP_DEFAU
     c > 0, or c = 0 with w(theta) negative: no product is made for a
     rejected candidate.  The edge records the wall with its root made
     positive (beta = -w(alpha_i) and level -p when w(alpha_i) is negative).
-    An element reached from several parents keeps its first edge.
+    An element reached from several parents keeps its first edge.  The cap
+    is checked before each level, Omega included, is yielded.
     """
     npos, roots = len(system.positive_roots), system.all_roots
     simples = affine_simples(system)
@@ -546,9 +547,16 @@ def walk_affine(system: RootSystem, length_bound: int, cap: int = ENUM_CAP_DEFAU
     affine = [(s.index, s.element) for s in simples[system.rank:]]
     thetas = bytes(map(roots.index, system.highest_roots))
     level = [Edge(x) for x in sorted(omega_elements(system), key=AffineElement.sort_key)]
-    count = len(level)
-    yield from level
-    for target in range(1, length_bound + 1):
+    target = count = 0
+    while True:
+        count += len(level)
+        if count > cap:
+            raise CapExceeded(
+                f"enumeration at length {target} exceeds cap {cap}", estimate=count)
+        yield from level
+        if target >= length_bound:
+            return
+        target += 1
         nxt = {}
 
         def step(y, position, node, number, c):
@@ -572,11 +580,6 @@ def walk_affine(system: RootSystem, length_bound: int, cap: int = ENUM_CAP_DEFAU
                 if c > 0 if number < npos else c >= 0:
                     step(x * s, position, node, number, c)
         level = sorted(nxt.values(), key=lambda e: e.x.sort_key())
-        count += len(level)
-        if count > cap:
-            raise CapExceeded(
-                f"enumeration at length {target} exceeds cap {cap}", estimate=count)
-        yield from level
 
 
 def enumerate_affine(system: RootSystem, length_bound: int,

@@ -269,6 +269,46 @@ def test_enumerate_cap_exceeded(capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("args, code, message", [
+    (["enumerate", "--system", "A3", "--length-bound", "0", "--cap", "2"], 3,
+     "enumeration at length 0 exceeds cap 2"),
+    (["enumerate", "--system", "A3", "--cap", "0"], 2, "cap must be at least 1"),
+    (["enumerate", "--system", "A3", "--cap", "-1"], 2, "cap must be at least 1"),
+    (["render", "--system", "A2", "--kappa-b", "[0,0]", "--cap", "0"], 2,
+     "cap must be at least 1"),
+])
+def test_cap_refusal_is_one_error_line(args, code, message, capsys):
+    """The cap counts Omega too, and a cap below 1 is refused as input."""
+    assert run_cli(args, capsys) == (code, "", f"error: {message}\n")
+
+
+REFUSED_ENUMERATION = ["enumerate", "--system", "A2", "--length-bound", "60",
+                       "--cap", "3000"]
+
+
+def test_refused_enumeration_decides_no_row(monkeypatch, capsys):
+    """The walk is listed before any row is decided, so a refusal costs no rows."""
+    decided = []
+    original = adlv.cli.decide_nonempty
+
+    def counting(*args):
+        decided.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(adlv.cli, "decide_nonempty", counting)
+    code, _, err = run_cli([*REFUSED_ENUMERATION, "--jobs", "1"], capsys)
+    assert (code, err) == (3, "error: enumeration at length 26 exceeds cap 3000\n")
+    assert decided == []
+
+
+def test_workers_refusal_crosses_the_process_boundary():
+    proc = subprocess.run([sys.executable, "-m", "adlv", *REFUSED_ENUMERATION, "--jobs", "2"],
+                          capture_output=True, timeout=600)
+    assert proc.returncode == 3
+    assert proc.stdout == b""
+    assert proc.stderr == b"error: enumeration at length 26 exceeds cap 3000\n"
+
+
 def test_config_file_and_overrides(tmp_path, capsys):
     config = tmp_path / "run.conf"
     config.write_text(
@@ -709,10 +749,15 @@ def test_importing_the_cli_leaves_the_audit_out():
     assert proc.stdout == b"False\n"
 
 
-@pytest.mark.parametrize("kappa_b", ["zero", "match-x"])
-def test_enumerate_row_computes_class_and_support_once(kappa_b, monkeypatch, capsys):
-    """With one job every row's profile comes off the length walk: the
-    closed forms run for the length-zero roots alone, each once."""
+@pytest.mark.parametrize("kappa_b, jobs", [
+    pytest.param(kappa_b, jobs, id=kappa_b + ("" if jobs == 1 else f"-jobs{jobs}"))
+    for jobs in (1, 2) for kappa_b in ("zero", "match-x")])
+def test_enumerate_row_computes_class_and_support_once(kappa_b, jobs, monkeypatch, capsys):
+    """Every row's profile comes off the length walk, in each worker: the
+    closed forms run for the length-zero roots alone, once per worker."""
+    monkeypatch.setattr(adlv.cli.os, "cpu_count", lambda: jobs)
+    monkeypatch.setattr(adlv.cli, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "created", [])
     supports = _count_calls(monkeypatch, adlv.iwahori, "affine_sigma_support")
     classes = _count_calls(monkeypatch, adlv.iwahori, "kottwitz")
     profiles = Counter()
@@ -725,19 +770,20 @@ def test_enumerate_row_computes_class_and_support_once(kappa_b, monkeypatch, cap
     monkeypatch.setattr(adlv.alcove.AlcoveProfile, "build", classmethod(counting_build))
     code, out, _ = run_cli(["enumerate", "--system", "A3", "--sigma", "(1 3)",
                             "--length-bound", "3", "--kappa-b", kappa_b,
-                            "--format", "json", "--jobs", "1"], capsys)
+                            "--format", "json", "--jobs", str(jobs)], capsys)
     assert code == 0
+    assert _InlinePool.created == ([] if jobs == 1 else [jobs])
     system = RootSystem.from_descriptor("A3")
     elements = [parse_affine(system, row["x"]) for row in json.loads(out)["rows"]]
     assert len(elements) > 100
     roots = sorted(x.key() for x in elements if x.length == 0)
     assert len(roots) == 4
     assert sorted(supports) == roots
-    assert set(supports.values()) == {1}
-    # Omega is classified once while it is built, and each root once more
+    assert set(supports.values()) == {jobs}
+    # Omega is classified while it is built, and each root once more
     assert all(classes[x.key()] == 0 for x in elements if x.length > 0)
     assert sorted(profiles) == roots
-    assert set(profiles.values()) == {1}
+    assert set(profiles.values()) == {jobs}
 
 
 _AUDIT_ELEMENT_CHECKS = [
@@ -787,14 +833,17 @@ class _InlinePool:
 @pytest.mark.parametrize("cpus, jobs, expected", [(2, 64, [2]), (4, 3, [3]),
                                                   (1, 8, []), (None, 8, [])])
 def test_jobs_clamped_to_cpu_count(cpus, jobs, expected, monkeypatch, capsys):
+    """The parts interleave back into walk order, also when they differ in
+    size: A2 L<=4 has 93 rows and G2 L<=4 has 25."""
     monkeypatch.setattr(adlv.cli.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(adlv.cli, "ProcessPoolExecutor", _InlinePool)
-    monkeypatch.setattr(_InlinePool, "created", [])
-    base = ["enumerate", "--system", "A2", "--length-bound", "4", "--format", "csv"]
-    code, clamped, _ = run_cli([*base, "--jobs", str(jobs)], capsys)
-    assert code == 0
-    assert _InlinePool.created == expected
-    assert clamped == run_cli([*base, "--jobs", "1"], capsys)[1]
+    for system in ("A2", "G2"):
+        monkeypatch.setattr(_InlinePool, "created", [])
+        base = ["enumerate", "--system", system, "--length-bound", "4", "--format", "csv"]
+        code, clamped, _ = run_cli([*base, "--jobs", str(jobs)], capsys)
+        assert code == 0
+        assert _InlinePool.created == expected
+        assert clamped == run_cli([*base, "--jobs", "1"], capsys)[1]
 
 
 def test_python_dash_m_adlv():

@@ -3,11 +3,14 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from time import perf_counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adlv import audit
-from adlv.alcove import AlcoveProfile
+from adlv.alcove import AlcoveProfile, dominant_decompose
 from adlv.cartan import RootSystem
 from adlv.criterion import (
     RULE_CRITERION,
@@ -102,6 +105,30 @@ def test_deep_shrunken_full_eta_nonempty(a2):
     assert verdict.nonempty and verdict.rule == RULE_CRITERION
     oracle = oracle_nonempty(x, kottwitz(x), sid(a2), profile)
     assert oracle.nonempty
+
+
+@settings(max_examples=25)
+@given(st.sampled_from([("A2", "id"), ("G2", "id"), ("B3", "id"), ("A3", "(1 3)")]),
+       st.data())
+def test_long_elements_agree_with_the_references(case, data):
+    """t^mu w with every coordinate of mu in [-150, 150]: lengths of about
+    10^2 to 1.8 * 10^3, which random words, collapsing to short elements,
+    do not reach.  Each decision stays fast at that length."""
+    system = RootSystem.from_descriptor(case[0])
+    sigma = parse_sigma(system, case[1])
+    mu = data.draw(st.lists(st.integers(-150, 150), min_size=system.rank,
+                            max_size=system.rank))
+    x = AffineElement(mu, data.draw(st.sampled_from(enumerate_w0(system))))
+    kappa = kottwitz(x)
+    assert kappa == audit._class_by_coroot_coordinates(x)
+    assert dominant_decompose(x) == audit._dominant_decompose_by_barycenter(x)
+    support = affine_sigma_support(x, sigma, kappa)
+    assert support == audit._affine_sigma_support_by_descent(x, sigma)
+    start = perf_counter()
+    verdict = decide_nonempty(x, kappa, sigma)
+    assert perf_counter() - start < 0.5, (format_affine(x), x.length)
+    if support.full:
+        assert oracle_nonempty(x, kappa, sigma).nonempty == verdict.nonempty
 
 
 # -- the (J, w)-alcove oracle ----------------------------------------------------

@@ -9,7 +9,6 @@ from .cartan import (
     Root,
     RootSystem,
     SubsetProperties,
-    sandwich_positivizer,
     subset_predicates,
 )
 from .weyl import (

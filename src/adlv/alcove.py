@@ -47,7 +47,7 @@ from .iwahori import (
     walk_affine,
 )
 from .weyl import (DiagramAutomorphism, FiniteWeylElement, act_on_numbers, embedding_order,
-                   embedding_set, enumerate_w0, positive_pairings, product_support)
+                   embedding_set, positive_pairings, product_support)
 
 
 def base_k(system: RootSystem, root: Root) -> int:
@@ -260,22 +260,8 @@ def _crossed(parent: AlcoveProfile, edge: Edge, s: AffineElement, letter: int,
     k[beta] = 2 * c - 1 - k[beta]
     support = parent.affine_support
     if letter not in support.letters:
-        letters = set(support.letters)
-        while letter not in letters:
-            letters.add(letter)
-            letter = xi[letter]
-        support = AffineSupport(frozenset(letters), len(letters) == len(xi))
+        support = AffineSupport.closed((letter, *support.letters), xi)
     child = AlcoveProfile(edge.x, parent.sigma, decomposition)
     # the cached properties the step derives, set as their closed forms would
     child.__dict__.update(kappa=parent.kappa, affine_support=support, k_numbers=tuple(k))
     return child
-
-
-def w_x_set_bruteforce(system: RootSystem, phi_x: frozenset[Root]) -> frozenset[FiniteWeylElement]:
-    """Reference implementation of W_x for the strip set ``phi_x``: filter the
-    whole finite Weyl group."""
-    complement = [a for a in system.positive_roots if a not in phi_x]
-    return frozenset(
-        r for r in enumerate_w0(system)
-        if all(sum(r.act_on_root(g)) > 0 for g in complement)
-    )

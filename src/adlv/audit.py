@@ -14,9 +14,9 @@ from fractions import Fraction
 from itertools import product
 
 from . import _linalg
-from .alcove import (AlcoveProfile, DominantDecomposition, barycenter, base_k, walk_profiles,
-                     w_x_set_bruteforce)
-from .cartan import RootSystem, subset_predicates, sandwich_positivizer
+from .alcove import (AlcoveProfile, DominantDecomposition, barycenter, base_k,
+                     dominant_decompose, walk_profiles)
+from .cartan import Root, RootSystem, classical_positive_count, subset_predicates
 from .errors import InternalCheckError
 from .criterion import (
     DimConflictError,
@@ -111,8 +111,6 @@ def check_inverse_cartan_positive(systems: list[RootSystem]) -> CheckResult:
 
 
 def check_root_closure_counts(systems: list[RootSystem]) -> CheckResult:
-    from .cartan import classical_positive_count
-
     cid = "root-closure-counts"
     for system in systems:
         expected = sum(
@@ -244,6 +242,35 @@ def check_radical_closed_positivizable(system: RootSystem, seed: int = 0,
             return _fail(cid, "no positivizing element found",
                          {"trial": trial, "psi": sorted(psi)})
     return _ok(cid, f"{trials} random radical closed subsets positivized")
+
+
+def sandwich_positivizer(system: RootSystem, psi_r, psi_p):
+    """Find w with w(psi_r) inside the positive roots inside w(psi_p).
+
+    psi_r must be radical closed, psi_p parabolic closed, psi_r a subset of
+    psi_p.  Brute-force over the finite Weyl group (correctness first); the
+    statement guarantees a witness exists, so exhausting the group without
+    one is an internal error.
+    """
+    psi_r = frozenset(tuple(m) for m in psi_r)
+    psi_p = frozenset(tuple(m) for m in psi_p)
+    if not psi_r <= psi_p:
+        raise ValueError("psi_r must be contained in psi_p")
+    props_r = subset_predicates(system, psi_r)
+    if not (props_r.radical and props_r.closed):
+        raise ValueError("psi_r must be radical and closed")
+    props_p = subset_predicates(system, psi_p)
+    if not (props_p.parabolic and props_p.closed):
+        raise ValueError("psi_p must be parabolic and closed")
+    positive = frozenset(system.positive_roots)
+    for w in enumerate_w0(system):
+        image_r = {w.act_on_root(m) for m in psi_r}
+        if not image_r <= positive:
+            continue
+        image_p = {w.act_on_root(m) for m in psi_p}
+        if positive <= image_p:
+            return w
+    raise InternalCheckError("no sandwich positivizer found; contradicts the classification")
 
 
 def check_sandwich_postcondition(system: RootSystem, seed: int = 0,
@@ -509,8 +536,6 @@ def check_affine_support_fixed_point(system: RootSystem,
 def check_parabolic_newton_difference(system: RootSystem, sigma: DiagramAutomorphism,
                                  bound: int = 5) -> CheckResult:
     cid = "parabolic-newton-difference"
-    from .alcove import dominant_decompose
-
     checked = 0
     for j_set in sigma_stable_subsets(system, sigma, False):
         marker = tuple(0 if i in j_set else 1 for i in range(system.rank))
@@ -595,6 +620,16 @@ def check_strip_complement_radical_closed(system: RootSystem, bound: int,
                                  {"x": format_affine(x), "a": list(a), "b": list(b)})
         count += 1
     return _ok(cid, f"{count} elements: strip complements radical and closed")
+
+
+def w_x_set_bruteforce(system: RootSystem, phi_x: frozenset[Root]) -> frozenset[FiniteWeylElement]:
+    """Reference implementation of W_x for the strip set ``phi_x``: filter the
+    whole finite Weyl group."""
+    complement = [a for a in system.positive_roots if a not in phi_x]
+    return frozenset(
+        r for r in enumerate_w0(system)
+        if all(sum(r.act_on_root(g)) > 0 for g in complement)
+    )
 
 
 def check_wx_structure(system: RootSystem, bound: int) -> CheckResult:
@@ -872,8 +907,16 @@ def _dominant_coweights(system: RootSystem, length_bound: int):
     return out
 
 
+def _w_x_by_stabilizer(v: FiniteWeylElement, mu) -> frozenset[FiniteWeylElement]:
+    """Reference for bgx's W_x of v t^mu: filter W0 by the stabilizer and
+    length-additivity formula."""
+    return frozenset(r for r in enumerate_w0(v.system) if r.act_on_coweight(mu) == tuple(mu)
+                     and (v * r.inverse()).length == v.length + r.length)
+
+
 def check_bgx_formula(system: RootSystem, sigma: DiagramAutomorphism,
                       bound: int) -> CheckResult:
+    """The W0 filter of the stabilizer/length-additivity formula against bgx's reported W_x."""
     cid = "bgx-formula-vs-alcove"
     count = 0
     mu_bound = bound + len(system.positive_roots)
@@ -883,7 +926,7 @@ def check_bgx_formula(system: RootSystem, sigma: DiagramAutomorphism,
             if x.length > bound:
                 continue
             report = bgx_cordial(v, mu, sigma, with_points=False)
-            if report.w_x_formula != report.w_x_alcove:
+            if not _w_x_by_stabilizer(v, mu) == report.w_x_formula == report.w_x_alcove:
                 return _fail(cid, "formula set differs from the alcove set",
                              {"v": format_finite(v), "mu": list(mu)})
             if report.mu_central and (

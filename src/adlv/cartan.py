@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, wraps
-from math import lcm
+from math import factorial, lcm
 
 from . import _linalg
 from .errors import NotationError
@@ -322,14 +322,12 @@ class RootSystem:
 
 
 def _irreducible_weyl_order(type_label: str, rank: int) -> int:
-    import math
-
     if type_label == "A":
-        return math.factorial(rank + 1)
+        return factorial(rank + 1)
     if type_label in ("B", "C"):
-        return 2 ** rank * math.factorial(rank)
+        return 2 ** rank * factorial(rank)
     if type_label == "D":
-        return 2 ** (rank - 1) * math.factorial(rank)
+        return 2 ** (rank - 1) * factorial(rank)
     return {("E", 6): 51840, ("E", 7): 2903040, ("E", 8): 696729600,
             ("F", 4): 1152, ("G", 2): 12}[(type_label, rank)]
 
@@ -380,35 +378,3 @@ def subset_predicates(system: RootSystem, members) -> SubsetProperties:
     radical = not (psi & neg)
     parabolic = (psi | neg) == system._root_set
     return SubsetProperties(closed, radical, parabolic)
-
-
-def sandwich_positivizer(system: RootSystem, psi_r, psi_p):
-    """Find w with w(psi_r) inside the positive roots inside w(psi_p).
-
-    psi_r must be radical closed, psi_p parabolic closed, psi_r a subset of
-    psi_p.  Brute-force over the finite Weyl group (correctness first); the
-    statement guarantees a witness exists, so exhausting the group without
-    one is an internal error.
-    """
-    from .errors import InternalCheckError
-    from .weyl import enumerate_w0
-
-    psi_r = frozenset(tuple(m) for m in psi_r)
-    psi_p = frozenset(tuple(m) for m in psi_p)
-    if not psi_r <= psi_p:
-        raise ValueError("psi_r must be contained in psi_p")
-    props_r = subset_predicates(system, psi_r)
-    if not (props_r.radical and props_r.closed):
-        raise ValueError("psi_r must be radical and closed")
-    props_p = subset_predicates(system, psi_p)
-    if not (props_p.parabolic and props_p.closed):
-        raise ValueError("psi_p must be parabolic and closed")
-    positive = frozenset(system.positive_roots)
-    for w in enumerate_w0(system):
-        image_r = {w.act_on_root(m) for m in psi_r}
-        if not image_r <= positive:
-            continue
-        image_p = {w.act_on_root(m) for m in psi_p}
-        if positive <= image_p:
-            return w
-    raise InternalCheckError("no sandwich positivizer found; contradicts the classification")

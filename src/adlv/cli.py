@@ -304,8 +304,11 @@ def _dump_json(document: dict) -> str:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        try:
+            with open(out, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise NotationError(f"cannot write output file {out}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 

@@ -30,7 +30,7 @@ from functools import reduce
 from operator import or_
 
 from . import _linalg
-from .alcove import AlcoveProfile, base_k
+from .alcove import AlcoveProfile, base_k, dominant_decompose
 from .cartan import RootSystem, per_system
 from .errors import AdlvError, InternalCheckError
 from .iwahori import (
@@ -51,7 +51,8 @@ from .weyl import (
     FiniteWeylElement,
     act_on_numbers,
     embedding_order,
-    enumerate_w0,
+    longest_element,
+    positive_pairings,
     positive_root_supports,
     product_support,
     require_w0_within_cap,
@@ -450,19 +451,20 @@ def bgx_cordial(
     v: FiniteWeylElement, mu, sigma: DiagramAutomorphism,
     with_points: bool = True,
 ) -> BgxReport:
-    """The embedding set of x = v t^mu by the stabilizer/length-additivity formula,
-    cross-checked against the alcove computation, and the resulting class-set report."""
+    """The embedding set of x = v t^mu, whose root set by the stabilizer/length-additivity
+    formula must equal the alcove Phi_x, and the resulting class-set report."""
     system = v.system
     if not system.is_dominant(mu) or not system.in_coweight_lattice(mu):
         raise ValueError("mu must be a dominant integral coweight")
     x = AffineElement.from_finite(v) * AffineElement.from_translation(system, mu)
-    formula = frozenset(
-        r for r in enumerate_w0(system)
-        if r.act_on_coweight(mu) == tuple(mu)
-        and (v * r.inverse()).length == v.length + r.length
-    )
+    require_w0_within_cap(system)  # W_x can be all of W0 and has no budget of its own yet
+    # r fixes mu iff N(r) is orthogonal to mu; the lengths add iff v keeps N(r) positive
+    roots = frozenset(
+        alpha for alpha, pairing, image in zip(
+            system.positive_roots, positive_pairings(system, mu), v.positive_images())
+        if not pairing and sum(image) > 0)
     profile = AlcoveProfile.build(x, sigma)
-    if formula != profile.w_x:
+    if roots != profile.phi_x:
         raise InternalCheckError("stabilizer formula disagrees with the alcove computation")
     full = frozenset(range(system.rank))
     tests = []
@@ -485,7 +487,7 @@ def bgx_cordial(
             cap_stable = points == enumerate_b_g_mu(system, mu, sigma, 2 * length_cap)
     else:
         conclusion = "undetermined"
-    return BgxReport(x, formula, profile.w_x, profile.w_x_sorted, tuple(tests), all_full,
+    return BgxReport(x, profile.w_x, profile.w_x, profile.w_x_sorted, tuple(tests), all_full,
                      central, conclusion, points, cap_stable)
 
 
@@ -538,8 +540,6 @@ def dim_one_strip_rank2(profile: AlcoveProfile, b_kappa: KottwitzClass) -> int |
     doubled = x.length + min(eta.length, conjugated.length) - defect(b_kappa, sigma)
     if doubled % 2 != 0:
         raise InternalCheckError(f"odd dimension numerator {doubled} for {x!r}")
-    from .weyl import longest_element
-
     epsilon = 1 if eta == longest_element(system) else 0
     return doubled // 2 - epsilon
 
@@ -630,8 +630,6 @@ def anresult_filter(x: AffineElement, sigma: DiagramAutomorphism) -> bool:
     system = x.system
     if len(system.components) != 1 or system.components[0].type_label != "A":
         raise ValueError("the filter is defined for irreducible type A only")
-    from .alcove import dominant_decompose
-
     mu = dominant_decompose(x).mu
     coords = system.coroot_coordinates(mu)
     if any(c.denominator != 1 for c in coords):

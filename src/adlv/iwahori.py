@@ -445,6 +445,17 @@ class AffineSupport:
     letters: frozenset[int]
     full: bool
 
+    @classmethod
+    def closed(cls, letters, xi: tuple[int, ...]) -> "AffineSupport":
+        """The support on the smallest xi-stable set containing ``letters``,
+        the union of their orbits under the permutation xi."""
+        out: set[int] = set()
+        for letter in letters:
+            while letter not in out:
+                out.add(letter)
+                letter = xi[letter]
+        return cls(frozenset(out), len(out) == len(xi))
+
 
 def affine_sigma_support(x: AffineElement, sigma: DiagramAutomorphism,
                          kappa: KottwitzClass | None = None) -> AffineSupport:
@@ -470,13 +481,7 @@ def affine_sigma_support(x: AffineElement, sigma: DiagramAutomorphism,
             if any(inv_images[k][i] + mark * mu[k] != (1 if k == i else 0)
                    for k in comp.indices):
                 letters.add(i)
-    xi = twisted_affine_action(system, sigma, omega)
-    while True:
-        extra = {xi[i] for i in letters} - letters
-        if not extra:
-            break
-        letters |= extra
-    return AffineSupport(frozenset(letters), len(letters) == len(xi))
+    return AffineSupport.closed(letters, twisted_affine_action(system, sigma, omega))
 
 
 def fixes_point_of_closed_base_alcove(x: AffineElement, sigma: DiagramAutomorphism) -> bool:

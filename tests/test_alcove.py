@@ -11,8 +11,8 @@ from adlv.alcove import (
     base_k,
     dominant_decompose,
     walk_profiles,
-    w_x_set_bruteforce,
 )
+from adlv.audit import w_x_set_bruteforce
 from adlv.cartan import RootSystem
 from adlv.iwahori import AffineElement, enumerate_affine, walk_affine
 from adlv.notation import parse_affine, parse_sigma

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from adlv import _linalg
+from adlv.audit import sandwich_positivizer
 from adlv.cartan import (
     RootSystem,
     classical_positive_count,
-    sandwich_positivizer,
     subset_predicates,
 )
 from adlv.errors import NotationError

@@ -444,6 +444,27 @@ def test_unreadable_config_file_is_validation_error(tmp_path, capsys):
     assert err.startswith("error: 'utf-8' codec can't decode") and err.count("\n") == 1
 
 
+UNWRITABLE_OUT_COMMANDS = {
+    "check": ["check", "e", "--system", "A2"],
+    "enumerate": ["enumerate", "--system", "A2", "--length-bound", "1"],
+    "crosscheck": ["crosscheck", "--system", "A1", "--length-bound", "1"],
+    "render": ["render", "--system", "A2", "--length-bound", "1", "--kappa-b", "[0,0]"],
+    "bgx": ["bgx", "s1", "[1,0]", "--system", "A2"],
+}
+
+
+@pytest.mark.parametrize("command", list(UNWRITABLE_OUT_COMMANDS))
+@pytest.mark.parametrize("target,reason", [
+    ("missing-directory", "No such file or directory"), ("directory", "Is a directory"),
+])
+def test_unwritable_out_is_validation_error(command, target, reason, tmp_path, capsys):
+    path = tmp_path / "absent" / "x.json" if target == "missing-directory" else tmp_path
+    code, out, err = run_cli([*UNWRITABLE_OUT_COMMANDS[command], "--out", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot write output file {path}: {reason}\n"
+
+
 def test_missing_system_is_validation_error(capsys):
     code, _, err = run_cli(["enumerate", "--length-bound", "2"], capsys)
     assert code == 2
@@ -621,6 +642,17 @@ def test_check_refuses_w0_over_cap(system, element, capsys):
     assert perf_counter() - start < 1.0
     assert code == 3
     assert err == f"error: |W0| = {order} exceeds the cap 1000000\n"
+
+
+def test_bgx_refuses_w0_over_cap(capsys):
+    """W_x of v t^0 is nearly all of W0 and has no budget of its own, so bgx
+    keeps the |W0| refusal on E8 though it lists no W0."""
+    start = perf_counter()
+    code, out, err = run_cli(["bgx", "s1", "[0,0,0,0,0,0,0,0]", "--system", "E8"], capsys)
+    assert perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert err == "error: |W0| = 696729600 exceeds the cap 1000000\n"
 
 
 def test_check_refuses_more_than_256_roots(capsys):

@@ -49,7 +49,14 @@ from adlv.iwahori import (
     kottwitz,
 )
 from adlv.notation import format_affine, parse_affine, parse_finite, parse_sigma
-from adlv.weyl import DiagramAutomorphism, FiniteWeylElement, enumerate_w0, longest_element
+from adlv.weyl import (
+    DiagramAutomorphism,
+    FiniteWeylElement,
+    _intern,
+    embedding_order,
+    enumerate_w0,
+    longest_element,
+)
 
 
 def sid(system):
@@ -367,6 +374,55 @@ def test_bgx_formula_battery(a2):
 def test_bgx_formula_twisted(a3, a3_flip):
     result = audit.check_bgx_formula(a3, a3_flip, 4)
     assert result.passed, result.counterexample
+
+
+def test_bgx_on_e6_lists_no_w0():
+    """bgx reads W_x through the inversion-set walk over its closed-form root
+    set, so it interns fewer than |W0| elements and never walks all of Phi+."""
+    e6 = RootSystem.from_descriptor("E6")
+    bgx_cordial(FiniteWeylElement.simple(e6, 0), (1, 0, 0, 0, 0, 0), sid(e6),
+                with_points=False)
+    assert len(e6.memo[_intern]) < e6.weyl_order() == 51840
+    assert (embedding_order.__wrapped__, frozenset(e6.positive_roots)) not in e6.memo
+
+
+@pytest.mark.parametrize("descriptor,sigma_text", [
+    ("A2", "id"), ("G2", "id"), ("B3", "id"), ("C3", "id"), ("D4", "id"),
+    ("A2+A1", "id"), ("A3", "(1 3)"),
+])
+def test_bgx_root_set_is_the_strip_set(descriptor, sigma_text):
+    """Over every v and every dominant mu of translation length <= 4, the
+    root set S = {alpha > 0 : <alpha, mu> = 0, v(alpha) > 0} is Phi_x of
+    x = v t^mu; bgx's W_x is the W0 filter of the formula up to length 6."""
+    system = RootSystem.from_descriptor(descriptor)
+    sigma = parse_sigma(system, sigma_text)
+    for mu in audit._dominant_coweights(system, 4):
+        for v in enumerate_w0(system):
+            roots = frozenset(alpha for alpha in system.positive_roots
+                              if system.pair(alpha, mu) == 0 and sum(v.act_on_root(alpha)) > 0)
+            x = AffineElement.from_finite(v) * AffineElement.from_translation(system, mu)
+            assert roots == AlcoveProfile.build(x, sigma).phi_x, format_affine(x)
+    result = audit.check_bgx_formula(system, sigma, 6)
+    assert result.passed, result.counterexample
+
+
+def test_bgx_formula_check_reports_a_mismatch(a2, monkeypatch):
+    """A literal filter that loses a member of one W_x fails the check at that
+    (v, mu)."""
+    literal = audit._w_x_by_stabilizer
+    s1 = FiniteWeylElement.simple(a2, 0)
+
+    def losing(v, mu):
+        members = literal(v, mu)
+        if v == s1 and mu == (0, 1):
+            members -= {FiniteWeylElement.identity(a2)}
+        return members
+
+    monkeypatch.setattr(audit, "_w_x_by_stabilizer", losing)
+    result = audit.check_bgx_formula(a2, sid(a2), 6)
+    assert result.passed is False
+    assert result.detail == "formula set differs from the alcove set"
+    assert result.counterexample == {"v": "s1", "mu": [0, 1]}
 
 
 def test_enumerate_b_g_mu_zero(a2):

@@ -180,6 +180,25 @@ def test_only_weyl_knows_the_root_permutation_format():
                 assert not (node.value.id == "weyl" and node.attr in private), path.name
 
 
+def test_only_the_audit_lists_w0():
+    """W0 is listed only by ``weyl`` itself and the audit's references (the
+    package re-exports the name), and ``cartan`` imports nothing lazily."""
+    package = Path(audit.__file__).parent
+    for path in package.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        if path.name not in ("weyl.py", "audit.py", "__init__.py"):
+            names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+            names |= {alias.name for node in ast.walk(tree)
+                      if isinstance(node, ast.ImportFrom) for alias in node.names}
+            assert "enumerate_w0" not in names, path.name
+        if path.name == "cartan.py":
+            assert not [node for function in ast.walk(tree)
+                        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        for node in ast.walk(function)
+                        if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
 def test_apply_sigma_examples(a3, a3_flip):
     identity_sigma = DiagramAutomorphism.identity(a3)
     s1 = FiniteWeylElement.simple(a3, 0)

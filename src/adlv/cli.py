@@ -24,7 +24,6 @@ from itertools import islice, zip_longest
 from typing import Callable
 
 from .alcove import AlcoveProfile, walk_profiles
-from .cartan import per_system
 from .criterion import (
     Verdict,
     bgx_cordial,
@@ -152,13 +151,8 @@ def _indices_1based(indices) -> list[int]:
 
 
 def _kappa_str(kappa: KottwitzClass) -> str:
-    return _kappa_text(kappa.system, kappa.rep)
-
-
-@per_system
-def _kappa_text(system, rep) -> str:
-    """The text of a class representative, kept per class in the system's memo."""
-    return ";".join(format_fraction(c) for c in rep)
+    # the representatives lie in [0, 1), where str is format_fraction
+    return ";".join(map(str, kappa.rep))
 
 
 def _witnesses_json(witnesses: dict) -> dict:

@@ -34,7 +34,6 @@ from .alcove import AlcoveProfile, base_k, dominant_decompose
 from .cartan import RootSystem, per_system
 from .errors import AdlvError, InternalCheckError
 from .iwahori import (
-    ENUM_CAP_DEFAULT,
     AffineElement,
     AffineSimple,
     AffineSupport,
@@ -137,14 +136,12 @@ def decide_nonempty(
     ]
     if not active:
         return Verdict(True, RULE_SHORTCUT, {"affine_support": tuple(sorted(letters))})
-    checked = []
     for r in profile.w_x_sorted:
         j_set = profile.j_rx(r)
         for finite in active:
             if not finite <= j_set:
                 return Verdict(False, RULE_CRITERION, {"r": r, "j_rx": j_set})
-        checked.append(r)
-    return Verdict(True, RULE_CRITERION, {"checked_r": tuple(checked)})
+    return Verdict(True, RULE_CRITERION, {"checked_r": profile.w_x_sorted})
 
 
 # -- the (J, w)-alcove oracle -----------------------------------------------------
@@ -405,7 +402,6 @@ def enumerate_b_g_mu(
     mu,
     sigma: DiagramAutomorphism,
     length_cap: int | None = None,
-    cap: int = ENUM_CAP_DEFAULT,
 ) -> tuple[SigmaConjClassPoint, ...]:
     """Distinct class points with matching invariant and Newton point below the
     sigma-average of mu, collected from a length-capped scan of the group.
@@ -420,7 +416,7 @@ def enumerate_b_g_mu(
     target_kappa = KottwitzClass.from_translation(system, mu).coinvariant(sigma)
     average = sigma_average(system, mu, sigma)
     points: set[SigmaConjClassPoint] = set()
-    for y in enumerate_affine(system, length_cap, cap):
+    for y in enumerate_affine(system, length_cap):
         if kottwitz(y).coinvariant(sigma) != target_kappa:
             continue
         point = class_point(y, sigma)
@@ -436,9 +432,7 @@ def enumerate_b_g_mu(
 @dataclass(frozen=True)
 class BgxReport:
     x: AffineElement
-    w_x_formula: frozenset[FiniteWeylElement]
-    w_x_alcove: frozenset[FiniteWeylElement]
-    w_x_sorted: tuple[FiniteWeylElement, ...]  # W_x (both sets are equal) in sort_key order
+    w_x_sorted: tuple[FiniteWeylElement, ...]  # W_x in sort_key order
     support_tests: tuple[tuple[FiniteWeylElement, frozenset[int], bool], ...]
     all_full: bool
     mu_central: bool
@@ -487,8 +481,8 @@ def bgx_cordial(
             cap_stable = points == enumerate_b_g_mu(system, mu, sigma, 2 * length_cap)
     else:
         conclusion = "undetermined"
-    return BgxReport(x, profile.w_x, profile.w_x, profile.w_x_sorted, tuple(tests), all_full,
-                     central, conclusion, points, cap_stable)
+    return BgxReport(x, profile.w_x_sorted, tuple(tests), all_full, central, conclusion,
+                     points, cap_stable)
 
 
 # -- defect and dimension formulas --------------------------------------------------

@@ -179,21 +179,8 @@ class KottwitzClass:
             for (_, d, residues), a, b in zip(_class_map(self.system), self.rep, other.rep)
         ))
 
-    def __neg__(self) -> "KottwitzClass":
-        return KottwitzClass(self.system, tuple(
-            residues[-a.numerator * (d // a.denominator) % d]
-            for (_, d, residues), a in zip(_class_map(self.system), self.rep)
-        ))
-
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.rep)
-
-    def sigma_image(self, sigma: DiagramAutomorphism) -> "KottwitzClass":
-        # sigma permutes the simple coroots, hence the coroot coordinates
-        out = [Fraction(0)] * len(self.rep)
-        for i, c in enumerate(self.rep):
-            out[sigma.index(i)] = c
-        return KottwitzClass(self.system, tuple(out))
 
     def same_coinvariant(self, other: "KottwitzClass", sigma: DiagramAutomorphism) -> bool:
         """Whether the two classes agree modulo the (1 - sigma) subgroup."""
@@ -254,9 +241,11 @@ def kottwitz_group(system: RootSystem) -> tuple[KottwitzClass, ...]:
 def _coinvariant_denominator(
     system: RootSystem, sigma: DiagramAutomorphism
 ) -> tuple[tuple[Fraction, ...], ...]:
-    """The subgroup {g - sigma(g)} of the quotient, as a tuple of representatives."""
-    group = kottwitz_group(system)
-    generators = [g + (-(g.sigma_image(sigma))) for g in group]
+    """The subgroup {g - sigma(g)} of the quotient, as sorted representatives: the
+    omega_i^v generate the quotient, so the omega_i^v - sigma(omega_i^v) generate it."""
+    generators = [KottwitzClass.from_translation(system, tuple(
+        int(j == i) - int(j == sigma.index(i)) for j in range(system.rank)))
+        for i in range(system.rank)]
     return tuple(sorted(k.rep for k in _generated_subgroup(system, generators)))
 
 
@@ -288,11 +277,6 @@ def make_dominant(system: RootSystem, mu) -> tuple[tuple, FiniteWeylElement]:
 class NewtonPoint:
     vector: tuple[Fraction, ...]
     dominant: tuple[Fraction, ...]
-
-    @classmethod
-    def zero(cls, system: RootSystem) -> "NewtonPoint":
-        zero = (Fraction(0),) * system.rank
-        return cls(zero, zero)
 
     def is_central(self) -> bool:
         return all(c == 0 for c in self.dominant)

@@ -23,10 +23,11 @@ from adlv import audit
 from adlv.cartan import RootSystem
 from adlv.cli import main as cli_main
 from adlv.errors import InternalCheckError, NotationError
-from adlv.iwahori import enumerate_affine, kottwitz, omega_elements
+from adlv.iwahori import enumerate_affine, kottwitz, kottwitz_group, omega_elements
 from adlv.notation import (
     format_affine,
     format_finite,
+    format_fraction,
     format_sigma,
     parse_affine,
     parse_finite,
@@ -122,6 +123,13 @@ def test_parse_kappa(a2):
     assert not kappa.is_zero()
     with pytest.raises(NotationError):
         parse_kappa(a2, "[1]")
+
+
+@pytest.mark.parametrize("descriptor", ["A1", "A3", "B3", "D4", "E6", "G2", "A2+A2"])
+def test_class_text_is_format_fraction_of_each_coordinate(descriptor):
+    """Class representatives lie in [0, 1), so str writes them as format_fraction does."""
+    for k in kottwitz_group(RootSystem.from_descriptor(descriptor)):
+        assert adlv.cli._kappa_str(k) == ";".join(format_fraction(c) for c in k.rep)
 
 
 # -- geometric alcove-walk oracle ----------------------------------------------------

@@ -114,6 +114,16 @@ def test_deep_shrunken_full_eta_nonempty(a2):
     assert oracle.nonempty
 
 
+def test_nonempty_witness_is_the_profile_w_x(a2):
+    """A nonempty criterion verdict lists every r it checked: W_x itself, not a copy."""
+    x = parse_affine(a2, "t[0,1] s1 s2")
+    profile = AlcoveProfile.build(x, sid(a2))
+    verdict = decide_nonempty(x, kottwitz(x), sid(a2), profile)
+    assert verdict.nonempty and verdict.rule == RULE_CRITERION
+    assert len(profile.w_x_sorted) == 2
+    assert verdict.witnesses["checked_r"] is profile.w_x_sorted
+
+
 @settings(max_examples=25)
 @given(st.sampled_from([("A2", "id"), ("G2", "id"), ("B3", "id"), ("A3", "(1 3)")]),
        st.data())
@@ -348,12 +358,12 @@ def test_bgx_central_mu(a2):
 def test_bgx_regular_mu_trivial_stabilizer(a2):
     report = bgx_cordial(FiniteWeylElement.identity(a2), (1, 1), sid(a2),
                          with_points=False)
-    assert report.w_x_formula == {FiniteWeylElement.identity(a2)}
+    assert report.w_x_sorted == (FiniteWeylElement.identity(a2),)
 
 
 def test_bgx_w0_fundamental(a2):
     report = bgx_cordial(longest_element(a2), (1, 0), sid(a2))
-    assert report.w_x_formula == report.w_x_alcove == {FiniteWeylElement.identity(a2)}
+    assert report.w_x_sorted == (FiniteWeylElement.identity(a2),)
     assert report.all_full
     assert report.conclusion == "equals-b-g-mu"
     assert report.cap_stable

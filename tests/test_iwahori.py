@@ -10,6 +10,7 @@ from adlv import audit
 from adlv.cartan import RootSystem
 from adlv.iwahori import (
     AffineElement,
+    _coinvariant_denominator,
     _im_length,
     KottwitzClass,
     affine_sigma_support,
@@ -319,8 +320,8 @@ def test_constructor_rejects_a_rational_translation(a2):
 ])
 def test_integer_newton_and_class_sums_match_rational_routes(descriptor, sigma_text, bound):
     """The dominant Newton point found in integers equals make_dominant on the
-    rational vector; the integer class sums and negations equal the Fraction
-    sums mod 1, with Fraction representatives."""
+    rational vector; the integer class sums equal the Fraction sums mod 1,
+    with Fraction representatives."""
     system = RootSystem.from_descriptor(descriptor)
     sigma = parse_sigma(system, sigma_text)
     group = kottwitz_group(system)
@@ -329,11 +330,30 @@ def test_integer_newton_and_class_sums_match_rational_routes(descriptor, sigma_t
         assert point.dominant == audit._newton_dominant_by_fractions(system, point.vector)
         assert all(type(c) is Fraction for c in point.vector + point.dominant)
         kx = kottwitz(x)
-        assert -kx == audit._class_negation_by_mod1(kx)
         for g in group:
             total = kx + g
             assert total == audit._class_sum_by_mod1(kx, g)
             assert all(type(c) is Fraction for c in total.rep)
+
+
+@pytest.mark.parametrize("descriptor, sigma_text", [
+    ("A3", "(1 3)"), ("A5", "(1 5)(2 4)"), ("D4", "(1 3 4)"), ("D4", "(3 4)"),
+    ("D5", "(4 5)"), ("E6", "(1 6)(3 5)"), ("A2+A2", "(1 3)(2 4)"),
+    ("A3", "id"), ("A5", "id"), ("D4", "id"), ("D5", "id"), ("E6", "id"), ("A2+A2", "id"),
+])
+def test_coinvariant_subgroup_is_the_image_of_one_minus_sigma(descriptor, sigma_text):
+    """The closure of the classes of omega_i^v - sigma(omega_i^v) is {g - sigma(g)},
+    with g - sigma(g) taken on the rational coroot coordinates mod 1 (sigma
+    permutes the coroot coordinates as it permutes the simple indices)."""
+    system = RootSystem.from_descriptor(descriptor)
+    sigma = parse_sigma(system, sigma_text)
+    image = set()
+    for g in kottwitz_group(system):
+        moved = [Fraction(0)] * system.rank
+        for i, c in enumerate(g.rep):
+            moved[sigma.index(i)] = c
+        image.add(tuple((a - b) % 1 for a, b in zip(g.rep, moved)))
+    assert _coinvariant_denominator(system, sigma) == tuple(sorted(image))
 
 
 def enumerate_by_full_count(system, bound):

@@ -1,7 +1,8 @@
 """Small exact linear algebra: products, inverses, affine solves, feasibility.
 
 Everything here works on tuples of tuples with int/Fraction entries and stays
-exact: products of integer matrices stay in integers, the solvers work over
+exact: products of integer matrices stay in integers, as does the elimination
+of ``invert_integer`` up to its last step; the other solvers work over
 Fraction.  Sizes are tiny (matrices up to the root-system
 rank), so plain Gaussian elimination is the right tool.
 """
@@ -50,6 +51,31 @@ def invert(matrix) -> Matrix:
                 factor = aug[r][col]
                 aug[r] = [entry - factor * lead for entry, lead in zip(aug[r], aug[col])]
     return tuple(tuple(row[n:]) for row in aug)
+
+
+def invert_integer(matrix) -> Matrix:
+    """Exact inverse of an integer matrix by fraction-free (Bareiss)
+    Gauss-Jordan elimination: each division is exact, so the rows stay
+    integers, and the last pivot d is the determinant up to sign, with d times
+    the inverse on the right.  One Fraction per entry at the end; raises
+    ValueError if singular."""
+    n = len(matrix)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
+    previous = 1
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col]), None)
+        if pivot is None:
+            raise ValueError("singular matrix")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        lead = aug[col]
+        p = lead[col]
+        for r in range(n):
+            if r != col:
+                factor = aug[r][col]
+                aug[r] = [(p * entry - factor * top) // previous
+                          for entry, top in zip(aug[r], lead)]
+        previous = p
+    return tuple(tuple(Fraction(entry, previous) for entry in row[n:]) for row in aug)
 
 
 def solve_affine(matrix, rhs) -> tuple[Vector, tuple[Vector, ...]] | None:

@@ -11,7 +11,8 @@ order), for the positive roots only, as k(-a, x) = -1 - k(a, x); the strips,
 Phi_x and the roots below the base alcove are read off those numbers.
 W_x is the set of r with inversion set N(r) inside Phi_x, so it depends on
 Phi_x alone: ``weyl.embedding_set`` grows it, and ``weyl.embedding_order``
-sorts it, once per (system, Phi_x), kept in the system's memo.
+sorts it, once per (system, Phi_x), kept in the system's memo; where
+Phi_x is all of Phi+, W_x is W0, whose size is known without listing it.
 
 ``AlcoveProfile.build`` computes a profile in closed form from x alone.
 ``walk_profiles`` instead carries each profile along the length walk
@@ -21,7 +22,8 @@ k-value (length counts separating hyperplanes).  A chamber wall (c = 0)
 turns v into s_beta v; any other wall keeps v and right-multiplies t^mu w
 by s.  The class is the class of the walk's root omega, and the affine
 sigma-support gains the index of omega s omega^{-1}, closed under the
-twisted action.  Only the length-zero roots are built in closed form.
+twisted action.  A length-zero root needs no closed form: omega(base) is
+the base alcove, so its profile is known outright.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from .iwahori import (
     affine_simples,
     kottwitz,
     make_dominant,
+    omega_conjugation,
     twisted_affine_action,
     walk_affine,
 )
@@ -182,6 +185,13 @@ class AlcoveProfile:
     def shrunken(self) -> bool:
         return not self.strips
 
+    @property
+    def w_x_size(self) -> int:
+        """|W_x|; where Phi_x is all of Phi+, W_x is W0 and is not listed."""
+        if len(self._strip_numbers) == len(self.k_numbers):
+            return self.system.weyl_order()
+        return len(self.w_x)
+
     @cached_property
     def w_x(self) -> frozenset[FiniteWeylElement]:
         """Elements r whose inversion set N(r) lies in phi_x: the embedding
@@ -200,20 +210,15 @@ def walk_profiles(system: RootSystem, sigma: DiagramAutomorphism, length_bound: 
                   cap: int = ENUM_CAP_DEFAULT):
     """The profile of every element of ``iwahori.walk_affine``, in its order.
 
-    A length-zero root gets ``AlcoveProfile.build``; every longer element
-    gets ``_crossed``, its parent's profile changed by the edge's wall.  The
-    state is the profiles of the current and the previous level, each with
-    its root omega's twisted action xi (s -> omega sigma(s) omega^{-1} on
-    the affine simple indices) and conjugation s -> omega s omega^{-1}, read
-    off xi: sigma sends s_i to s_sigma(i) and the affine node of a
-    component to that of its image.  The walk's edges are listed in full
-    first, so a cap is refused before any profile exists; each edge is
-    dropped once read.
+    A length-zero root gets ``_root``, its profile known outright; every
+    longer element gets ``_crossed``, its parent's profile changed by the
+    edge's wall.  The state is the profiles of the current and the previous
+    level, each with its root omega's conjugation s -> omega s omega^{-1}
+    and twisted action xi, s -> omega sigma(s) omega^{-1}, on the affine
+    simple indices.  The walk's edges are listed in full first, so a cap is
+    refused before any profile exists; each edge is dropped once read.
     """
     simples = affine_simples(system)
-    rank = system.rank
-    sigma_nodes = [sigma.index(i) for i in range(rank)] + [
-        rank + sigma.component_image(c) for c in range(len(system.components))]
     previous: list = []
     current: list = []
     length = 0
@@ -224,16 +229,26 @@ def walk_profiles(system: RootSystem, sigma: DiagramAutomorphism, length_bound: 
             previous, current, length = current, [], edge.x.length
         if edge.parent is None:
             xi = twisted_affine_action(system, sigma, edge.x)
-            conjugation = [0] * len(xi)
-            for node, image in zip(sigma_nodes, xi):
-                conjugation[node] = image
-            entry = (AlcoveProfile.build(edge.x, sigma), conjugation, xi)
+            entry = (_root(edge.x, sigma, xi), omega_conjugation(system, edge.x), xi)
         else:
             parent, conjugation, xi = previous[edge.parent]
             entry = (_crossed(parent, edge, simples[edge.node].element,
                               conjugation[edge.node], xi), conjugation, xi)
         current.append(entry)
         yield entry[0]
+
+
+def _root(omega: AffineElement, sigma: DiagramAutomorphism,
+          xi: tuple[int, ...]) -> AlcoveProfile:
+    """The profile of a length-zero element omega: omega(base) is the base
+    alcove, so v = e, mu and w are omega's own parts, every k-value is 0
+    (Phi_x is all of Phi+) and the affine sigma-support is empty."""
+    system = omega.system
+    profile = AlcoveProfile(omega, sigma, DominantDecomposition(
+        FiniteWeylElement.identity(system), omega.translation, omega.finite))
+    profile.__dict__.update(kappa=kottwitz(omega), affine_support=AffineSupport.closed((), xi),
+                            k_numbers=(0,) * len(system.positive_roots))
+    return profile
 
 
 def _crossed(parent: AlcoveProfile, edge: Edge, s: AffineElement, letter: int,

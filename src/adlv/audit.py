@@ -44,6 +44,7 @@ from .iwahori import (
     AffineElement,
     AffineSupport,
     KottwitzClass,
+    _class_map,
     _mod1,
     affine_sigma_support,
     affine_simples,
@@ -96,9 +97,14 @@ def _floor(value) -> int:
 
 
 def check_inverse_cartan_positive(systems: list[RootSystem]) -> CheckResult:
+    """Positivity of the inverse Cartan blocks; also the fraction-free
+    inverse against Gauss-Jordan elimination over Fraction."""
     cid = "inverse-cartan-positive"
     count = 0
     for system in systems:
+        if system.inverse_cartan != _linalg.invert(system.cartan_matrix):
+            return _fail(cid, f"integer inverse differs from the Fraction inverse in "
+                              f"{system.type_label}", {"system": system.type_label})
         for comp in system.components:
             for i in comp.indices:
                 for j in comp.indices:
@@ -355,15 +361,23 @@ def _product_by_matrix(u: FiniteWeylElement, v: FiniteWeylElement) -> FiniteWeyl
         for img in v.images))
 
 
+def _class_of_coordinates(system: RootSystem, coords) -> KottwitzClass:
+    """The class with these rational coroot coordinates mod 1: residue i is
+    coordinate i mod 1 times its component's denominator, exactly."""
+    residues = [_mod1(c) * d for c, (_, d, _) in zip(coords, _class_map(system))]
+    if any(r.denominator != 1 for r in residues):
+        raise InternalCheckError("a coroot coordinate is finer than its class denominator")
+    return KottwitzClass(system, tuple(map(int, residues)))
+
+
 def _class_by_coroot_coordinates(x: AffineElement) -> KottwitzClass:
     """Reference for the integer class map: rational coroot coordinates mod 1."""
-    coords = x.system.coroot_coordinates(x.translation)
-    return KottwitzClass(x.system, tuple(_mod1(c) for c in coords))
+    return _class_of_coordinates(x.system, x.system.coroot_coordinates(x.translation))
 
 
 def _class_sum_by_mod1(a: KottwitzClass, b: KottwitzClass) -> KottwitzClass:
     """Reference for the integer class sum: add the rational representatives mod 1."""
-    return KottwitzClass(a.system, tuple(_mod1(p + q) for p, q in zip(a.rep, b.rep)))
+    return _class_of_coordinates(a.system, tuple(p + q for p, q in zip(a.rep, b.rep)))
 
 
 def _newton_dominant_by_fractions(system: RootSystem, vector) -> tuple[Fraction, ...]:
@@ -397,6 +411,18 @@ def _omega_elements_by_sweep(system: RootSystem) -> tuple[AffineElement, ...]:
                 out.append(candidate)
     out.sort(key=lambda el: kottwitz(el).rep)
     return tuple(out)
+
+
+def _twisted_affine_action_by_products(system: RootSystem, sigma: DiagramAutomorphism,
+                                       omega: AffineElement) -> tuple[int, ...]:
+    """Reference for the twisted action read off the affine roots: conjugate
+    sigma(s) by omega with group products and look the result up among the
+    affine simples (None for a conjugate that is not simple)."""
+    simples = affine_simples(system)
+    lookup = {s.element.key(): s.index for s in simples}
+    omega_inv = omega.inverse()
+    return tuple(lookup.get((omega * apply_sigma_affine(sigma, s.element) * omega_inv).key())
+                 for s in simples)
 
 
 def _affine_sigma_support_by_descent(x: AffineElement,
@@ -502,10 +528,16 @@ def check_shortcut_precondition_central(system: RootSystem,
 def check_affine_support_fixed_point(system: RootSystem,
                                      sigma: DiagramAutomorphism,
                                      bound: int = 6) -> CheckResult:
-    """The closed-form support against the descent loop and the walked
-    profile's class and support against the closed forms; then finite support
-    against the fixed-point test."""
+    """The twisted action on the affine simples against group products, the
+    closed-form support against the descent loop and the walked profile's
+    class and support against the closed forms; then finite support against
+    the fixed-point test."""
     cid = "affine-support-fixed-point"
+    for omega in omega_elements(system):
+        if twisted_affine_action(system, sigma, omega) != _twisted_affine_action_by_products(
+                system, sigma, omega):
+            return _fail(cid, "twisted action on the affine roots differs from the products",
+                         {"omega": format_affine(omega)})
     for walked in walk_profiles(system, sigma, bound):
         x = walked.x
         kappa = kottwitz(x)
@@ -625,6 +657,9 @@ def w_x_set_bruteforce(system: RootSystem, phi_x: frozenset[Root]) -> frozenset[
 
 
 def check_wx_structure(system: RootSystem, bound: int) -> CheckResult:
+    """W_x against the W0 filter and its structure; |W_x| as reported
+    against the listed set, which for x in Omega compares |W0| with the walk
+    over all of Phi+."""
     cid = "wx-structure"
     sid = DiagramAutomorphism.identity(system)
     identity = FiniteWeylElement.identity(system)
@@ -634,6 +669,9 @@ def check_wx_structure(system: RootSystem, bound: int) -> CheckResult:
         if profile.w_x != w_x_set_bruteforce(system, profile.phi_x):
             return _fail(cid, "breadth-first set differs from the brute-force filter",
                          {"x": format_affine(x)})
+        if profile.w_x_size != len(profile.w_x):
+            return _fail(cid, "|W_x| differs from the size of the listed set",
+                         {"x": format_affine(x), "size": profile.w_x_size})
         for w in profile.w_x:
             for i in range(system.rank):
                 s = FiniteWeylElement.simple(system, i)

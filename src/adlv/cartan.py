@@ -169,7 +169,8 @@ class RootSystem:
                 for j in range(comp.rank):
                     cartan[comp.start + i][comp.start + j] = block[i][j]
         self.cartan_matrix: tuple[tuple[int, ...], ...] = tuple(tuple(r) for r in cartan)
-        self.inverse_cartan: tuple[tuple[Fraction, ...], ...] = _linalg.invert(self.cartan_matrix)
+        self.inverse_cartan: tuple[tuple[Fraction, ...], ...] = _linalg.invert_integer(
+            self.cartan_matrix)
 
         pos: list[Root] = []
         for comp, block in zip(self.components, blocks):
@@ -253,31 +254,29 @@ class RootSystem:
     def is_dominant(self, mu) -> bool:
         return all(c >= 0 if type(c) is int else Fraction(c) >= 0 for c in mu)
 
-    def coroot_of(self, root: Root) -> tuple[Fraction, ...]:
-        """The coroot root^v = 2*root/(root,root) in fundamental-coweight coordinates."""
-        d = self._symmetrizer()
-        gram_row = [
-            sum(Fraction(root[i]) * d[i] * self.cartan_matrix[i][j] for i in range(self.rank))
-            for j in range(self.rank)
-        ]
-        norm = sum(gram_row[j] * root[j] for j in range(self.rank))
-        if norm == 0:
+    def coroot_of(self, root: Root) -> tuple[int, ...]:
+        """The coroot root^v = 2*root/(root,root) in fundamental-coweight
+        coordinates <alpha_j, root^v>, integers, by the invariant form (x, y) =
+        sum_ij x_i d_i cartan[i][j] y_j.  The symmetrizer d is found by graph
+        propagation, d_j = d_i cartan[i][j] / cartan[j][i]; squared root
+        lengths within a component differ by a factor 1, 2 or 3, so starting
+        each component at 6 keeps it integral."""
+        if tuple(root) not in self._root_set:
             raise ValueError(f"{root} is not a root")
-        return tuple(2 * gram_row[j] / norm for j in range(self.rank))
-
-    def _symmetrizer(self) -> tuple[Fraction, ...]:
-        """d with d_i * cartan[i][j] symmetric, positive; found by graph propagation."""
-        d = [Fraction(0)] * self.rank
+        d = [0] * self.rank
         for comp in self.components:
-            d[comp.start] = Fraction(1)
+            d[comp.start] = 6
             pending = [comp.start]
             while pending:
                 i = pending.pop()
                 for j in comp.indices:
                     if d[j] == 0 and self.cartan_matrix[i][j] != 0:
-                        d[j] = d[i] * self.cartan_matrix[i][j] / self.cartan_matrix[j][i]
+                        d[j] = d[i] * self.cartan_matrix[i][j] // self.cartan_matrix[j][i]
                         pending.append(j)
-        return tuple(d)
+        gram_row = [sum(root[i] * d[i] * self.cartan_matrix[i][j] for i in range(self.rank))
+                    for j in range(self.rank)]
+        norm = sum(g * c for g, c in zip(gram_row, root))
+        return tuple(2 * g // norm for g in gram_row)
 
     # -- base alcove geometry --------------------------------------------------
 

@@ -250,7 +250,7 @@ def _row(kappa_b: KottwitzClass | None, profile: AlcoveProfile) -> dict:
         "shrunken": profile.shrunken,
         "strips": ";".join(",".join(map(str, a)) for a in profile.strips),
         "phi_x": ";".join(",".join(map(str, a)) for a in sorted(profile.phi_x)),
-        "wx_size": len(profile.w_x),
+        "wx_size": profile.w_x_size,
         "nonempty": verdict.nonempty,
         "rule": verdict.rule,
         "witness": _witness_brief(verdict),

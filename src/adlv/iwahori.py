@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import product
 from math import lcm
 from operator import add, mul
@@ -151,36 +151,42 @@ def _mod1(value: Fraction) -> Fraction:
 
 @dataclass(frozen=True)
 class KottwitzClass:
-    """An element of the coweight-mod-coroot quotient, by fractional coroot coordinates."""
+    """An element of the coweight-mod-coroot quotient, by its coroot
+    coordinates mod 1: coordinate i is r_i / d, with r_i = ``residues[i]`` and
+    d its component's denominator.  Classes are equal, hashed and sorted on
+    the residues, which orders them as their coordinates in [0, 1)."""
 
     system: RootSystem
-    rep: tuple[Fraction, ...]
+    residues: tuple[int, ...]
 
     @classmethod
     def from_translation(cls, system: RootSystem, mu) -> "KottwitzClass":
         """Coroot coordinates of mu mod 1, in integers: per component, d * C^{-1}
-        is an integer matrix, so coordinate i is (column i . mu mod d) / d."""
+        is an integer matrix, so residue i is column i . mu mod d."""
         mu = _as_int_tuple(mu)
         return cls(system, tuple(
-            residues[sum(a * mu[j] for j, a in column) % d]
-            for column, d, residues in _class_map(system)
+            sum(a * mu[j] for j, a in column) % d for column, d, _ in _class_map(system)
         ))
 
     @classmethod
     def zero(cls, system: RootSystem) -> "KottwitzClass":
-        return cls(system, (Fraction(0),) * system.rank)
+        return cls(system, (0,) * system.rank)
+
+    @cached_property
+    def rep(self) -> tuple[Fraction, ...]:
+        """The coroot coordinates in [0, 1), as Fractions r_i / d; made once
+        per class, which every profile of a walk tree shares."""
+        return tuple(fractions[r] for (_, _, fractions), r
+                     in zip(_class_map(self.system), self.residues))
 
     def __add__(self, other: "KottwitzClass") -> "KottwitzClass":
-        """Coordinate i is r/d with d its component's denominator: add the
-        integer residues r mod d."""
         return KottwitzClass(self.system, tuple(
-            residues[(a.numerator * (d // a.denominator)
-                      + b.numerator * (d // b.denominator)) % d]
-            for (_, d, residues), a, b in zip(_class_map(self.system), self.rep, other.rep)
+            (a + b) % d
+            for (_, d, _), a, b in zip(_class_map(self.system), self.residues, other.residues)
         ))
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.rep)
+        return not any(self.residues)
 
     def same_coinvariant(self, other: "KottwitzClass", sigma: DiagramAutomorphism) -> bool:
         """Whether the two classes agree modulo the (1 - sigma) subgroup."""
@@ -196,15 +202,16 @@ class KottwitzClass:
 def _class_map(system: RootSystem):
     """Per coordinate i, in index order: the nonzero entries (j, d * C^{-1}[j][i])
     of column i of its component's inverse-Cartan block, the block's least
-    common denominator d, and the residues Fraction(r, d) for r < d."""
+    common denominator d, and the Fractions r/d for r < d, which
+    ``KottwitzClass.rep`` reads."""
     out = []
     for comp in system.components:
         block = [[system.inverse_cartan[j][i] for j in comp.indices] for i in comp.indices]
         d = lcm(*(c.denominator for column in block for c in column))
-        residues = tuple(Fraction(r, d) for r in range(d))
+        fractions = tuple(Fraction(r, d) for r in range(d))
         for column in block:
             entries = tuple((j, int(c * d)) for j, c in zip(comp.indices, column) if c)
-            out.append((entries, d, residues))
+            out.append((entries, d, fractions))
     return tuple(out)
 
 
@@ -234,7 +241,7 @@ def kottwitz_group(system: RootSystem) -> tuple[KottwitzClass, ...]:
         )
         for i in range(system.rank)
     ]
-    return tuple(sorted(_generated_subgroup(system, generators), key=lambda k: k.rep))
+    return tuple(sorted(_generated_subgroup(system, generators), key=lambda k: k.residues))
 
 
 @per_system
@@ -344,7 +351,7 @@ def omega_elements(system: RootSystem) -> tuple[AffineElement, ...]:
     only by |W0|.
     """
     require_w0_within_cap(system)
-    out = sorted(minuscule_omegas(system), key=lambda el: kottwitz(el).rep)
+    out = sorted(minuscule_omegas(system), key=lambda el: kottwitz(el).residues)
     if any(el.length for el in out) or len(out) != len(kottwitz_group(system)):
         raise InternalCheckError("base-alcove stabilizer does not match the class group")
     return tuple(out)
@@ -389,14 +396,10 @@ def affine_simples(system: RootSystem) -> tuple[AffineSimple, ...]:
     single = len(system.components) == 1
     for ci, theta in enumerate(system.highest_roots):
         theta_coroot = system.coroot_of(theta)
-        images = []
-        for j in range(system.rank):
-            alpha_j = tuple(1 if k == j else 0 for k in range(system.rank))
-            coeff = theta_coroot[j]
-            images.append(tuple(
-                int(alpha_j[k] - coeff * theta[k]) for k in range(system.rank)
-            ))
-        s_theta = FiniteWeylElement.from_images(system, tuple(images))
+        # s_theta(alpha_j) = alpha_j - <alpha_j, theta^v> theta
+        s_theta = FiniteWeylElement.from_images(system, tuple(
+            tuple(int(k == j) - c * t for k, t in enumerate(theta))
+            for j, c in enumerate(theta_coroot)))
         element = AffineElement(theta_coroot, s_theta)
         if element.length != 1:
             raise InternalCheckError("affine node reflection must have length 1")
@@ -406,22 +409,36 @@ def affine_simples(system: RootSystem) -> tuple[AffineSimple, ...]:
 
 
 @per_system
-def twisted_affine_action(
-    system: RootSystem, sigma: DiagramAutomorphism, omega: AffineElement
-) -> tuple[int, ...]:
-    """Permutation of the affine simple indices by conjugation-by-omega after sigma."""
-    simples = affine_simples(system)
-    lookup = {s.element.key(): s.index for s in simples}
-    omega_inv = omega.inverse()
+def omega_conjugation(system: RootSystem, omega: AffineElement) -> tuple[int, ...]:
+    """Permutation s -> omega s omega^{-1} of the affine simple indices, for
+    omega of length zero, read off the affine roots: s_i has (alpha_i, 0),
+    the function p -> <alpha_i, p>, and the affine node of a component
+    (-theta, 1).  omega = t^lam u sends (alpha, k) to (u alpha, k - <u alpha,
+    lam>) and permutes these roots, as it stabilizes the base alcove."""
+    roots, npos, rank = system.all_roots, len(system.positive_roots), system.rank
+    gradients = FiniteWeylElement.identity(system).key + bytes(
+        roots.index(theta) + npos for theta in system.highest_roots)
     out = []
-    for s in simples:
-        sigma_elt = apply_sigma_affine(sigma, s.element)
-        conjugated = omega * sigma_elt * omega_inv
-        target = lookup.get(conjugated.key())
-        if target is None:
+    for node, number in enumerate(act_on_numbers(omega.finite, gradients)):
+        target = gradients.find(number)
+        level = (node >= rank) - sum(map(mul, roots[number], omega.translation))
+        if target < 0 or level != (target >= rank):
             raise InternalCheckError("conjugate of an affine simple is not simple")
         out.append(target)
     return tuple(out)
+
+
+@per_system
+def twisted_affine_action(
+    system: RootSystem, sigma: DiagramAutomorphism, omega: AffineElement
+) -> tuple[int, ...]:
+    """Permutation s -> omega sigma(s) omega^{-1} of the affine simple
+    indices: sigma sends s_i to s_sigma(i) and the affine node of a component
+    to that of its image."""
+    conjugation, rank = omega_conjugation(system, omega), system.rank
+    return tuple(conjugation[sigma.index(node) if node < rank
+                             else rank + sigma.component_image(node - rank)]
+                 for node in range(len(conjugation)))
 
 
 @dataclass(frozen=True)

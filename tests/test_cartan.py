@@ -137,6 +137,45 @@ def test_coroot_of_matches_cartan_rows(b2):
         assert b2.coroot_of(alpha) == tuple(Fraction(c) for c in b2.cartan_matrix[i])
 
 
+_INTEGER_TABLE_SYSTEMS = (
+    [f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
+    + [f"C{n}" for n in range(2, 9)] + [f"D{n}" for n in range(4, 9)]
+    + ["E6", "E7", "E8", "F4", "G2", "A2+A1", "A2+A2"]
+)
+
+
+def coroot_by_descent(system, root):
+    """Reference coroot: reflect root down to a simple root alpha_i by simple
+    reflections that lower its height, so root = w(alpha_i) and root^v =
+    w(alpha_i^v), whose fundamental-coweight coordinates are cartan row i."""
+    w = FiniteWeylElement.identity(system)
+    while sum(root) > 1:
+        i = next(i for i in range(system.rank)
+                 if sum(system.cartan_matrix[i][j] * root[j] for j in range(system.rank)) > 0)
+        s_i = FiniteWeylElement.simple(system, i)
+        root, w = s_i.act_on_root(root), w * s_i
+    return w.act_on_coweight(system.cartan_matrix[root.index(1)])
+
+
+@pytest.mark.parametrize("descriptor", _INTEGER_TABLE_SYSTEMS)
+def test_integer_inverse_and_coroots_match_references(descriptor):
+    """The fraction-free inverse Cartan matrix equals Gauss-Jordan over
+    Fraction; every positive coroot, theta^v included, comes out in ints and
+    equals w(alpha_i^v) for root = w(alpha_i)."""
+    system = RootSystem.from_descriptor(descriptor)
+    assert system.inverse_cartan == _linalg.invert(system.cartan_matrix)
+    assert all(type(c) is Fraction for row in system.inverse_cartan for c in row)
+    for root in system.positive_roots:
+        coroot = system.coroot_of(root)
+        assert all(type(c) is int for c in coroot)
+        assert coroot == coroot_by_descent(system, root), root
+
+
+def test_integer_inverse_refuses_singular():
+    with pytest.raises(ValueError):
+        _linalg.invert_integer(((2, -1), (-4, 2)))
+
+
 def test_subset_predicates_examples(a2):
     positives = set(a2.positive_roots)
     props = subset_predicates(a2, positives)

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import hashlib
 import json
 import os
 import re
@@ -34,7 +35,7 @@ from adlv.notation import (
     parse_kappa,
     parse_sigma,
 )
-from adlv.weyl import DiagramAutomorphism, FiniteWeylElement
+from adlv.weyl import DiagramAutomorphism, FiniteWeylElement, _intern, embedding_order
 
 SCHEMA_PATH = Path(__file__).resolve().parents[1] / "src" / "adlv" / "schemas" / "adlv.schema.json"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -793,8 +794,9 @@ def test_importing_the_cli_leaves_the_audit_out():
     pytest.param(kappa_b, jobs, id=kappa_b + ("" if jobs == 1 else f"-jobs{jobs}"))
     for jobs in (1, 2) for kappa_b in ("zero", "match-x")])
 def test_enumerate_row_computes_class_and_support_once(kappa_b, jobs, monkeypatch, capsys):
-    """Every row's profile comes off the length walk, in each worker: the
-    closed forms run for the length-zero roots alone, once per worker."""
+    """Every row's profile comes off the length walk, in each worker: a
+    length-zero root's profile is known outright, so neither the closed-form
+    profile nor the closed-form support runs, roots included."""
     monkeypatch.setattr(adlv.cli.os, "cpu_count", lambda: jobs)
     monkeypatch.setattr(adlv.cli, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(_InlinePool, "created", [])
@@ -818,12 +820,10 @@ def test_enumerate_row_computes_class_and_support_once(kappa_b, jobs, monkeypatc
     assert len(elements) > 100
     roots = sorted(x.key() for x in elements if x.length == 0)
     assert len(roots) == 4
-    assert sorted(supports) == roots
-    assert set(supports.values()) == {jobs}
+    assert not supports
     # Omega is classified while it is built, and each root once more
     assert all(classes[x.key()] == 0 for x in elements if x.length > 0)
-    assert sorted(profiles) == roots
-    assert set(profiles.values()) == {jobs}
+    assert not profiles
 
 
 _AUDIT_ELEMENT_CHECKS = [
@@ -897,12 +897,44 @@ def test_python_dash_m_adlv():
 
 
 def test_enumerate_grows_w_x_once_per_phi_x(capsys):
-    """D4 L<=1 has 24 rows but only 6 distinct strip sets Phi_x."""
+    """D4 L<=1 has 24 rows but only 6 distinct strip sets Phi_x.  One of
+    them is all of Phi+, on the 4 length-zero rows, whose |W_x| is |W0|
+    and is not walked."""
     code, out, walked = run_cli_walks(["enumerate", "--system", "D4", "--length-bound", "1",
                                        "--jobs", "1"], capsys)
     assert code == 0
-    assert len(json.loads(out)["rows"]) == 24
-    assert len(walked) == len(set(walked)) == 6
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 24
+    assert [row["wx_size"] for row in rows if row["length"] == 0] == [192] * 4
+    assert len(walked) == len(set(walked)) == 5
+    assert len(RootSystem.from_descriptor("D4").positive_roots) not in map(len, walked)
+
+
+@pytest.mark.parametrize("text_format, sha256", [
+    ("csv", "51b09a99fcbf72a6403f649f129ad02dbf18a27d483b2275dbfd377fabb8e0ea"),
+    ("json", "7052dc59a8fea3824604538342bcf80e54f3cd2e52679734e3e29ea7a52ef5fa"),
+])
+def test_enumerate_e6_length_zero_lists_no_w0(text_format, sha256, monkeypatch, capsys):
+    """The 3 length-zero rows of E6 report |W_x| = |W0| = 51,840 without
+    listing W0: the command's fresh system interns fewer elements than that
+    and walks no inversion set over all of Phi+.  The output is pinned."""
+    built = []
+    original = RootSystem.__init__
+
+    def recording_init(self, components):
+        original(self, components)
+        built.append(self)
+
+    monkeypatch.setattr(RootSystem, "__init__", recording_init)
+    code, out, _ = run_cli(["enumerate", "--system", "E6", "--length-bound", "0",
+                            "--format", text_format], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+    (e6,) = built
+    assert len(e6.memo[_intern]) < e6.weyl_order() == 51840
+    everything = frozenset(e6.positive_roots)
+    for walk in (adlv.weyl.embedding_set, embedding_order):
+        assert (walk.__wrapped__, everything) not in e6.memo
 
 
 def run_cli_subprocess(args):

@@ -6,7 +6,7 @@ from time import perf_counter
 
 import pytest
 
-from adlv import audit
+from adlv import _linalg, audit
 from adlv.cartan import RootSystem
 from adlv.iwahori import (
     AffineElement,
@@ -25,6 +25,7 @@ from adlv.iwahori import (
     omega_component,
     omega_elements,
     omega_of_kottwitz,
+    twisted_affine_action,
 )
 from adlv.errors import CapExceeded
 from adlv.notation import parse_affine, parse_sigma
@@ -286,6 +287,44 @@ def test_omega_of_kottwitz_lookup(a2, b2):
     for system in (a2, b2):
         for omega in omega_elements(system):
             assert omega_of_kottwitz(system, kottwitz(omega)) is omega
+
+
+@pytest.mark.parametrize("descriptor, sigma_text", [
+    ("A2", "id"), ("A2", "(1 2)"), ("A3", "id"), ("A3", "(1 3)"), ("A4", "id"),
+    ("A4", "(1 4)(2 3)"), ("A5", "id"), ("A5", "(1 5)(2 4)"), ("D4", "id"), ("D4", "(3 4)"),
+    ("D4", "(1 3 4)"), ("D5", "(4 5)"), ("E6", "(1 6)(3 5)"), ("A2+A2", "(1 3)(2 4)"),
+])
+def test_twisted_action_matches_affine_products(descriptor, sigma_text):
+    """omega sigma(s) omega^{-1}, read off the affine roots, equals the
+    conjugate made with group products, for every omega."""
+    system = RootSystem.from_descriptor(descriptor)
+    sigma = parse_sigma(system, sigma_text)
+    for omega in omega_elements(system):
+        assert (twisted_affine_action(system, sigma, omega)
+                == audit._twisted_affine_action_by_products(system, sigma, omega))
+
+
+@pytest.mark.parametrize("descriptor, sigma_text", [
+    ("A2", "id"), ("A3", "(1 3)"), ("B3", "id"), ("C3", "id"), ("D4", "(1 3 4)"),
+    ("G2", "id"), ("F4", "id"), ("A2+A1", "id"), ("E6", "(1 6)(3 5)"),
+])
+def test_fresh_tables_make_no_fraction_inverse_and_no_products(descriptor, sigma_text,
+                                                               monkeypatch):
+    """A fresh system's tables come from integer elimination, with no
+    Gauss-Jordan over Fraction, and its twisted action from the affine roots,
+    with no group product."""
+    def refuse(*args):
+        raise AssertionError("a reference route ran")
+
+    monkeypatch.setattr(_linalg, "invert", refuse)
+    system = RootSystem.from_descriptor(descriptor)
+    sigma = parse_sigma(system, sigma_text)
+    affine_simples(system)
+    kottwitz_group(system)
+    omegas = omega_elements(system)
+    monkeypatch.setattr(AffineElement, "__mul__", refuse)
+    for omega in omegas:
+        twisted_affine_action(system, sigma, omega)
 
 
 def test_affine_simples_are_interned(a2, g2):

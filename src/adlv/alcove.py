@@ -10,9 +10,9 @@ The profile holds the k-values by root number (the index into
 order), for the positive roots only, as k(-a, x) = -1 - k(a, x); the strips,
 Phi_x and the roots below the base alcove are read off those numbers.
 W_x is the set of r with inversion set N(r) inside Phi_x, so it depends on
-Phi_x alone: ``weyl.embedding_set`` grows it, and ``weyl.embedding_order``
-sorts it, once per (system, Phi_x), kept in the system's memo; where
-Phi_x is all of Phi+, W_x is W0, whose size is known without listing it.
+Phi_x alone: ``weyl.embedding_order`` lists it in ``sort_key`` order, once
+per (system, Phi_x), kept in the system's memo; where Phi_x is all of
+Phi+, W_x is W0, whose size is known without listing it.
 
 ``AlcoveProfile.build`` computes a profile in closed form from x alone.
 ``walk_profiles`` instead carries each profile along the length walk
@@ -50,7 +50,7 @@ from .iwahori import (
     walk_affine,
 )
 from .weyl import (DiagramAutomorphism, FiniteWeylElement, act_on_numbers, embedding_order,
-                   embedding_set, positive_pairings, product_support)
+                   positive_pairings, product_support)
 
 
 def base_k(system: RootSystem, root: Root) -> int:
@@ -193,16 +193,10 @@ class AlcoveProfile:
         return len(self.w_x)
 
     @cached_property
-    def w_x(self) -> frozenset[FiniteWeylElement]:
-        """Elements r whose inversion set N(r) lies in phi_x: the embedding
-        set, shared by every element of the system with this phi_x."""
-        return embedding_set(self.system, self.phi_x)
-
-    @property
-    def w_x_sorted(self) -> tuple[FiniteWeylElement, ...]:
-        """W_x in ``sort_key`` order, sorted once per phi_x.  Reads ``w_x``
-        first, so the set is always grown (and timed) under that name."""
-        self.w_x
+    def w_x(self) -> tuple[FiniteWeylElement, ...]:
+        """Elements r whose inversion set N(r) lies in phi_x, in ``sort_key``
+        order: the embedding set, shared by every element of the system with
+        this phi_x."""
         return embedding_order(self.system, self.phi_x)
 
 

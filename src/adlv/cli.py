@@ -181,7 +181,7 @@ def profile_json(profile: AlcoveProfile) -> dict:
         "w": format_finite(profile.w),
         "eta": format_finite(profile.eta),
         "phi_x": [list(a) for a in sorted(profile.phi_x)],
-        "W_x": [format_finite(r) for r in profile.w_x_sorted],
+        "W_x": [format_finite(r) for r in profile.w_x],
         "shrunken": profile.shrunken,
         "strips": [list(a) for a in profile.strips],
     }

@@ -2,20 +2,22 @@
 
 Two independent deciders are provided and cross-checked:
 
-- ``decide_nonempty``: the sigma-support test over the embedding set W_x,
-  with the class-mismatch obstruction and the finite-affine-support
-  shortcut applied first (on a sigma-connected diagram the shortcut fires
-  exactly when the affine sigma-support is not full; reducible sums are
-  decided factor by factor);
+- ``decide_nonempty``: the sigma-support test over the embedding set W_x
+  (the profile's, in ``sort_key`` order), with the class-mismatch
+  obstruction and the finite-affine-support shortcut applied first (on a
+  sigma-connected diagram the shortcut fires exactly when the affine
+  sigma-support is not full; reducible sums are decided factor by factor);
 - ``oracle_nonempty``: the Levi-avoidance scan — x is nonempty iff it is
   not a (J, w)-alcove for any proper sigma-stable J (Görtz-He-Nie,
   "P-alcoves and nonemptiness of affine Deligne-Lusztig varieties", Ann.
   Sci. ENS 48, 2015) — asserted only when the affine sigma-support of x is
   full.  It scans the minimal coset representatives W^J of the maximal
-  proper sigma-stable J, skipping each J that the dimension of the space
-  fixed by x_fin sigma rules out, so a nonempty verdict never lists W0; its
-  ``pairs_scanned`` is the formula |W0| x (number of proper sigma-stable J).
-  The scan over all of W0 is kept as a reference in ``adlv.audit``.
+  proper sigma-stable J, which the inversion-set walk
+  ``weyl.embedding_order`` lists from the positive roots outside Phi_J+,
+  skipping each J that the dimension of the space fixed by x_fin sigma
+  rules out, so a nonempty verdict never lists W0; its ``pairs_scanned``
+  is the formula |W0| x (number of proper sigma-stable J).  The scan over
+  all of W0 is kept as a reference in ``adlv.audit``.
 
 Alongside: the generic-class set for cordial v*t^mu elements, bounded
 enumeration of the class set below a dominant coweight, the defect of a
@@ -136,12 +138,12 @@ def decide_nonempty(
     ]
     if not active:
         return Verdict(True, RULE_SHORTCUT, {"affine_support": tuple(sorted(letters))})
-    for r in profile.w_x_sorted:
+    for r in profile.w_x:
         j_set = profile.j_rx(r)
         for finite in active:
             if not finite <= j_set:
                 return Verdict(False, RULE_CRITERION, {"r": r, "j_rx": j_set})
-    return Verdict(True, RULE_CRITERION, {"checked_r": profile.w_x_sorted})
+    return Verdict(True, RULE_CRITERION, {"checked_r": profile.w_x})
 
 
 # -- the (J, w)-alcove oracle -----------------------------------------------------
@@ -203,16 +205,21 @@ def _twisted_support(profile: AlcoveProfile, w: FiniteWeylElement) -> int:
 
 @per_system
 def _scan_plan(system: RootSystem, sigma: DiagramAutomorphism
-               ) -> tuple[tuple[frozenset[int], int, int], ...]:
+               ) -> tuple[tuple[frozenset[int], int, int, frozenset], ...]:
     """Per proper sigma-stable J, in ``sigma_stable_subsets`` order: J, the
-    bitmask of the indices outside J and the number of sigma-orbits there
-    (one exactly for the maximal J)."""
+    bitmask of the indices outside J, the number of sigma-orbits there (one
+    exactly for the maximal J) and the positive roots outside Phi_J+, whose
+    ``embedding_order`` is W^J, the minimal representatives of the cosets
+    w W_J in ``sort_key`` order."""
     full = (1 << system.rank) - 1
+    supports = positive_root_supports(system)
     plan = []
     for j_set in sigma_stable_subsets(system, sigma, True):
         outside = full & ~sum(1 << i for i in j_set)
         orbits = {sigma.orbit(i) for i in range(system.rank) if outside >> i & 1}
-        plan.append((j_set, outside, len(orbits)))
+        roots = frozenset(alpha for alpha, mask in zip(system.positive_roots, supports)
+                          if mask & outside)
+        plan.append((j_set, outside, len(orbits), roots))
     return tuple(plan)
 
 
@@ -222,16 +229,6 @@ def _fixed_dimension(system: RootSystem, sigma: DiagramAutomorphism,
     """dim of the coweights fixed by x_fin sigma, a sigma-conjugacy invariant
     of x_fin."""
     return _linalg.fixed_space_dimension(_linalg.mat_mul(weyl_matrix(x_fin), sigma.matrix()))
-
-
-@per_system
-def coset_representatives(system: RootSystem, j_set: frozenset[int]
-                          ) -> tuple[FiniteWeylElement, ...]:
-    """W^J, the minimal representatives of the cosets w W_J, in ``sort_key``
-    order: the elements whose inversion set avoids Phi_J+."""
-    return embedding_order(system, frozenset(
-        alpha for alpha in system.positive_roots
-        if any(c for i, c in enumerate(alpha) if i not in j_set)))
 
 
 def oracle_nonempty(
@@ -288,8 +285,8 @@ def _oracle_scan(profile: AlcoveProfile) -> Verdict:
     violated: dict[bytes, int] = {}  # per w, the two parts of T(w)
     twisted: dict[bytes, int] = {}
 
-    def first_admitted(j_set: frozenset[int], outside: int) -> FiniteWeylElement | None:
-        for w in coset_representatives(system, j_set):
+    def first_admitted(outside: int, roots: frozenset) -> FiniteWeylElement | None:
+        for w in embedding_order(system, roots):
             letters = violated.get(w.key)
             if letters is None:
                 letters = violated[w.key] = _violated_supports(profile, w)
@@ -302,16 +299,16 @@ def _oracle_scan(profile: AlcoveProfile) -> Verdict:
                 return w
         return None
 
-    plan = [(j_set, outside, orbits) for j_set, outside, orbits in _scan_plan(system, sigma)
-            if orbits <= fixed]
-    admitting = [j_set for j_set, outside, orbits in plan
-                 if orbits == 1 and first_admitted(j_set, outside)]
+    plan = [(j_set, outside, orbits, roots)
+            for j_set, outside, orbits, roots in _scan_plan(system, sigma) if orbits <= fixed]
+    admitting = [j_set for j_set, outside, orbits, roots in plan
+                 if orbits == 1 and first_admitted(outside, roots)]
     if not admitting:
         pairs = system.weyl_order() * len(sigma_stable_subsets(system, sigma, True))
         return Verdict(True, RULE_ORACLE, {"pairs_scanned": pairs})
-    for j_set, outside, _ in plan:
+    for j_set, outside, _, roots in plan:
         if any(j_set <= m for m in admitting):
-            w = first_admitted(j_set, outside)
+            w = first_admitted(outside, roots)
             if w is not None:
                 return Verdict(False, RULE_ORACLE, {"j": j_set, "w": w})
     raise InternalCheckError("a maximal J admits a w but no J in the scan does")
@@ -319,8 +316,10 @@ def _oracle_scan(profile: AlcoveProfile) -> Verdict:
 
 def j_rx(profile: AlcoveProfile, r: FiniteWeylElement) -> frozenset[int]:
     """J_{r,x} for r in W_x; x is then a (J, v_x r^{-1})-alcove for this J
-    (enforced as a postcondition)."""
-    if r not in profile.w_x:
+    (enforced as a postcondition).  Membership is the closed form
+    N(r) ⊆ Phi_x: r keeps every positive root outside Phi_x positive."""
+    if any(sum(image) < 0 and alpha not in profile.phi_x
+           for alpha, image in zip(profile.system.positive_roots, r.positive_images())):
         raise ValueError("r is not in the embedding set W_x")
     j_set = profile.j_rx(r)
     if not is_jw_alcove(profile, j_set, profile.v * r.inverse()):
@@ -462,7 +461,7 @@ def bgx_cordial(
         raise InternalCheckError("stabilizer formula disagrees with the alcove computation")
     full = frozenset(range(system.rank))
     tests = []
-    for r in profile.w_x_sorted:
+    for r in profile.w_x:
         j_set = profile.j_rx(r)
         tests.append((r, j_set, j_set == full))
     all_full = all(ok for _, _, ok in tests)
@@ -481,7 +480,7 @@ def bgx_cordial(
             cap_stable = points == enumerate_b_g_mu(system, mu, sigma, 2 * length_cap)
     else:
         conclusion = "undetermined"
-    return BgxReport(x, profile.w_x_sorted, tuple(tests), all_full, central, conclusion,
+    return BgxReport(x, profile.w_x, tuple(tests), all_full, central, conclusion,
                      points, cap_stable)
 
 

@@ -14,10 +14,10 @@ once.  The intern table is ``system.memo[_intern]``, next to the system's
 other tables: it dies with the system.
 
 Every subset of W0 that is listed is {r : N(r) ⊆ S} for a set S of positive
-roots, and one walk over inversion sets lists it (``embedding_set``, in
-``sort_key`` order ``embedding_order``): W0 itself is S = Phi+, the
-embedding set W_x is S = Phi_x, and the minimal coset representatives W^J
-are S = Phi+ minus Phi_J+.  Only this module knows the root-permutation
+roots, and one walk over inversion sets lists it in ``sort_key`` order
+(``embedding_order``, one tuple per (system, S)): W0 itself is S = Phi+,
+the embedding set W_x is S = Phi_x, and the minimal coset representatives
+W^J are S = Phi+ minus Phi_J+.  Only this module knows the root-permutation
 format; other modules work on root numbers (indices into ``all_roots``)
 through ``act_on_numbers`` and read supports as bitmasks of simple indices
 (bit i for alpha_i) through ``product_support``.
@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from math import lcm
-from operator import add, getitem, mul, or_
+from operator import add, attrgetter, getitem, mul, or_
 
 from .cartan import Coweight, Root, RootSystem, per_system
 from .errors import CapExceeded
@@ -347,23 +347,26 @@ def enumerate_w0(system: RootSystem) -> tuple[FiniteWeylElement, ...]:
 
 
 @per_system
-def embedding_set(system: RootSystem, roots: frozenset[Root]) -> frozenset[FiniteWeylElement]:
-    """The elements whose inversion set lies in the given positive roots:
-    r with N(r) ⊆ ``roots``, i.e. r(positives minus ``roots``) still positive.
+def embedding_order(system: RootSystem, roots: frozenset[Root]) -> tuple[FiniteWeylElement, ...]:
+    """The elements whose inversion set lies in the given positive roots, in
+    ``sort_key`` order: r with N(r) ⊆ ``roots``, i.e. r(positives minus
+    ``roots``) still positive.
 
     Grown upward from the identity: for r a member with beta = r^{-1}(alpha_i)
     positive, N(s_i r) = N(r) + {beta}, so s_i r is a member exactly when
     beta lies in ``roots``.  The set is left-closed, so each member r' is
     reached from s_i r' with i its smallest left descent, and only from
     there.  A member r is carried as the root permutations of r and r^{-1}
-    (j is a left descent of r iff r^{-1}(alpha_j) is negative); only members
-    are interned, each with its length |N(r)|, the search depth.
+    (j is a left descent of r iff r^{-1}(alpha_j) is negative).  The search
+    depth is the length |N(r)|, so each level is interned with its length
+    and sorted by ``images``, and the levels in turn are in ``sort_key``
+    order.
     """
     identity = FiniteWeylElement.identity(system)
     simple, npos = identity.key, len(system.positive_roots)  # numbers of alpha_j, positives
     inside = {k for k, root in enumerate(system.all_roots) if root in roots}
     s_perms = [(s.root_perm, _table(s.root_perm)) for s in simple_reflections(system)]
-    members = [(identity.root_perm, 0)]
+    members = [identity]
     frontier = [(identity.root_perm, identity.root_perm)]
     depth = 0
     while frontier:
@@ -377,17 +380,11 @@ def embedding_set(system: RootSystem, roots: frozenset[Root]) -> frozenset[Finit
                 new_inv = s_i.translate(through_inv)  # (s_i r)^{-1} = r^{-1} s_i
                 if any(new_inv[simple[j]] >= npos for j in range(i)):
                     continue  # s_i r has a smaller left descent
-                new_perm = perm.translate(through_s_i)
-                members.append((new_perm, depth))
-                nxt.append((new_perm, new_inv))
+                nxt.append((perm.translate(through_s_i), new_inv))
+        members += sorted((_intern(system, perm, depth) for perm, _ in nxt),
+                          key=attrgetter("images"))
         frontier = nxt
-    return frozenset(_intern(system, perm, length) for perm, length in members)
-
-
-@per_system
-def embedding_order(system: RootSystem, roots: frozenset[Root]) -> tuple[FiniteWeylElement, ...]:
-    """``embedding_set(system, roots)`` in ``sort_key`` order."""
-    return tuple(sorted(embedding_set(system, roots), key=FiniteWeylElement.sort_key))
+    return tuple(members)
 
 
 @dataclass(frozen=True)

@@ -685,7 +685,7 @@ def test_check_e6_never_sweeps_w0(capsys):
 
 def run_cli_walks(args, capsys):
     """Run the CLI in process and record the root set S of every inversion-set
-    walk {r : N(r) ⊆ S} it makes (``weyl.embedding_set`` past its memo)."""
+    walk {r : N(r) ⊆ S} it makes (``weyl.embedding_order`` past its memo)."""
     with recording_walks() as walked:
         code, out, _ = run_cli(args, capsys)
     return code, out, walked
@@ -694,7 +694,7 @@ def run_cli_walks(args, capsys):
 @contextlib.contextmanager
 def recording_walks():
     """The root sets of the inversion-set walks made inside the block."""
-    walk = adlv.weyl.embedding_set.__wrapped__.__code__
+    walk = embedding_order.__wrapped__.__code__
     walked = []
 
     def profiler(frame, event, arg):
@@ -932,9 +932,7 @@ def test_enumerate_e6_length_zero_lists_no_w0(text_format, sha256, monkeypatch, 
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
     (e6,) = built
     assert len(e6.memo[_intern]) < e6.weyl_order() == 51840
-    everything = frozenset(e6.positive_roots)
-    for walk in (adlv.weyl.embedding_set, embedding_order):
-        assert (walk.__wrapped__, everything) not in e6.memo
+    assert (embedding_order.__wrapped__, frozenset(e6.positive_roots)) not in e6.memo
 
 
 def run_cli_subprocess(args):

@@ -120,8 +120,8 @@ def test_nonempty_witness_is_the_profile_w_x(a2):
     profile = AlcoveProfile.build(x, sid(a2))
     verdict = decide_nonempty(x, kottwitz(x), sid(a2), profile)
     assert verdict.nonempty and verdict.rule == RULE_CRITERION
-    assert len(profile.w_x_sorted) == 2
-    assert verdict.witnesses["checked_r"] is profile.w_x_sorted
+    assert len(profile.w_x) == 2
+    assert verdict.witnesses["checked_r"] is profile.w_x
 
 
 @settings(max_examples=25)
@@ -294,6 +294,29 @@ def test_jrx_one_strip(a2):
     assert j_set == sigma_support(s1 * profile.eta * s1, sid(a2))
 
 
+@pytest.mark.parametrize("descriptor,sigma_text,bound", [
+    ("A3", "(1 3)", 4), ("B3", "id", 4), ("D4", "id", 2), ("G2", "id", 8),
+])
+def test_jrx_refuses_exactly_the_r_outside_the_w0_filter(descriptor, sigma_text, bound):
+    """The closed-form membership test N(r) ⊆ Phi_x against the W0 filter,
+    over every r in W0, for every Phi_x met up to the bound."""
+    system = RootSystem.from_descriptor(descriptor)
+    sigma = parse_sigma(system, sigma_text)
+    profiles = {}
+    for x in enumerate_affine(system, bound):
+        profile = AlcoveProfile.build(x, sigma)
+        profiles.setdefault(profile.phi_x, profile)
+    w0 = enumerate_w0(system)
+    for phi_x, profile in profiles.items():
+        refused = set()
+        for r in w0:
+            try:
+                j_rx(profile, r)
+            except ValueError:
+                refused.add(r)
+        assert refused == set(w0) - audit.w_x_set_bruteforce(system, phi_x)
+
+
 def test_jrx_rejects_nonmember(a2):
     x = parse_affine(a2, "t[-3,3] s2 s1")  # shrunken: W_x = {e}
     with pytest.raises(ValueError):
@@ -337,7 +360,7 @@ def test_nonempty_vtmu_with_noncentral_mu(a2):
     w0 = longest_element(a2)
     x = AffineElement.from_finite(w0) * AffineElement.from_translation(a2, (1, 0))
     profile = AlcoveProfile.build(x, sid(a2))
-    assert profile.w_x == {FiniteWeylElement.identity(a2)}
+    assert profile.w_x == (FiniteWeylElement.identity(a2),)
     assert profile.eta == w0
     verdict = decide_nonempty(x, kottwitz(x), sid(a2), profile)
     assert verdict.nonempty and verdict.rule == RULE_CRITERION

@@ -13,7 +13,7 @@ from adlv.cartan import RootSystem, per_system
 from adlv.criterion import decide_nonempty, oracle_nonempty
 from adlv.iwahori import enumerate_affine, kottwitz_group, omega_elements
 from adlv.notation import parse_affine
-from adlv.weyl import DiagramAutomorphism, _intern, embedding_order, embedding_set, enumerate_w0
+from adlv.weyl import DiagramAutomorphism, _intern, embedding_order, enumerate_w0
 
 
 def _use_fresh_d4() -> weakref.ref:
@@ -72,15 +72,18 @@ def test_embedding_sets_live_in_the_system_memo_and_die_with_it():
     strip_sets = set()
     for x in enumerate_affine(system, 3):
         profile = AlcoveProfile.build(x, sigma)
-        w_x, w_x_sorted = profile.w_x, profile.w_x_sorted
-        assert system.memo[(embedding_set.__wrapped__, profile.phi_x)] is w_x
-        assert system.memo[(embedding_order.__wrapped__, profile.phi_x)] is w_x_sorted
+        w_x = profile.w_x
+        assert system.memo[(embedding_order.__wrapped__, profile.phi_x)] is w_x
         strip_sets.add(profile.phi_x)
     walked = [key for key in system.memo
-              if isinstance(key, tuple) and key[0] is embedding_set.__wrapped__]
-    assert len(walked) == len(strip_sets)
+              if isinstance(key, tuple) and key[0] is embedding_order.__wrapped__]
+    # one walk memo entry per distinct Phi_x, and no second copy of any W_x
+    assert sorted(walked, key=repr) == sorted(((embedding_order.__wrapped__, phi_x)
+                                               for phi_x in strip_sets), key=repr)
+    assert not any(isinstance(value, frozenset) and w_x <= value
+                   for value in system.memo.values())
     ref = weakref.ref(system)
-    del system, sigma, x, profile, w_x, w_x_sorted
+    del system, sigma, x, profile, w_x
     gc.collect()
     assert ref() is None
 

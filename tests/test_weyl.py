@@ -12,14 +12,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from adlv import _linalg, audit
+from adlv.alcove import AlcoveProfile
 from adlv.cartan import RootSystem
 from adlv.errors import CapExceeded
+from adlv.iwahori import enumerate_affine
 from adlv.notation import parse_sigma
 from adlv.weyl import (
     DiagramAutomorphism,
     FiniteWeylElement,
     embedding_order,
-    embedding_set,
     enumerate_w0,
     longest_element,
     reduced_word,
@@ -152,9 +153,27 @@ def test_embedding_set_lists_minimal_coset_representatives(descriptor):
         for j_set in map(set, combinations(range(system.rank), size)):
             outside_j = frozenset(a for a in system.positive_roots
                                   if any(a[i] for i in range(system.rank) if i not in j_set))
-            expected = [w for w in w0 if not j_set & set(w.right_descents())]
-            assert embedding_set(system, outside_j) == frozenset(expected)
-            assert list(embedding_order(system, outside_j)) == expected
+            expected = tuple(w for w in w0 if not j_set & set(w.right_descents()))
+            assert embedding_order(system, outside_j) == expected
+
+
+@pytest.mark.parametrize("descriptor,sigma_text,bound", [
+    ("A3", "(1 3)", 4), ("B3", "id", 4), ("D4", "id", 2), ("G2", "id", 8),
+])
+def test_walk_lists_the_w0_filter_in_sort_key_order(descriptor, sigma_text, bound):
+    """For every Phi_x met up to the bound and every Phi+ minus Phi_J+, the
+    walk's tuple is the W0 filter sorted by ``sort_key``: a level out of
+    order shows, and the walk runs afresh (a new system's memo is empty)."""
+    system = RootSystem.from_descriptor(descriptor)
+    sigma = parse_sigma(system, sigma_text)
+    root_sets = {AlcoveProfile.build(x, sigma).phi_x for x in enumerate_affine(system, bound)}
+    for size in range(system.rank + 1):
+        for j_set in combinations(range(system.rank), size):
+            root_sets.add(frozenset(a for a in system.positive_roots
+                                    if any(a[i] for i in range(system.rank) if i not in j_set)))
+    for roots in root_sets:
+        expected = sorted(audit.w_x_set_bruteforce(system, roots), key=FiniteWeylElement.sort_key)
+        assert embedding_order(system, roots) == tuple(expected)
 
 
 def test_largest_descent_word_is_reduced(a3):

@@ -2,9 +2,9 @@
 
 Everything here works on tuples of tuples with int/Fraction entries and stays
 exact: products of integer matrices stay in integers, as does the elimination
-of ``invert_integer`` up to its last step; the other solvers work over
-Fraction.  Sizes are tiny (matrices up to the root-system
-rank), so plain Gaussian elimination is the right tool.
+of ``integer_inverse`` (``invert_integer`` divides once at the end); the
+other solvers work over Fraction.  Sizes are tiny (matrices up to the
+root-system rank), so plain Gaussian elimination is the right tool.
 """
 
 from __future__ import annotations
@@ -54,11 +54,17 @@ def invert(matrix) -> Matrix:
 
 
 def invert_integer(matrix) -> Matrix:
-    """Exact inverse of an integer matrix by fraction-free (Bareiss)
-    Gauss-Jordan elimination: each division is exact, so the rows stay
-    integers, and the last pivot d is the determinant up to sign, with d times
-    the inverse on the right.  One Fraction per entry at the end; raises
-    ValueError if singular."""
+    """Exact inverse of an integer matrix: ``integer_inverse``, then one
+    Fraction per entry; raises ValueError if singular."""
+    rows, d = integer_inverse(matrix)
+    return tuple(tuple(Fraction(entry, d) for entry in row) for row in rows)
+
+
+def integer_inverse(matrix) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(rows, d) with the inverse of an integer matrix equal to rows / d, by
+    fraction-free (Bareiss) Gauss-Jordan elimination: each division is exact,
+    so the rows stay integers, and the last pivot d is the determinant up to
+    sign.  Raises ValueError if singular."""
     n = len(matrix)
     aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
     previous = 1
@@ -75,7 +81,7 @@ def invert_integer(matrix) -> Matrix:
                 aug[r] = [(p * entry - factor * top) // previous
                           for entry, top in zip(aug[r], lead)]
         previous = p
-    return tuple(tuple(Fraction(entry, previous) for entry in row[n:]) for row in aug)
+    return tuple(tuple(row[n:]) for row in aug), previous
 
 
 def solve_affine(matrix, rhs) -> tuple[Vector, tuple[Vector, ...]] | None:

@@ -49,8 +49,8 @@ from .iwahori import (
     twisted_affine_action,
     walk_affine,
 )
-from .weyl import (DiagramAutomorphism, FiniteWeylElement, act_on_numbers, embedding_order,
-                   positive_pairings, product_support)
+from .weyl import (ROOT_CAP, DiagramAutomorphism, FiniteWeylElement, act_on_numbers,
+                   embedding_order, positive_pairings, product_support)
 
 
 def base_k(system: RootSystem, root: Root) -> int:
@@ -177,13 +177,20 @@ class AlcoveProfile:
         return bytes([n if k < 0 else n + npos for n, k in enumerate(self.k_numbers) if k])
 
     @cached_property
+    def below_table(self) -> bytes:
+        """``below_base`` as a ``bytes.translate`` table: 1 at the numbers
+        in it, 0 elsewhere."""
+        k = self.k_numbers
+        return (bytes(map((0).__gt__, k)) + bytes(map((0).__lt__, k))).ljust(ROOT_CAP, b"\0")
+
+    @cached_property
     def strips(self) -> tuple[Root, ...]:
         """Critical strips containing x, one positive representative each."""
         return tuple(map(self.system.all_roots.__getitem__, self._strip_numbers))
 
     @property
     def shrunken(self) -> bool:
-        return not self.strips
+        return not self._strip_numbers
 
     @property
     def w_x_size(self) -> int:

@@ -11,7 +11,9 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import product
+from operator import or_
 
 from . import _linalg
 from .alcove import (AlcoveProfile, DominantDecomposition, barycenter, base_k,
@@ -25,7 +27,6 @@ from .criterion import (
     Verdict,
     _oracle_scan,
     _twisted_support,
-    _violated_supports,
     bgx_cordial,
     decide_nonempty,
     defect,
@@ -63,8 +64,10 @@ from .notation import format_affine, format_finite
 from .weyl import (
     DiagramAutomorphism,
     FiniteWeylElement,
+    act_on_numbers,
     enumerate_w0,
     longest_element,
+    positive_root_supports,
     reduced_word,
     sigma_support,
     support,
@@ -708,6 +711,16 @@ def check_jrx_postcondition(system: RootSystem, sigma: DiagramAutomorphism,
             j_rx(profile, r)  # raises InternalCheckError on failure
             pairs += 1
     return _ok(cid, f"{pairs} (x, r) pairs satisfy the alcove postcondition")
+
+
+def _violated_supports(profile: AlcoveProfile, w: FiniteWeylElement) -> int:
+    """Reference for the scan's condition two: with ``_twisted_support``, the
+    minimal alcove support T(w), the smallest index set with x a
+    (J, w)-alcove iff T(w) ⊆ J, as a bitmask (bit i for alpha_i).  This part
+    collects the supports of the positive roots whose w-image violates the
+    k-value inequality: the positive numbers among w^{-1}(below_base)."""
+    return reduce(or_, map(positive_root_supports(profile.system).__getitem__,
+                           act_on_numbers(w.inverse(), profile.below_base)), 0)
 
 
 def _minimal_alcove_support_by_roots(profile: AlcoveProfile, below: frozenset,

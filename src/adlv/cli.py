@@ -17,13 +17,14 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice, zip_longest
+from operator import itemgetter
 from typing import Callable
 
 from .alcove import AlcoveProfile, walk_profiles
+from .cartan import RootSystem, per_system
 from .criterion import (
     Verdict,
     bgx_cordial,
@@ -150,11 +151,6 @@ def _indices_1based(indices) -> list[int]:
     return sorted(i + 1 for i in indices)
 
 
-def _kappa_str(kappa: KottwitzClass) -> str:
-    # the representatives lie in [0, 1), where str is format_fraction
-    return ";".join(map(str, kappa.rep))
-
-
 def _witnesses_json(witnesses: dict) -> dict:
     out = {}
     for key, value in witnesses.items():
@@ -165,7 +161,7 @@ def _witnesses_json(witnesses: dict) -> dict:
         elif key == "checked_r":
             out[key] = [format_finite(r) for r in value]
         elif key in ("kappa_x", "kappa_b"):
-            out[key] = _kappa_str(value)
+            out[key] = value.text
         elif key == "affine_support":
             out[key] = list(value)
         else:
@@ -194,7 +190,7 @@ def verdict_json(system, sigma_text: str, x: AffineElement, kappa_b: KottwitzCla
         "system": system.type_label,
         "sigma": sigma_text,
         "x": format_affine(x),
-        "kappa_b": _kappa_str(kappa_b),
+        "kappa_b": kappa_b.text,
         "nonempty": verdict.nonempty,
         "rule": verdict.rule,
         "witnesses": _witnesses_json(verdict.witnesses),
@@ -221,6 +217,19 @@ def _witness_brief(verdict: Verdict) -> str:
     return ""
 
 
+@per_system
+def _phi_x_text(system: RootSystem, phi_x: frozenset) -> str:
+    """The ``phi_x`` column, made once per root set."""
+    return ";".join(",".join(map(str, a)) for a in sorted(phi_x))
+
+
+@per_system
+def _strips_text(system: RootSystem, numbers: bytes) -> str:
+    """The ``strips`` column of the strip roots with these numbers, made once
+    per root set."""
+    return ";".join(",".join(map(str, system.all_roots[n])) for n in numbers)
+
+
 def _row(kappa_b: KottwitzClass | None, profile: AlcoveProfile) -> dict:
     x, sigma = profile.x, profile.sigma
     kappa_x = profile.kappa
@@ -240,16 +249,16 @@ def _row(kappa_b: KottwitzClass | None, profile: AlcoveProfile) -> dict:
     return {
         "x": format_affine(x),
         "length": x.length,
-        "kappa": _kappa_str(kappa_x),
-        "kappa_b": _kappa_str(target),
+        "kappa": kappa_x.text,
+        "kappa_b": target.text,
         "affine_support_full": support_full,
         "v": format_finite(profile.v),
         "mu": ",".join(map(str, profile.mu)),
         "w": format_finite(profile.w),
         "eta": format_finite(profile.eta),
         "shrunken": profile.shrunken,
-        "strips": ";".join(",".join(map(str, a)) for a in profile.strips),
-        "phi_x": ";".join(",".join(map(str, a)) for a in sorted(profile.phi_x)),
+        "strips": _strips_text(x.system, profile._strip_numbers),
+        "phi_x": _phi_x_text(x.system, profile.phi_x),
         "wx_size": profile.w_x_size,
         "nonempty": verdict.nonempty,
         "rule": verdict.rule,
@@ -278,6 +287,8 @@ def enumerate_rows(config: RunConfig) -> list[dict]:
     jobs = min(config.jobs, os.cpu_count() or 1)
     if jobs == 1:
         return _part_rows((config, 0, 1))
+    from concurrent.futures import ProcessPoolExecutor  # imported only when a pool runs
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         parts = list(pool.map(_part_rows, [(config, k, jobs) for k in range(jobs)]))
     return [row for rows in zip_longest(*parts) for row in rows if row is not None]
@@ -287,8 +298,7 @@ def rows_to_csv(rows: list[dict]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(ENUM_COLUMNS)
-    for row in rows:
-        writer.writerow(["" if row[c] is None else row[c] for c in ENUM_COLUMNS])
+    writer.writerows(map(itemgetter(*ENUM_COLUMNS), rows))  # None is written as ""
     return buffer.getvalue()
 
 

@@ -28,8 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from operator import or_
 
 from . import _linalg
 from .alcove import AlcoveProfile, base_k, dominant_decompose
@@ -185,41 +183,32 @@ def is_jw_alcove(profile: AlcoveProfile, j_set: frozenset[int], w: FiniteWeylEle
     return True
 
 
-def _violated_supports(profile: AlcoveProfile, w: FiniteWeylElement) -> int:
-    """With ``_twisted_support``, the minimal alcove support T(w): the
-    smallest index set with x a (J, w)-alcove iff T(w) ⊆ J, as a bitmask
-    (bit i for alpha_i).  This part collects the supports of the positive
-    roots whose w-image violates the k-value inequality (condition two): the
-    positive numbers among w^{-1}(below_base), one ``bytes.translate``."""
-    return reduce(or_, map(positive_root_supports(profile.system).__getitem__,
-                           act_on_numbers(w.inverse(), profile.below_base)), 0)
-
-
 def _twisted_support(profile: AlcoveProfile, w: FiniteWeylElement) -> int:
-    """The support of the twisted conjugate's finite part w^{-1} x_fin sigma(w)
-    (condition one; the translation part plays no role), composed as root
-    maps with sigma(w) = sigma w sigma^{-1}."""
+    """Condition one as a bitmask (bit i for alpha_i): x meets it for J iff
+    J holds the support of the twisted conjugate's finite part w^{-1} x_fin
+    sigma(w) (the translation part plays no role), composed as root maps
+    with sigma(w) = sigma w sigma^{-1}."""
     sigma = profile.sigma
     return product_support(w.inverse(), profile.x.finite, sigma, w, sigma.inverse())
 
 
 @per_system
 def _scan_plan(system: RootSystem, sigma: DiagramAutomorphism
-               ) -> tuple[tuple[frozenset[int], int, int, frozenset], ...]:
+               ) -> tuple[tuple[frozenset[int], int, int, frozenset, bytes], ...]:
     """Per proper sigma-stable J, in ``sigma_stable_subsets`` order: J, the
     bitmask of the indices outside J, the number of sigma-orbits there (one
-    exactly for the maximal J) and the positive roots outside Phi_J+, whose
+    exactly for the maximal J), the positive roots outside Phi_J+, whose
     ``embedding_order`` is W^J, the minimal representatives of the cosets
-    w W_J in ``sort_key`` order."""
+    w W_J in ``sort_key`` order, and the numbers of those roots."""
     full = (1 << system.rank) - 1
     supports = positive_root_supports(system)
     plan = []
     for j_set in sigma_stable_subsets(system, sigma, True):
         outside = full & ~sum(1 << i for i in j_set)
         orbits = {sigma.orbit(i) for i in range(system.rank) if outside >> i & 1}
-        roots = frozenset(alpha for alpha, mask in zip(system.positive_roots, supports)
-                          if mask & outside)
-        plan.append((j_set, outside, len(orbits), roots))
+        numbers = bytes(n for n, mask in enumerate(supports) if mask & outside)
+        roots = frozenset(map(system.all_roots.__getitem__, numbers))
+        plan.append((j_set, outside, len(orbits), roots, numbers))
     return tuple(plan)
 
 
@@ -257,17 +246,20 @@ def _oracle_scan(profile: AlcoveProfile) -> Verdict:
     """The raw (J, w) scan, without the oracle's hypotheses, over minimal
     coset representatives.
 
-    x is a (J, w)-alcove iff T(w) ⊆ J (``_violated_supports``).  That test is
-    monotone in J, and for sigma-stable J it depends only on the coset
-    w W_J.  So some proper J admits some w iff a maximal proper J admits a w
-    in W^J, and a nonempty verdict scans W^J for the maximal J alone, never
-    listing W0.  An empty verdict walks J in ``sigma_stable_subsets`` order
-    (only the J inside a maximal J that admits a w) over W^J, with both
-    parts of T(w) memoized, and reports the first hit: ``sort_key`` begins
-    with length, so the first element of a union of cosets w W_J lies in
-    W^J, and the pair is the one a scan of all of W0 would report.  The
-    twisted part of T(w) is computed only for the w whose violations lie
-    inside J.
+    x is a (J, w)-alcove iff both conditions hold: no positive root outside
+    Phi_J+ has its w-image below the base alcove (condition two: one
+    ``bytes.translate`` of those roots' numbers through w and then through
+    the profile's ``below_table``), and J holds ``_twisted_support``
+    (condition one).  That test is monotone in J, and for sigma-stable J it
+    depends only on the coset w W_J.  So some proper J admits some w iff a
+    maximal proper J admits a w in W^J, and a nonempty verdict scans W^J for
+    the maximal J alone, never listing W0.  An empty verdict walks J in
+    ``sigma_stable_subsets`` order (only the J inside a maximal J that
+    admits a w) over W^J, with the twisted part memoized per w, and reports
+    the first hit: ``sort_key`` begins with length, so the first element of
+    a union of cosets w W_J lies in W^J, and the pair is the one a scan of
+    all of W0 would report.  The twisted part is computed only for the w
+    that meet condition two.
 
     A J is skipped, maximal or not, when condition one cannot hold for it:
     u = w^{-1} x_fin sigma(w) in W_J fixes the fundamental coweights outside
@@ -282,16 +274,14 @@ def _oracle_scan(profile: AlcoveProfile) -> Verdict:
     system, sigma = profile.system, profile.sigma
     require_w0_within_cap(system)
     fixed = _fixed_dimension(system, sigma, profile.x.finite)
-    violated: dict[bytes, int] = {}  # per w, the two parts of T(w)
-    twisted: dict[bytes, int] = {}
+    below = profile.below_table
+    twisted: dict[bytes, int] = {}  # per w, condition one's bitmask
 
-    def first_admitted(outside: int, roots: frozenset) -> FiniteWeylElement | None:
+    def first_admitted(outside: int, roots: frozenset,
+                       numbers: bytes) -> FiniteWeylElement | None:
         for w in embedding_order(system, roots):
-            letters = violated.get(w.key)
-            if letters is None:
-                letters = violated[w.key] = _violated_supports(profile, w)
-            if letters & outside:
-                continue
+            if 1 in act_on_numbers(w, numbers).translate(below):
+                continue  # condition two fails
             letters = twisted.get(w.key)
             if letters is None:
                 letters = twisted[w.key] = _twisted_support(profile, w)
@@ -299,16 +289,17 @@ def _oracle_scan(profile: AlcoveProfile) -> Verdict:
                 return w
         return None
 
-    plan = [(j_set, outside, orbits, roots)
-            for j_set, outside, orbits, roots in _scan_plan(system, sigma) if orbits <= fixed]
-    admitting = [j_set for j_set, outside, orbits, roots in plan
-                 if orbits == 1 and first_admitted(outside, roots)]
+    plan = [(j_set, outside, orbits, roots, numbers)
+            for j_set, outside, orbits, roots, numbers in _scan_plan(system, sigma)
+            if orbits <= fixed]
+    admitting = [j_set for j_set, outside, orbits, roots, numbers in plan
+                 if orbits == 1 and first_admitted(outside, roots, numbers)]
     if not admitting:
         pairs = system.weyl_order() * len(sigma_stable_subsets(system, sigma, True))
         return Verdict(True, RULE_ORACLE, {"pairs_scanned": pairs})
-    for j_set, outside, _, roots in plan:
+    for j_set, outside, _, roots, numbers in plan:
         if any(j_set <= m for m in admitting):
-            w = first_admitted(outside, roots)
+            w = first_admitted(outside, roots, numbers)
             if w is not None:
                 return Verdict(False, RULE_ORACLE, {"j": j_set, "w": w})
     raise InternalCheckError("a maximal J admits a w but no J in the scan does")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import product
-from math import lcm
+from math import gcd
 from operator import add, mul
 from typing import NamedTuple
 
@@ -179,6 +179,12 @@ class KottwitzClass:
         return tuple(fractions[r] for (_, _, fractions), r
                      in zip(_class_map(self.system), self.residues))
 
+    @cached_property
+    def text(self) -> str:
+        """``rep`` as text, ``;``-separated (the coordinates lie in [0, 1),
+        where ``str`` is the notation's fraction format); made once per class."""
+        return ";".join(map(str, self.rep))
+
     def __add__(self, other: "KottwitzClass") -> "KottwitzClass":
         return KottwitzClass(self.system, tuple(
             (a + b) % d
@@ -203,14 +209,17 @@ def _class_map(system: RootSystem):
     """Per coordinate i, in index order: the nonzero entries (j, d * C^{-1}[j][i])
     of column i of its component's inverse-Cartan block, the block's least
     common denominator d, and the Fractions r/d for r < d, which
-    ``KottwitzClass.rep`` reads."""
+    ``KottwitzClass.rep`` reads.  In integers: the block's inverse is
+    rows / det, so d = |det| / gcd(det, rows) and d * C^{-1} = rows / (det / d)."""
     out = []
     for comp in system.components:
-        block = [[system.inverse_cartan[j][i] for j in comp.indices] for i in comp.indices]
-        d = lcm(*(c.denominator for column in block for c in column))
+        rows, det = _linalg.integer_inverse(
+            [[system.cartan_matrix[i][j] for j in comp.indices] for i in comp.indices])
+        d = abs(det) // gcd(det, *(c for row in rows for c in row))
         fractions = tuple(Fraction(r, d) for r in range(d))
-        for column in block:
-            entries = tuple((j, int(c * d)) for j, c in zip(comp.indices, column) if c)
+        for i in range(comp.rank):
+            entries = tuple((j, row[i] // (det // d))
+                            for j, row in zip(comp.indices, rows) if row[i])
             out.append((entries, d, fractions))
     return tuple(out)
 

@@ -27,7 +27,7 @@ from .iwahori import (
     affine_simples,
     omega_of_kottwitz,
 )
-from .weyl import DiagramAutomorphism, FiniteWeylElement, reduced_word
+from .weyl import ROOT_CAP, DiagramAutomorphism, FiniteWeylElement, reduced_word
 
 _VECTOR = r"\[(-?\d+(?:,-?\d+)*)?\]"
 
@@ -115,11 +115,15 @@ def parse_finite(system: RootSystem, text: str) -> FiniteWeylElement:
     return element
 
 
+# the label of each simple index; a system has at most ROOT_CAP // 2 simple roots
+_LETTERS = tuple(f"s{i + 1}" for i in range(ROOT_CAP // 2))
+
+
 def format_finite(w: FiniteWeylElement) -> str:
     """The reduced word as text, kept on the interned element."""
     if w._text is None:
         word = reduced_word(w)
-        w._text = "e" if not word else " ".join(f"s{i + 1}" for i in word)
+        w._text = " ".join(map(_LETTERS.__getitem__, word)) if word else "e"
     return w._text
 
 
@@ -160,7 +164,7 @@ def parse_affine(system: RootSystem, text: str) -> AffineElement:
 def format_affine(x: AffineElement) -> str:
     parts = []
     if any(c != 0 for c in x.translation):
-        parts.append("t[" + ",".join(str(c) for c in x.translation) + "]")
+        parts.append("t[" + ",".join(map(str, x.translation)) + "]")
     if not x.finite.is_identity():
         parts.append(format_finite(x.finite))
     return " ".join(parts) if parts else "e"

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from math import lcm
-from operator import add, attrgetter, getitem, mul, or_
+from operator import add, getitem, mul, or_
 
 from .cartan import Coweight, Root, RootSystem, per_system
 from .errors import CapExceeded
@@ -46,10 +46,12 @@ class _RootIndex(dict):
     ``steps`` builds each later one as (number of a lower root, j), adding
     alpha_j.  ``deviations[k][a]`` is the bitmask of the indices i at which
     the coordinates of root a differ from delta_ki, and ``supports[a]`` that
-    of the simple roots a positive root a involves (0 for a negative a)."""
+    of the simple roots a positive root a involves (0 for a negative a).
+    ``lex`` is a ``bytes.translate`` table sending a root's number to its
+    rank among the roots as tuples, so translated keys compare as ``images``."""
 
     __slots__ = ("roots", "number", "simple", "npos", "lowest", "steps", "deviations",
-                 "supports")
+                 "supports", "lex")
 
     def __init__(self, system: RootSystem):
         super().__init__()
@@ -76,6 +78,10 @@ class _RootIndex(dict):
             for k in range(system.rank)
         )
         self.supports = tuple(masks[:self.npos]) + (0,) * self.npos
+        lex = bytearray(ROOT_CAP)
+        for rank, k in enumerate(sorted(range(len(roots)), key=roots.__getitem__)):
+            lex[k] = rank
+        self.lex = bytes(lex)
 
 
 def _index(system: RootSystem) -> _RootIndex:
@@ -356,33 +362,44 @@ def embedding_order(system: RootSystem, roots: frozenset[Root]) -> tuple[FiniteW
     positive, N(s_i r) = N(r) + {beta}, so s_i r is a member exactly when
     beta lies in ``roots``.  The set is left-closed, so each member r' is
     reached from s_i r' with i its smallest left descent, and only from
-    there.  A member r is carried as the root permutations of r and r^{-1}
-    (j is a left descent of r iff r^{-1}(alpha_j) is negative).  The search
+    there.  A member r is carried as the root permutation of r and the
+    ``bytes.translate`` table of r^{-1} (j is a left descent of r iff
+    r^{-1}(alpha_j) is negative), so each test is a translate: of the
+    simple-root numbers through r^{-1} and a membership table of ``roots``,
+    and of the smaller simple-root numbers through (s_i r)^{-1}.  The search
     depth is the length |N(r)|, so each level is interned with its length
-    and sorted by ``images``, and the levels in turn are in ``sort_key``
-    order.
+    and sorted by ``images`` (its key through the ``lex`` table), and the
+    levels in turn are in ``sort_key`` order.
     """
     identity = FiniteWeylElement.identity(system)
-    simple, npos = identity.key, len(system.positive_roots)  # numbers of alpha_j, positives
-    inside = {k for k, root in enumerate(system.all_roots) if root in roots}
-    s_perms = [(s.root_perm, _table(s.root_perm)) for s in simple_reflections(system)]
+    table = _index(system)
+    simple, npos, lex = table.simple, table.npos, table.lex  # numbers of alpha_j, positives
+    inside = bytearray(ROOT_CAP)
+    for root in roots:
+        inside[table.number[root]] = 1
+    s_tables = [_table(s.root_perm) for s in simple_reflections(system)]
+    earlier = [simple[:i] for i in range(system.rank)]  # numbers of alpha_j, j < i
     members = [identity]
-    frontier = [(identity.root_perm, identity.root_perm)]
+    frontier = [(identity.root_perm, _table(identity.root_perm))]
     depth = 0
     while frontier:
         depth += 1
         nxt = []
-        for perm, inv in frontier:
-            through_inv = _table(inv)
-            for i, (s_i, through_s_i) in enumerate(s_perms):
-                if inv[simple[i]] not in inside:
-                    continue  # beta = r^{-1}(alpha_i) lies outside roots
-                new_inv = s_i.translate(through_inv)  # (s_i r)^{-1} = r^{-1} s_i
-                if any(new_inv[simple[j]] >= npos for j in range(i)):
+        for perm, through_inv in frontier:
+            # per i, whether beta = r^{-1}(alpha_i) lies in roots
+            grows = simple.translate(through_inv).translate(inside)
+            for i, s_i in enumerate(s_tables):
+                if not grows[i]:
+                    continue
+                # (s_i r)^{-1} = r^{-1} s_i, a table: only the padding past the
+                # root numbers differs from _table's, and no root number reads it
+                new_inv = s_i.translate(through_inv)
+                if i and max(earlier[i].translate(new_inv)) >= npos:
                     continue  # s_i r has a smaller left descent
-                nxt.append((perm.translate(through_s_i), new_inv))
-        members += sorted((_intern(system, perm, depth) for perm, _ in nxt),
-                          key=attrgetter("images"))
+                nxt.append((perm.translate(s_i), new_inv))
+        level = [_intern(system, perm, depth) for perm, _ in nxt]
+        level.sort(key=lambda r: r.key.translate(lex))
+        members += level
         frontier = nxt
     return tuple(members)
 

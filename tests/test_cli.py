@@ -1,6 +1,7 @@
 """External surfaces: element notation, CLI commands, rendering, JSON schema."""
 
 import argparse
+import concurrent.futures
 import contextlib
 import hashlib
 import json
@@ -130,7 +131,7 @@ def test_parse_kappa(a2):
 def test_class_text_is_format_fraction_of_each_coordinate(descriptor):
     """Class representatives lie in [0, 1), so str writes them as format_fraction does."""
     for k in kottwitz_group(RootSystem.from_descriptor(descriptor)):
-        assert adlv.cli._kappa_str(k) == ";".join(format_fraction(c) for c in k.rep)
+        assert k.text == ";".join(format_fraction(c) for c in k.rep)
 
 
 # -- geometric alcove-walk oracle ----------------------------------------------------
@@ -790,6 +791,18 @@ def test_importing_the_cli_leaves_the_audit_out():
     assert proc.stdout == b"False\n"
 
 
+def test_importing_the_cli_leaves_the_process_pool_out():
+    """``--jobs 1`` never pays for the pool's modules: the executor is
+    imported only where a pool runs."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", "import adlv.cli, sys; print(sorted(m for m in "
+         "('concurrent.futures', 'multiprocessing') if m in sys.modules))"],
+        capture_output=True, timeout=600, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0
+    assert proc.stdout == b"[]\n"
+
+
 @pytest.mark.parametrize("kappa_b, jobs", [
     pytest.param(kappa_b, jobs, id=kappa_b + ("" if jobs == 1 else f"-jobs{jobs}"))
     for jobs in (1, 2) for kappa_b in ("zero", "match-x")])
@@ -798,7 +811,7 @@ def test_enumerate_row_computes_class_and_support_once(kappa_b, jobs, monkeypatc
     length-zero root's profile is known outright, so neither the closed-form
     profile nor the closed-form support runs, roots included."""
     monkeypatch.setattr(adlv.cli.os, "cpu_count", lambda: jobs)
-    monkeypatch.setattr(adlv.cli, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(_InlinePool, "created", [])
     supports = _count_calls(monkeypatch, adlv.iwahori, "affine_sigma_support")
     classes = _count_calls(monkeypatch, adlv.iwahori, "kottwitz")
@@ -876,7 +889,7 @@ def test_jobs_clamped_to_cpu_count(cpus, jobs, expected, monkeypatch, capsys):
     """The parts interleave back into walk order, also when they differ in
     size: A2 L<=4 has 93 rows and G2 L<=4 has 25."""
     monkeypatch.setattr(adlv.cli.os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(adlv.cli, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
     for system in ("A2", "G2"):
         monkeypatch.setattr(_InlinePool, "created", [])
         base = ["enumerate", "--system", system, "--length-bound", "4", "--format", "csv"]

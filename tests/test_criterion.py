@@ -20,6 +20,7 @@ from adlv.criterion import (
     DimConflictError,
     DimTable,
     _oracle_scan,
+    _scan_plan,
     anresult_filter,
     bgx_cordial,
     class_point,
@@ -53,6 +54,7 @@ from adlv.weyl import (
     DiagramAutomorphism,
     FiniteWeylElement,
     _intern,
+    act_on_numbers,
     embedding_order,
     enumerate_w0,
     longest_element,
@@ -227,6 +229,29 @@ def test_oracle_reduction_finite_part_scan(descriptor, sigma_perm):
     sigma = sid(system) if sigma_perm is None else DiagramAutomorphism(system, sigma_perm)
     result = audit.check_oracle_reduction_vs_literal(system, sigma, 3)
     assert result.passed, result.counterexample
+
+
+@pytest.mark.parametrize("descriptor,sigma_text,bound", [
+    ("A2", "id", 4), ("G2", "id", 6), ("B3", "id", 3), ("A3", "(1 3)", 3), ("D4", "(1 3 4)", 2),
+])
+def test_condition_two_translate_matches_the_violated_supports(descriptor, sigma_text, bound):
+    """The scan's condition-two test, one translate of the numbers outside
+    Phi_J+ through w and the profile's ``below_table``, against the reference
+    bitmask of violated supports: every J of the scan plan, every w in its
+    W^J, every element (no hypothesis filter)."""
+    system = RootSystem.from_descriptor(descriptor)
+    sigma = parse_sigma(system, sigma_text)
+    plan = _scan_plan(system, sigma)
+    outcomes = Counter()
+    for x in enumerate_affine(system, bound):
+        profile = AlcoveProfile.build(x, sigma)
+        for _, outside, _, roots, numbers in plan:
+            for w in embedding_order(system, roots):
+                fails = 1 in act_on_numbers(w, numbers).translate(profile.below_table)
+                assert fails == (audit._violated_supports(profile, w) & outside != 0), \
+                    (format_affine(x), outside, w)
+                outcomes[fails] += 1
+    assert outcomes[True] and outcomes[False]
 
 
 def assert_coset_scan_matches_w0_scan(profile):

@@ -1,5 +1,6 @@
 """Extended affine group: group law, length, class map, Newton map, supports."""
 
+import math
 from fractions import Fraction
 from itertools import product
 from time import perf_counter
@@ -10,6 +11,7 @@ from adlv import _linalg, audit
 from adlv.cartan import RootSystem
 from adlv.iwahori import (
     AffineElement,
+    _class_map,
     _coinvariant_denominator,
     _im_length,
     KottwitzClass,
@@ -281,6 +283,24 @@ def test_integer_class_matches_coroot_coordinates(descriptor, coord_range):
     for mu in product(range(-coord_range, coord_range + 1), repeat=system.rank):
         x = AffineElement.from_translation(system, mu)
         assert kottwitz(x) == audit._class_by_coroot_coordinates(x), mu
+
+
+@pytest.mark.parametrize("descriptor", [
+    "A1", "A4", "A7", "B2", "B5", "C3", "C6", "D4", "D5", "D8", "E6", "E7", "E8", "F4", "G2",
+    "A2+A2", "A1+B3+G2", "D4+A3",
+])
+def test_class_map_from_integer_rows_matches_the_fraction_inverse(descriptor):
+    """The class map read off the integer Bareiss rows equals d * C^{-1} built
+    from the Fraction inverse, with d each block's least common denominator."""
+    system = RootSystem.from_descriptor(descriptor)
+    expected = []
+    for comp in system.components:
+        block = [[system.inverse_cartan[j][i] for j in comp.indices] for i in comp.indices]
+        d = math.lcm(*(c.denominator for column in block for c in column))
+        for column in block:
+            expected.append((tuple((j, int(c * d)) for j, c in zip(comp.indices, column) if c),
+                             d, tuple(Fraction(r, d) for r in range(d))))
+    assert _class_map(system) == tuple(expected)
 
 
 def test_omega_of_kottwitz_lookup(a2, b2):

@@ -8,6 +8,7 @@ import weakref
 import pytest
 
 import adlv
+from adlv import cli
 from adlv.alcove import AlcoveProfile, walk_profiles
 from adlv.cartan import RootSystem, per_system
 from adlv.criterion import decide_nonempty, oracle_nonempty
@@ -84,6 +85,28 @@ def test_embedding_sets_live_in_the_system_memo_and_die_with_it():
                    for value in system.memo.values())
     ref = weakref.ref(system)
     del system, sigma, x, profile, w_x
+    gc.collect()
+    assert ref() is None
+
+
+def test_row_text_lives_in_the_system_memo_and_dies_with_it():
+    """``enumerate`` builds the phi_x and strips columns once per root set,
+    as system.memo entries."""
+    system = RootSystem.from_descriptor("B3")
+    sigma = DiagramAutomorphism.identity(system)
+    phi_sets, strip_sets = set(), set()
+    for profile in walk_profiles(system, sigma, 3):
+        row = cli._row(None, profile)
+        assert system.memo[(cli._phi_x_text.__wrapped__, profile.phi_x)] is row["phi_x"]
+        assert system.memo[(cli._strips_text.__wrapped__,
+                            profile._strip_numbers)] is row["strips"]
+        phi_sets.add(profile.phi_x)
+        strip_sets.add(profile._strip_numbers)
+    texts = [key for key in system.memo if isinstance(key, tuple)
+             and key[0] in (cli._phi_x_text.__wrapped__, cli._strips_text.__wrapped__)]
+    assert len(texts) == len(phi_sets) + len(strip_sets) > 2
+    ref = weakref.ref(system)
+    del system, sigma, profile, row
     gc.collect()
     assert ref() is None
 

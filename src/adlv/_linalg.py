@@ -2,9 +2,9 @@
 
 Everything here works on tuples of tuples with int/Fraction entries and stays
 exact: products of integer matrices stay in integers, as does the elimination
-of ``integer_inverse`` (``invert_integer`` divides once at the end); the
-other solvers work over Fraction.  Sizes are tiny (matrices up to the
-root-system rank), so plain Gaussian elimination is the right tool.
+of ``integer_inverse``, which gives the inverse as integer rows over one
+determinant; the other solvers work over Fraction.  Sizes are tiny (matrices
+up to the root-system rank), so plain Gaussian elimination is the right tool.
 """
 
 from __future__ import annotations
@@ -51,13 +51,6 @@ def invert(matrix) -> Matrix:
                 factor = aug[r][col]
                 aug[r] = [entry - factor * lead for entry, lead in zip(aug[r], aug[col])]
     return tuple(tuple(row[n:]) for row in aug)
-
-
-def invert_integer(matrix) -> Matrix:
-    """Exact inverse of an integer matrix: ``integer_inverse``, then one
-    Fraction per entry; raises ValueError if singular."""
-    rows, d = integer_inverse(matrix)
-    return tuple(tuple(Fraction(entry, d) for entry in row) for row in rows)
 
 
 def integer_inverse(matrix) -> tuple[tuple[tuple[int, ...], ...], int]:

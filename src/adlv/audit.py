@@ -12,8 +12,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import product
-from operator import or_
+from itertools import islice, product
+from operator import or_, sub
 
 from . import _linalg
 from .alcove import (AlcoveProfile, DominantDecomposition, barycenter, base_k,
@@ -25,7 +25,9 @@ from .criterion import (
     DimTable,
     RULE_ORACLE,
     Verdict,
+    _is_jw_alcove_given,
     _oracle_scan,
+    _twisted_conjugate,
     _twisted_support,
     bgx_cordial,
     decide_nonempty,
@@ -33,7 +35,6 @@ from .criterion import (
     dim_one_strip_rank2,
     dim_recursion_step,
     dim_shrunken,
-    is_jw_alcove,
     j_rx,
     oracle_nonempty,
     shortcut_applies,
@@ -208,8 +209,7 @@ def check_coweight_difference_span(system: RootSystem, coord_bound: int = 2) -> 
     for w in enumerate_w0(system):
         supp = support(w)
         for mu in grid:
-            moved = w.act_on_coweight(mu)
-            diff = tuple(Fraction(a) - b for a, b in zip(mu, moved))
+            diff = tuple(map(sub, mu, w.act_on_coweight(mu)))
             coords = system.coroot_coordinates(diff)
             for i, c in enumerate(coords):
                 if c.denominator != 1 or (c != 0 and i not in supp):
@@ -492,23 +492,27 @@ def check_kottwitz_homomorphism(system: RootSystem, bound: int = 4,
 
 def check_newton_stability(system: RootSystem, sigma: DiagramAutomorphism,
                            bound: int = 4) -> CheckResult:
+    """Newton points are compared in lowest terms, as integer numerators over
+    one denominator; the dominant one also against the rational route."""
     cid = "newton-stability"
-    conjugators = [y for y in enumerate_affine(system, 3)]
+    conjugators = [(y, y.inverse(), apply_sigma_affine(sigma, y))
+                   for y in islice(enumerate_affine(system, 3), 24)]
     for x in enumerate_affine(system, bound):
         base_point = newton(x, sigma)
         if base_point.dominant != _newton_dominant_by_fractions(system, base_point.vector):
             return _fail(cid, "integer dominant Newton point differs from the rational route",
                          {"x": format_affine(x)})
-        doubled = newton(x, sigma, force_multiple=2)
-        if base_point.vector != doubled.vector:
+        if newton(x, sigma, force_multiple=2) != base_point:
             return _fail(cid, "vector depends on the power used",
                          {"x": format_affine(x)})
-        if sigma.coweight(base_point.dominant) != base_point.dominant:
+        dominant = base_point.dominant_numerators
+        if sigma.coweight(dominant) != dominant:
             return _fail(cid, "dominant point is not sigma-invariant",
                          {"x": format_affine(x)})
-        for y in conjugators[:24]:
-            conj = y.inverse() * x * apply_sigma_affine(sigma, y)
-            if newton(conj, sigma).dominant != base_point.dominant:
+        for y, y_inverse, sigma_y in conjugators:
+            point = newton(y_inverse * x * sigma_y, sigma)
+            if (point.dominant_numerators, point.denominator) != (dominant,
+                                                                  base_point.denominator):
                 return _fail(cid, "dominant point not twisted-conjugation invariant",
                              {"x": format_affine(x), "y": format_affine(y)})
     return _ok(cid, "power-doubling and twisted-conjugation invariance hold")
@@ -560,21 +564,32 @@ def check_affine_support_fixed_point(system: RootSystem,
     return _ok(cid, "finite support == fixes a point of the closed base alcove")
 
 
+def _newton_difference_span(x: AffineElement, sigma: DiagramAutomorphism) -> frozenset[int]:
+    """The indices of the nonzero coroot coordinates of nu(t^{v mu}) - nu(x),
+    for x = v t^mu y dominantly decomposed.  The difference is taken in
+    integers, scaled by the two Newton denominators, which keeps that set."""
+    d = dominant_decompose(x)
+    lhs = newton(AffineElement.from_translation(x.system, d.v.act_on_coweight(d.mu)), sigma)
+    rhs = newton(x, sigma)
+    diff = tuple(a * rhs.denominator - b * lhs.denominator
+                 for a, b in zip(lhs.numerators, rhs.numerators))
+    return frozenset(i for i, c in enumerate(x.system.coroot_coordinates(diff)) if c)
+
+
 def check_parabolic_newton_difference(system: RootSystem, sigma: DiagramAutomorphism,
                                  bound: int = 5) -> CheckResult:
     cid = "parabolic-newton-difference"
     checked = 0
+    elements = list(enumerate_affine(system, bound))
+    spans: dict[AffineElement, frozenset[int]] = {}  # made once per x, on first use
     for j_set in sigma_stable_subsets(system, sigma, False):
         marker = tuple(0 if i in j_set else 1 for i in range(system.rank))
-        for x in enumerate_affine(system, bound):
-            if x.finite.act_on_coweight(marker) != tuple(Fraction(c) for c in marker):
+        for x in elements:
+            if x.finite.act_on_coweight(marker) != marker:
                 continue  # finite part not in W_J
-            d = dominant_decompose(x)
-            v_mu = d.v.act_on_coweight(d.mu)
-            lhs = newton(AffineElement.from_translation(system, v_mu), sigma).vector
-            diff = tuple(a - b for a, b in zip(lhs, newton(x, sigma).vector))
-            coords = system.coroot_coordinates(diff)
-            if any(c != 0 and i not in j_set for i, c in enumerate(coords)):
+            if x not in spans:
+                spans[x] = _newton_difference_span(x, sigma)
+            if not spans[x] <= j_set:
                 return _fail(cid, "difference leaves the J-span",
                              {"x": format_affine(x), "J": sorted(j_set)})
             checked += 1
@@ -752,6 +767,14 @@ def _oracle_scan_over_w0(profile: AlcoveProfile) -> Verdict:
     return Verdict(True, RULE_ORACLE, {"pairs_scanned": len(scan) * len(subsets)})
 
 
+def _literal_jw_row(profile: AlcoveProfile, w: FiniteWeylElement, subsets) -> list[bool]:
+    """``is_jw_alcove(profile, J, w)`` for each sigma-stable J in ``subsets``,
+    with the twisted conjugate w^{-1} x sigma(w), which does not depend on J,
+    made once."""
+    twisted = _twisted_conjugate(profile.x, profile.sigma, w)
+    return [_is_jw_alcove_given(profile, j_set, w, twisted) for j_set in subsets]
+
+
 def check_oracle_reduction_vs_literal(system: RootSystem, sigma: DiagramAutomorphism,
                                       bound: int = 4) -> CheckResult:
     """The minimal-support shortcut used by the scan equals the literal test,
@@ -760,14 +783,15 @@ def check_oracle_reduction_vs_literal(system: RootSystem, sigma: DiagramAutomorp
     pairs = 0
     scan = enumerate_w0(system)
     subsets = sigma_stable_subsets(system, sigma, False)
+    masks = [sum(1 << i for i in j_set) for j_set in subsets]
     for x in enumerate_affine(system, bound):
         profile = AlcoveProfile.build(x, sigma)
         for w in scan:
             t_mask = _violated_supports(profile, w) | _twisted_support(profile, w)
-            for j_set in subsets:
+            literal = _literal_jw_row(profile, w, subsets)
+            for j_set, mask, is_alcove in zip(subsets, masks, literal):
                 pairs += 1
-                inside = not t_mask & ~sum(1 << i for i in j_set)
-                if is_jw_alcove(profile, j_set, w) != inside:
+                if is_alcove != (not t_mask & ~mask):
                     return _fail(cid, "reduction disagrees with the literal conditions",
                                  {"x": format_affine(x), "w": format_finite(w),
                                   "J": sorted(j_set)})

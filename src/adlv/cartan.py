@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, wraps
 from math import factorial, lcm
+from operator import mul
 
 from . import _linalg
 from .errors import NotationError
@@ -169,8 +170,10 @@ class RootSystem:
                 for j in range(comp.rank):
                     cartan[comp.start + i][comp.start + j] = block[i][j]
         self.cartan_matrix: tuple[tuple[int, ...], ...] = tuple(tuple(r) for r in cartan)
-        self.inverse_cartan: tuple[tuple[Fraction, ...], ...] = _linalg.invert_integer(
-            self.cartan_matrix)
+        rows, self._determinant = _linalg.integer_inverse(self.cartan_matrix)
+        self.inverse_cartan: tuple[tuple[Fraction, ...], ...] = tuple(
+            tuple(Fraction(entry, self._determinant) for entry in row) for row in rows)
+        self._adjugate_columns = tuple(zip(*rows))
 
         pos: list[Root] = []
         for comp, block in zip(self.components, blocks):
@@ -237,13 +240,15 @@ class RootSystem:
         return sum(a * m for a, m in zip(root, mu))
 
     def coroot_coordinates(self, mu) -> tuple[Fraction, ...]:
-        """Coordinates c with mu = sum_i c_i * alpha_i^v (inverse-Cartan transform)."""
+        """Coordinates c with mu = sum_i c_i * alpha_i^v (inverse-Cartan
+        transform), as Fractions: the inverse is the integer rows of
+        ``integer_inverse`` over their determinant, so c_i is one dot product
+        with column i of those rows and one division."""
         if len(mu) != self.rank:
             raise ValueError("dimension mismatch")
-        return tuple(
-            sum(self.inverse_cartan[j][i] * mu[j] for j in range(self.rank))
-            for i in range(self.rank)
-        )
+        det = self._determinant
+        return tuple([Fraction(sum(map(mul, column, mu)), det)
+                      for column in self._adjugate_columns])
 
     def in_coweight_lattice(self, mu) -> bool:
         return all(type(c) is int or Fraction(c).denominator == 1 for c in mu)

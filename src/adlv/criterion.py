@@ -165,12 +165,24 @@ def is_jw_alcove(profile: AlcoveProfile, j_set: frozenset[int], w: FiniteWeylEle
     """Both defining conditions, literally: the twisted conjugate lands in the
     standard J-parabolic, and the k-values on w(positives outside J) dominate
     the base alcove's."""
-    x, sigma, system = profile.x, profile.sigma, profile.system
+    sigma = profile.sigma
     j_set = frozenset(j_set)
     if frozenset(sigma.index(i) for i in j_set) != j_set:
         raise ValueError(f"J = {sorted(j_set)} is not sigma-stable")
-    w_affine = AffineElement.from_finite(w)
-    twisted = w_affine.inverse() * x * AffineElement.from_finite(sigma.weyl(w))
+    return _is_jw_alcove_given(profile, j_set, w, _twisted_conjugate(profile.x, sigma, w))
+
+
+def _twisted_conjugate(x: AffineElement, sigma: DiagramAutomorphism,
+                      w: FiniteWeylElement) -> AffineElement:
+    """w^{-1} x sigma(w), as group products."""
+    return AffineElement.from_finite(w).inverse() * x * AffineElement.from_finite(sigma.weyl(w))
+
+
+def _is_jw_alcove_given(profile: AlcoveProfile, j_set: frozenset[int], w: FiniteWeylElement,
+                        twisted: AffineElement) -> bool:
+    """``is_jw_alcove`` for a sigma-stable J, with ``twisted`` the twisted
+    conjugate of x by w, which does not depend on J."""
+    system = profile.system
     marker = tuple(0 if i in j_set else 1 for i in range(system.rank))
     if twisted.finite.act_on_coweight(marker) != marker:
         return False

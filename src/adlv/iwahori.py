@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import product
 from math import gcd
-from operator import add, mul
+from operator import mul
 from typing import NamedTuple
 
 from . import _linalg
@@ -74,17 +74,18 @@ class AffineElement:
         return cls((0,) * w.system.rank, w)
 
     def __mul__(self, other: "AffineElement") -> "AffineElement":
-        # (t^a u)(t^b v) = t^{a + u.b} uv, and u.0 = 0
-        translation = self.translation
-        if any(other.translation):
-            translation = tuple(map(add, translation,
-                                    self.finite.act_on_coweight(other.translation)))
+        # (t^a u)(t^b v) = t^{a + u.b} uv, and u.0 = 0; (u.b)_i = <u^{-1}(alpha_i), b>
+        translation, b = self.translation, other.translation
+        if any(b):
+            translation = tuple([c + sum(map(mul, row, b)) for c, row
+                                 in zip(translation, self.finite.inverse().images)])
         return _unchecked(translation, self.finite * other.finite)
 
     def inverse(self) -> "AffineElement":
-        w_inv = self.finite.inverse()
-        moved = w_inv.act_on_coweight(self.translation)
-        return _unchecked(tuple(-c for c in moved), w_inv)
+        # (t^a u)^{-1} = t^{-u^{-1}.a} u^{-1}, and (u^{-1}.a)_i = <u(alpha_i), a>
+        a = self.translation
+        return _unchecked(tuple([-sum(map(mul, row, a)) for row in self.finite.images]),
+                          self.finite.inverse())
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, AffineElement)
@@ -163,10 +164,10 @@ class KottwitzClass:
     def from_translation(cls, system: RootSystem, mu) -> "KottwitzClass":
         """Coroot coordinates of mu mod 1, in integers: per component, d * C^{-1}
         is an integer matrix, so residue i is column i . mu mod d."""
-        mu = _as_int_tuple(mu)
-        return cls(system, tuple(
-            sum(a * mu[j] for j, a in column) % d for column, d, _ in _class_map(system)
-        ))
+        if type(sum(mu)) is not int:  # some entry is not an int: check integrality
+            mu = _as_int_tuple(mu)
+        return cls(system, tuple([sum(map(mul, column, mu)) % d
+                                  for column, d, _ in _class_map(system)]))
 
     @classmethod
     def zero(cls, system: RootSystem) -> "KottwitzClass":
@@ -186,10 +187,10 @@ class KottwitzClass:
         return ";".join(map(str, self.rep))
 
     def __add__(self, other: "KottwitzClass") -> "KottwitzClass":
-        return KottwitzClass(self.system, tuple(
+        return KottwitzClass(self.system, tuple([
             (a + b) % d
             for (_, d, _), a, b in zip(_class_map(self.system), self.residues, other.residues)
-        ))
+        ]))
 
     def is_zero(self) -> bool:
         return not any(self.residues)
@@ -206,11 +207,12 @@ class KottwitzClass:
 
 @per_system
 def _class_map(system: RootSystem):
-    """Per coordinate i, in index order: the nonzero entries (j, d * C^{-1}[j][i])
-    of column i of its component's inverse-Cartan block, the block's least
-    common denominator d, and the Fractions r/d for r < d, which
-    ``KottwitzClass.rep`` reads.  In integers: the block's inverse is
-    rows / det, so d = |det| / gcd(det, rows) and d * C^{-1} = rows / (det / d)."""
+    """Per coordinate i, in index order: column i of d * C^{-1} over every
+    index, zero outside i's component (so a residue is one dot product), the
+    component block's least common denominator d, and the Fractions r/d for
+    r < d, which ``KottwitzClass.rep`` reads.  In integers: the block's
+    inverse is rows / det, so d = |det| / gcd(det, rows) and
+    d * C^{-1} = rows / (det / d)."""
     out = []
     for comp in system.components:
         rows, det = _linalg.integer_inverse(
@@ -218,9 +220,10 @@ def _class_map(system: RootSystem):
         d = abs(det) // gcd(det, *(c for row in rows for c in row))
         fractions = tuple(Fraction(r, d) for r in range(d))
         for i in range(comp.rank):
-            entries = tuple((j, row[i] // (det // d))
-                            for j, row in zip(comp.indices, rows) if row[i])
-            out.append((entries, d, fractions))
+            column = [0] * system.rank
+            for j, row in zip(comp.indices, rows):
+                column[j] = row[i] // (det // d)
+            out.append((tuple(column), d, fractions))
     return tuple(out)
 
 
@@ -291,11 +294,26 @@ def make_dominant(system: RootSystem, mu) -> tuple[tuple, FiniteWeylElement]:
 
 @dataclass(frozen=True)
 class NewtonPoint:
-    vector: tuple[Fraction, ...]
-    dominant: tuple[Fraction, ...]
+    """The Newton point lambda / n in lowest terms: the integer ``numerators``
+    of lambda and ``dominant_numerators`` of its dominant representative, over
+    one ``denominator`` n > 0 with gcd(n, lambda) = 1.  W0 acts on the
+    coweight lattice by unimodular integer matrices, so n is the lowest
+    denominator of the dominant representative as well."""
+
+    numerators: tuple[int, ...]
+    dominant_numerators: tuple[int, ...]
+    denominator: int
+
+    @property
+    def vector(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.denominator) for c in self.numerators)
+
+    @property
+    def dominant(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.denominator) for c in self.dominant_numerators)
 
     def is_central(self) -> bool:
-        return all(c == 0 for c in self.dominant)
+        return not any(self.dominant_numerators)
 
 
 def newton(x: AffineElement, sigma: DiagramAutomorphism,
@@ -305,10 +323,10 @@ def newton(x: AffineElement, sigma: DiagramAutomorphism,
     demands a larger power, for the independence audit).
 
     The raw vector is only fixed by the twisted action; its dominant
-    representative is genuinely sigma-invariant.  Both are Fraction tuples.
-    The dominant one is found in integers: W0 acts linearly and the power n
-    is positive, so the dominant representative of lambda/n is that of the
-    integer translation lambda, divided by n.
+    representative is genuinely sigma-invariant.  Both are found in
+    integers: the power n gives the translation lambda, both are divided by
+    their gcd, and as W0 acts linearly the dominant representative of
+    lambda/n is that of the integer numerators over the same denominator.
     """
     system = x.system
     twists = [x]
@@ -320,9 +338,9 @@ def newton(x: AffineElement, sigma: DiagramAutomorphism,
     n = 1
     while n <= cap:
         if n % step == 0 and z.finite.is_identity():
-            dominant, _ = make_dominant(system, z.translation)
-            return NewtonPoint(tuple(Fraction(c, n) for c in z.translation),
-                               tuple(Fraction(c, n) for c in dominant))
+            g = gcd(n, *z.translation)
+            numerators = tuple([c // g for c in z.translation])
+            return NewtonPoint(numerators, make_dominant(system, numerators)[0], n // g)
         z = z * twists[n % sigma.order]
         n += 1
     raise InternalCheckError("Newton iteration did not terminate within the cap")

@@ -171,9 +171,28 @@ def test_integer_inverse_and_coroots_match_references(descriptor):
         assert coroot == coroot_by_descent(system, root), root
 
 
+@pytest.mark.parametrize("descriptor", _INTEGER_TABLE_SYSTEMS)
+def test_coroot_coordinates_match_the_inverse_cartan_product(descriptor):
+    """Coroot coordinates from the integer inverse rows equal the product with
+    the Fraction inverse Cartan matrix, as Fractions, for int and Fraction
+    coweights alike, and the coroot-lattice test reads the same values."""
+    system = RootSystem.from_descriptor(descriptor)
+    n, inverse = system.rank, system.inverse_cartan
+    integral = ([tuple(int(j == i) for j in range(n)) for i in range(n)]
+                + list(system.cartan_matrix) + [tuple(j % 5 - 2 for j in range(n))])
+    rational = [tuple(Fraction(c, 3) for c in mu) for mu in integral]
+    for mu in integral + [tuple(map(Fraction, mu)) for mu in integral] + rational:
+        expected = tuple(sum((inverse[j][i] * mu[j] for j in range(n)), Fraction(0))
+                         for i in range(n))
+        coords = system.coroot_coordinates(mu)
+        assert coords == expected, mu
+        assert all(type(c) is Fraction for c in coords)
+        assert system.in_coroot_lattice(mu) == all(c.denominator == 1 for c in expected)
+
+
 def test_integer_inverse_refuses_singular():
     with pytest.raises(ValueError):
-        _linalg.invert_integer(((2, -1), (-4, 2)))
+        _linalg.integer_inverse(((2, -1), (-4, 2)))
 
 
 def test_subset_predicates_examples(a2):

@@ -635,6 +635,8 @@ def test_crosscheck_detects_injected_fault(a2, monkeypatch):
                                    "--sigma", "(1 3)", "--kappa-b", "match-x"]),
     ("bgx_A2_s1s2_11.json", ["bgx", "s1 s2", "[1,1]", "--system", "A2"]),
     ("bgx_A2_e_10.json", ["bgx", "e", "[1,0]", "--system", "A2"]),
+    ("crosscheck_G2_L4.json", ["crosscheck", "--system", "G2", "--length-bound", "4",
+                               "--seed", "1"]),
 ])
 def test_golden_output_bytes(name, args, capsys):
     code, out, _ = run_cli(args, capsys)

@@ -173,6 +173,22 @@ def test_jw_alcove_rejects_unstable_j(a3, a3_flip):
         is_jw_alcove(profile, frozenset({0}), w)  # {1} is not flip-stable
 
 
+@pytest.mark.parametrize("descriptor, sigma_text, bound", [
+    ("A2", "id", 3), ("G2", "id", 3), ("A3", "(1 3)", 2), ("D4", "(1 3 4)", 1),
+])
+def test_literal_row_with_one_conjugate_matches_is_jw_alcove(descriptor, sigma_text, bound):
+    """The audit's literal test, with one twisted conjugate per (x, w) shared
+    by every J, equals is_jw_alcove on every (x, w, J)."""
+    system = RootSystem.from_descriptor(descriptor)
+    sigma = parse_sigma(system, sigma_text)
+    subsets = sigma_stable_subsets(system, sigma, False)
+    for x in enumerate_affine(system, bound):
+        profile = AlcoveProfile.build(x, sigma)
+        for w in enumerate_w0(system):
+            assert audit._literal_jw_row(profile, w, subsets) == [
+                is_jw_alcove(profile, j_set, w) for j_set in subsets], (x, w)
+
+
 def test_deep_shrunken_is_no_proper_alcove(a2):
     profile = AlcoveProfile.build(parse_affine(a2, "t[-3,3] s2 s1"), sid(a2))
     for j_set in sigma_stable_subsets(a2, sid(a2), True):

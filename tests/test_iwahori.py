@@ -22,6 +22,7 @@ from adlv.iwahori import (
     fixes_point_of_closed_base_alcove,
     kottwitz,
     kottwitz_group,
+    make_dominant,
     minuscule_omegas,
     newton,
     omega_component,
@@ -52,6 +53,24 @@ def test_semidirect_inverse(a2):
         w_inv = x.finite.inverse()
         expected = tuple(-c for c in w_inv.act_on_coweight(x.translation))
         assert x.inverse().translation == expected
+
+
+@pytest.mark.parametrize("descriptor,bound", [("A2", 3), ("G2", 3), ("B3", 2), ("A2+A1", 2)])
+def test_flat_group_law_matches_the_coweight_action(descriptor, bound):
+    """(t^a u)(t^b v) = t^{a + u.b} uv and (t^a u)^{-1} = t^{-u^{-1}.a} u^{-1},
+    with u.b from ``act_on_coweight``."""
+    system = RootSystem.from_descriptor(descriptor)
+    sample = list(enumerate_affine(system, bound))
+    for x in sample:
+        u = x.finite
+        inverse = x.inverse()
+        assert inverse.translation == tuple(-c for c in u.inverse().act_on_coweight(x.translation))
+        assert inverse.finite == u.inverse()
+        for y in sample:
+            product = x * y
+            assert product.translation == tuple(
+                a + b for a, b in zip(x.translation, u.act_on_coweight(y.translation)))
+            assert product.finite == u * y.finite
 
 
 def test_apply_sigma_identity(a2):
@@ -291,15 +310,18 @@ def test_integer_class_matches_coroot_coordinates(descriptor, coord_range):
 ])
 def test_class_map_from_integer_rows_matches_the_fraction_inverse(descriptor):
     """The class map read off the integer Bareiss rows equals d * C^{-1} built
-    from the Fraction inverse, with d each block's least common denominator."""
+    from the Fraction inverse, with d each block's least common denominator,
+    as dense columns, zero outside their component."""
     system = RootSystem.from_descriptor(descriptor)
     expected = []
     for comp in system.components:
         block = [[system.inverse_cartan[j][i] for j in comp.indices] for i in comp.indices]
         d = math.lcm(*(c.denominator for column in block for c in column))
         for column in block:
-            expected.append((tuple((j, int(c * d)) for j, c in zip(comp.indices, column) if c),
-                             d, tuple(Fraction(r, d) for r in range(d))))
+            dense = [0] * system.rank
+            for j, c in zip(comp.indices, column):
+                dense[j] = int(c * d)
+            expected.append((tuple(dense), d, tuple(Fraction(r, d) for r in range(d))))
     assert _class_map(system) == tuple(expected)
 
 
@@ -446,3 +468,71 @@ def test_dominance_and_lattice_tests_take_ints_and_rationals(a2):
     assert a2.is_dominant((Fraction(1, 2), Fraction(0))) and not a2.is_dominant((Fraction(-1, 3), 1))
     assert a2.in_coweight_lattice((2, -5)) and a2.in_coweight_lattice((Fraction(4, 2), -1))
     assert not a2.in_coweight_lattice((Fraction(1, 2), 0))
+
+
+def newton_by_fractions(x, sigma, force_multiple=1):
+    """The Newton point as Fraction tuples: the translation of the first
+    valid twisted power x^n and its dominant representative, each over n."""
+    twists = [x]
+    for _ in range(sigma.order - 1):
+        twists.append(apply_sigma_affine(sigma, twists[-1]))
+    step = sigma.order * force_multiple
+    z, n = x, 1
+    while not (n % step == 0 and z.finite.is_identity()):
+        assert n <= 2 * x.system.weyl_order() * step + 2
+        z = z * twists[n % sigma.order]
+        n += 1
+    dominant, _ = make_dominant(x.system, z.translation)
+    return tuple(Fraction(c, n) for c in z.translation), tuple(Fraction(c, n) for c in dominant)
+
+
+@pytest.mark.parametrize("descriptor, sigma_text, bound", [
+    ("A2", "id", 6), ("G2", "id", 6), ("B3", "id", 4), ("A3", "(1 3)", 4),
+    ("D4", "(1 3 4)", 3), ("A2+A2", "(1 3)(2 4)", 3),
+])
+def test_newton_point_in_lowest_terms(descriptor, sigma_text, bound):
+    """A Newton point holds its numerators over a positive denominator prime
+    to them; it reads as the Fraction route, whatever power is used, and is
+    central exactly when that route's dominant point is zero."""
+    system = RootSystem.from_descriptor(descriptor)
+    sigma = parse_sigma(system, sigma_text)
+    for x in enumerate_affine(system, bound):
+        point = newton(x, sigma)
+        n = point.denominator
+        assert n > 0 and math.gcd(n, *point.numerators) == 1
+        assert math.gcd(n, *point.dominant_numerators) == 1
+        vector, dominant = newton_by_fractions(x, sigma)
+        assert (point.vector, point.dominant) == (vector, dominant), x
+        assert all(type(c) is Fraction for c in point.vector + point.dominant)
+        assert newton(x, sigma, force_multiple=2) == point == newton(x, sigma, force_multiple=3)
+        assert point.is_central() == all(c == 0 for c in dominant)
+
+
+@pytest.mark.parametrize("descriptor", [
+    "A1", "A2", "A3", "A4", "A5", "A6", "A7", "B3", "C3", "D4", "D5", "E6",
+    "A2+A2", "A1+B3",
+])
+def test_flat_class_map_and_sum_match_references(descriptor):
+    """The class map and class sum, read off dense integer columns, give
+    classes equal and hash-equal to KottwitzClass(system, residues) built
+    from the rational coroot coordinates mod 1; sums over the whole group
+    match the rational sum mod 1."""
+    system = RootSystem.from_descriptor(descriptor)
+    moduli = [d for _, d, _ in _class_map(system)]
+    for mu in product(range(-1, 2), repeat=system.rank):
+        coords = system.coroot_coordinates(mu)
+        expected = KottwitzClass(system, tuple(
+            int((c - math.floor(c)) * d) for c, d in zip(coords, moduli)))
+        for kappa in (KottwitzClass.from_translation(system, mu),
+                      KottwitzClass.from_translation(system, tuple(map(Fraction, mu))),
+                      kottwitz(AffineElement.from_translation(system, mu))):
+            assert kappa == expected and hash(kappa) == hash(expected), mu
+            assert all(type(r) is int for r in kappa.residues)
+    with pytest.raises(ValueError, match="not integral"):
+        KottwitzClass.from_translation(system, (Fraction(1, 2),) + (0,) * (system.rank - 1))
+    group = kottwitz_group(system)
+    for a in group:
+        for b in group:
+            total, expected = a + b, audit._class_sum_by_mod1(a, b)
+            assert total == expected and hash(total) == hash(expected), (a, b)
+            assert all(type(r) is int for r in total.residues)

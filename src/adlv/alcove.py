@@ -63,6 +63,14 @@ def barycenter(x: AffineElement) -> tuple[Fraction, ...]:
     return x.act_on_point(x.system.base_alcove_barycenter())
 
 
+def scaled_barycenter(x: AffineElement) -> tuple[int, tuple[int, ...]]:
+    """``barycenter`` in integers: (D, D x(p)) with D the base barycenter
+    p's common denominator, as D x(p) = w(D p) + D lambda."""
+    scale, center = x.system.scaled_base_alcove_barycenter
+    moved = x.finite.act_on_coweight(center)
+    return scale, tuple(m + scale * t for m, t in zip(moved, x.translation))
+
+
 @dataclass(frozen=True)
 class DominantDecomposition:
     """x = v * t^mu * w with t^mu w in the dominant chamber and mu dominant."""
@@ -73,13 +81,10 @@ class DominantDecomposition:
 
 
 def dominant_decompose(x: AffineElement) -> DominantDecomposition:
-    """Move the alcove's barycenter into the dominant chamber, in integers: with
-    D the barycenter's common denominator, D x(p) = w(D p) + D lambda."""
+    """Move the alcove's barycenter into the dominant chamber, in integers
+    (``scaled_barycenter``)."""
     system = x.system
-    scale, center = system.scaled_base_alcove_barycenter
-    moved = x.finite.act_on_coweight(center)
-    point = tuple(m + scale * t for m, t in zip(moved, x.translation))
-    dominant_point, u = make_dominant(system, point)
+    dominant_point, u = make_dominant(system, scaled_barycenter(x)[1])
     if any(c <= 0 for c in dominant_point):
         raise InternalCheckError("alcove barycenter landed on a chamber wall")
     v = u.inverse()

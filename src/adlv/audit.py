@@ -3,12 +3,20 @@
 Each check returns a CheckResult with a machine-readable counterexample on
 failure.  The CLI crosscheck command runs the battery for one configuration;
 the acceptance tests call the same functions with their own pinned ranges.
+
+Within one ``run_battery`` call the checks share a run table: each length
+range is listed once, as a tuple in ``enumerate_affine`` order, and each
+(x, sigma) gets one closed-form ``AlcoveProfile``, whose derived fields are
+then computed once per run.  The table lives in a context variable that the
+call sets and resets, never in ``RootSystem.memo``, so a check called on its
+own, or a run after a patched one, builds its elements and profiles afresh.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -17,7 +25,7 @@ from operator import or_, sub
 
 from . import _linalg
 from .alcove import (AlcoveProfile, DominantDecomposition, barycenter, base_k,
-                     dominant_decompose, walk_profiles)
+                     dominant_decompose, scaled_barycenter, walk_profiles)
 from .cartan import Root, RootSystem, classical_positive_count, subset_predicates
 from .errors import InternalCheckError
 from .criterion import (
@@ -92,9 +100,41 @@ def _fail(check_id: str, detail: str, counterexample: dict) -> CheckResult:
     return CheckResult(check_id, False, detail, counterexample)
 
 
-def _floor(value) -> int:
-    f = Fraction(value)
-    return f.numerator // f.denominator
+class _RunTable:
+    """The elements and closed-form profiles of one ``run_battery`` call."""
+
+    def __init__(self, system: RootSystem):
+        self.system = system
+        self.ranges: dict[int, tuple[AffineElement, ...]] = {}
+        self.profiles: dict[tuple[AffineElement, tuple[int, ...]], AlcoveProfile] = {}
+
+
+_RUN: ContextVar[_RunTable | None] = ContextVar("adlv_audit_run", default=None)
+
+
+def _elements(system: RootSystem, bound: int):
+    """``enumerate_affine(system, bound)``; within a run, the run's one
+    listing of that range."""
+    table = _RUN.get()
+    if table is None or table.system is not system:
+        return enumerate_affine(system, bound)
+    elements = table.ranges.get(bound)
+    if elements is None:
+        elements = table.ranges[bound] = tuple(enumerate_affine(system, bound))
+    return elements
+
+
+def _profile(x: AffineElement, sigma: DiagramAutomorphism) -> AlcoveProfile:
+    """``AlcoveProfile.build(x, sigma)``; within a run, the run's one profile
+    of (x, sigma)."""
+    table = _RUN.get()
+    if table is None or table.system is not x.system:
+        return AlcoveProfile.build(x, sigma)
+    key = (x, sigma.perm)
+    profile = table.profiles.get(key)
+    if profile is None:
+        profile = table.profiles[key] = AlcoveProfile.build(x, sigma)
+    return profile
 
 
 # -- cartan ----------------------------------------------------------------------
@@ -183,20 +223,21 @@ def check_reflection_coweight_identity(system: RootSystem, max_length: int = 4,
     for r in enumerate_w0(system):
         if r.length > max_length:
             continue
-        word = reduced_word(r)  # r = s_{word[0]} ... s_{word[-1]}
-        rev = tuple(reversed(word))  # the identity consumes letters rightmost first
+        # (beta_j, row j of the Cartan matrix) along r's reduced word, read
+        # rightmost letter first as the identity consumes them; r alone fixes them
+        terms = []
+        prefix = FiniteWeylElement.identity(system)
+        for j in reversed(reduced_word(r)):  # r = s_{word[0]} ... s_{word[-1]}
+            alpha_j = tuple(1 if k == j else 0 for k in range(system.rank))
+            terms.append((prefix.act_on_root(alpha_j), system.cartan_matrix[j]))
+            prefix = prefix * FiniteWeylElement.simple(system, j)
         for mu in grid:
-            expected = list(Fraction(c) for c in r.act_on_coweight(mu))
-            acc = [Fraction(c) for c in mu]
-            prefix = FiniteWeylElement.identity(system)
-            for j in rev:
-                alpha_j = tuple(1 if k == j else 0 for k in range(system.rank))
-                beta = prefix.act_on_root(alpha_j)
+            acc = list(mu)
+            for beta, row in terms:
                 coeff = system.pair(beta, mu)
                 for k in range(system.rank):
-                    acc[k] -= coeff * system.cartan_matrix[j][k]
-                prefix = prefix * FiniteWeylElement.simple(system, j)
-            if acc != expected:
+                    acc[k] -= coeff * row[k]
+            if tuple(acc) != r.act_on_coweight(mu):
                 return _fail(cid, "identity fails",
                              {"r": format_finite(r), "mu": list(mu)})
     return _ok(cid, f"identity holds up to length {max_length}")
@@ -315,12 +356,13 @@ def check_sandwich_postcondition(system: RootSystem, seed: int = 0,
 
 
 def separating_hyperplane_count(x: AffineElement) -> int:
-    """Number of root hyperplanes strictly between the two alcove barycenters."""
+    """Number of root hyperplanes strictly between the two alcove barycenters:
+    with both scaled by D to integers, floor(<a, p>) = <a, D p> // D."""
     system = x.system
-    origin = system.base_alcove_barycenter()
-    moved = x.act_on_point(origin)
+    scale, origin = system.scaled_base_alcove_barycenter
+    _, moved = scaled_barycenter(x)
     return sum(
-        abs(_floor(system.pair(a, moved)) - _floor(system.pair(a, origin)))
+        abs(system.pair(a, moved) // scale - system.pair(a, origin) // scale)
         for a in system.positive_roots
     )
 
@@ -328,7 +370,7 @@ def separating_hyperplane_count(x: AffineElement) -> int:
 def check_length_hyperplane_oracle(system: RootSystem, bound: int) -> CheckResult:
     cid = "length-hyperplane-oracle"
     count = 0
-    for x in enumerate_affine(system, bound):
+    for x in _elements(system, bound):
         count += 1
         if x.length != separating_hyperplane_count(x):
             return _fail(cid, "formula disagrees with the separation count",
@@ -465,7 +507,7 @@ def check_kottwitz_homomorphism(system: RootSystem, bound: int = 4,
     if omega_elements(system) != _omega_elements_by_sweep(system):
         return _fail(cid, "minuscule Omega differs from the W0 sweep",
                      {"omega": [format_affine(el) for el in omega_elements(system)]})
-    sample = [(x, kottwitz(x)) for x in enumerate_affine(system, bound)]
+    sample = [(x, kottwitz(x)) for x in _elements(system, bound)]
     for x, kx in sample:
         if kx != _class_by_coroot_coordinates(x):
             return _fail(cid, "integer class differs from the coroot coordinates",
@@ -495,9 +537,11 @@ def check_newton_stability(system: RootSystem, sigma: DiagramAutomorphism,
     """Newton points are compared in lowest terms, as integer numerators over
     one denominator; the dominant one also against the rational route."""
     cid = "newton-stability"
-    conjugators = [(y, y.inverse(), apply_sigma_affine(sigma, y))
-                   for y in islice(enumerate_affine(system, 3), 24)]
-    for x in enumerate_affine(system, bound):
+    # the first 24 elements of length <= 3: a run lists that range anyway
+    # when bound >= 3, and otherwise only those 24 are walked
+    walk = _elements(system, 3) if bound >= 3 else enumerate_affine(system, 3)
+    conjugators = [(y, y.inverse(), apply_sigma_affine(sigma, y)) for y in islice(walk, 24)]
+    for x in _elements(system, bound):
         base_point = newton(x, sigma)
         if base_point.dominant != _newton_dominant_by_fractions(system, base_point.vector):
             return _fail(cid, "integer dominant Newton point differs from the rational route",
@@ -523,7 +567,7 @@ def check_shortcut_precondition_central(system: RootSystem,
                                         bound: int = 8) -> CheckResult:
     cid = "shortcut-precondition-central"
     checked = 0
-    for x in enumerate_affine(system, bound):
+    for x in _elements(system, bound):
         if shortcut_applies(x, sigma):
             checked += 1
             if not newton(x, sigma).is_central():
@@ -580,7 +624,7 @@ def check_parabolic_newton_difference(system: RootSystem, sigma: DiagramAutomorp
                                  bound: int = 5) -> CheckResult:
     cid = "parabolic-newton-difference"
     checked = 0
-    elements = list(enumerate_affine(system, bound))
+    elements = list(_elements(system, bound))
     spans: dict[AffineElement, frozenset[int]] = {}  # made once per x, on first use
     for j_set in sigma_stable_subsets(system, sigma, False):
         marker = tuple(0 if i in j_set else 1 for i in range(system.rank))
@@ -613,8 +657,8 @@ def check_k_value_oracle(system: RootSystem, bound: int) -> CheckResult:
     count = 0
     for walked in walk_profiles(system, DiagramAutomorphism.identity(system), bound):
         x = walked.x
-        point = barycenter(x)
-        profile = AlcoveProfile.build(x, walked.sigma)
+        scale, point = scaled_barycenter(x)
+        profile = _profile(x, walked.sigma)
         if profile.decomposition != _dominant_decompose_by_barycenter(x):
             return _fail(cid, "integer decomposition differs from the barycenter route",
                          {"x": format_affine(x)})
@@ -625,7 +669,7 @@ def check_k_value_oracle(system: RootSystem, bound: int) -> CheckResult:
         k_values = profile.k_values
         for a in system.all_roots:
             count += 1
-            expected = _floor(system.pair(a, point))
+            expected = system.pair(a, point) // scale
             if k_values[a] != expected:
                 return _fail(cid, "closed form disagrees with the barycenter floor",
                              {"x": format_affine(x), "a": list(a),
@@ -647,8 +691,8 @@ def check_strip_complement_radical_closed(system: RootSystem, bound: int,
     cid = "strip-complement-radical-closed"
     sigma = sigma or DiagramAutomorphism.identity(system)
     count = 0
-    for x in enumerate_affine(system, bound):
-        profile = AlcoveProfile.build(x, sigma)
+    for x in _elements(system, bound):
+        profile = _profile(x, sigma)
         complement = frozenset(system.positive_roots) - profile.phi_x
         props = subset_predicates(system, complement)
         if not (props.radical and props.closed):
@@ -682,8 +726,8 @@ def check_wx_structure(system: RootSystem, bound: int) -> CheckResult:
     sid = DiagramAutomorphism.identity(system)
     identity = FiniteWeylElement.identity(system)
     count = 0
-    for x in enumerate_affine(system, bound):
-        profile = AlcoveProfile.build(x, sid)
+    for x in _elements(system, bound):
+        profile = _profile(x, sid)
         reference = w_x_set_bruteforce(system, profile.phi_x)
         if profile.w_x != tuple(sorted(reference, key=FiniteWeylElement.sort_key)):
             return _fail(cid, "breadth-first set differs from the brute-force filter",
@@ -720,8 +764,8 @@ def check_jrx_postcondition(system: RootSystem, sigma: DiagramAutomorphism,
                             bound: int) -> CheckResult:
     cid = "jrx-postcondition"
     pairs = 0
-    for x in enumerate_affine(system, bound):
-        profile = AlcoveProfile.build(x, sigma)
+    for x in _elements(system, bound):
+        profile = _profile(x, sigma)
         for r in profile.w_x:
             j_rx(profile, r)  # raises InternalCheckError on failure
             pairs += 1
@@ -784,8 +828,8 @@ def check_oracle_reduction_vs_literal(system: RootSystem, sigma: DiagramAutomorp
     scan = enumerate_w0(system)
     subsets = sigma_stable_subsets(system, sigma, False)
     masks = [sum(1 << i for i in j_set) for j_set in subsets]
-    for x in enumerate_affine(system, bound):
-        profile = AlcoveProfile.build(x, sigma)
+    for x in _elements(system, bound):
+        profile = _profile(x, sigma)
         for w in scan:
             t_mask = _violated_supports(profile, w) | _twisted_support(profile, w)
             literal = _literal_jw_row(profile, w, subsets)
@@ -808,9 +852,9 @@ def check_criterion_oracle_equivalence(system: RootSystem,
                                        bound: int) -> CheckResult:
     cid = "criterion-oracle-equivalence"
     total = compared = 0
-    for x in enumerate_affine(system, bound):
+    for x in _elements(system, bound):
         total += 1
-        profile = AlcoveProfile.build(x, sigma)
+        profile = _profile(x, sigma)
         if not profile.affine_support.full:
             continue
         left = decide_nonempty(x, profile.kappa, sigma, profile)
@@ -830,8 +874,8 @@ def check_shrunken_specialization(system: RootSystem, sigma: DiagramAutomorphism
     identity = FiniteWeylElement.identity(system)
     full = frozenset(range(system.rank))
     count = 0
-    for x in enumerate_affine(system, bound):
-        profile = AlcoveProfile.build(x, sigma)
+    for x in _elements(system, bound):
+        profile = _profile(x, sigma)
         if not profile.shrunken:
             continue
         if profile.w_x != (identity,):
@@ -865,8 +909,8 @@ def check_one_strip_two_support(system: RootSystem, sigma: DiagramAutomorphism,
     full = frozenset(range(system.rank))
     sigma_inv = sigma.inverse()
     count = 0
-    for x in enumerate_affine(system, bound):
-        profile = AlcoveProfile.build(x, sigma)
+    for x in _elements(system, bound):
+        profile = _profile(x, sigma)
         if len(profile.phi_x) != 1:
             continue
         (alpha_x,) = profile.phi_x
@@ -898,11 +942,11 @@ def check_translation_elements(system: RootSystem, sigma: DiagramAutomorphism,
     cid = "translation-elements"
     split = sigma.is_identity()
     count = 0
-    for x in enumerate_affine(system, bound):
+    for x in _elements(system, bound):
         if not x.finite.is_identity():
             continue
         central = newton(x, sigma).is_central()
-        profile = AlcoveProfile.build(x, sigma)
+        profile = _profile(x, sigma)
         kappa = profile.kappa
         verdict = decide_nonempty(x, kappa, sigma, profile)
         if split and verdict.nonempty != central:
@@ -934,7 +978,7 @@ def check_vtmu_elements(system: RootSystem, sigma: DiagramAutomorphism,
             x = AffineElement.from_finite(v) * AffineElement.from_translation(system, mu)
             if x.length > bound:
                 continue
-            profile = AlcoveProfile.build(x, sigma)
+            profile = _profile(x, sigma)
             kappa = profile.kappa
             verdict = decide_nonempty(x, kappa, sigma, profile)
             supports_full = all(
@@ -1052,8 +1096,8 @@ def check_dim_recursion_consistency(system: RootSystem, sigma: DiagramAutomorphi
     """Seed the recursion with shrunken-formula values, propagate to a fixed
     point, and compare the single-strip formula where both are defined."""
     cid = "dim-recursion-consistency"
-    elements = list(enumerate_affine(system, bound))
-    profiles = {x: AlcoveProfile.build(x, sigma) for x in elements}
+    elements = list(_elements(system, bound))
+    profiles = {x: _profile(x, sigma) for x in elements}
     table = DimTable()
     for x in elements:
         verdict = decide_nonempty(x, b_kappa, sigma, profiles[x])
@@ -1098,8 +1142,8 @@ def check_conjecture_audit(system: RootSystem, sigma: DiagramAutomorphism,
     criterion; those elements are the open cases.  Informational."""
     cid = "conjecture-audit"
     candidates = []
-    for x in enumerate_affine(system, bound):
-        profile = AlcoveProfile.build(x, sigma)
+    for x in _elements(system, bound):
+        profile = _profile(x, sigma)
         if profile.affine_support.full:
             continue
         verdict = decide_nonempty(x, profile.kappa, sigma, profile)
@@ -1118,38 +1162,44 @@ def check_conjecture_audit(system: RootSystem, sigma: DiagramAutomorphism,
 
 def run_battery(system: RootSystem, sigma: DiagramAutomorphism, bound: int,
                 seed: int = 0) -> list[CheckResult]:
-    """Run every applicable check against one configuration."""
-    small = min(bound, 6)
-    results = [
-        check_inverse_cartan_positive([system]),
-        check_root_closure_counts([system]),
-        check_weyl_group_laws(system, sigma),
-        check_reflection_coweight_identity(system),
-        check_coweight_difference_span(system),
-        check_radical_closed_positivizable(system, seed),
-        check_sandwich_postcondition(system, seed),
-        check_length_hyperplane_oracle(system, small),
-        check_kottwitz_homomorphism(system, min(bound, 4)),
-        check_newton_stability(system, sigma, min(bound, 4)),
-        check_shortcut_precondition_central(system, sigma, small),
-        check_affine_support_fixed_point(system, sigma, min(bound, 5)),
-        check_k_value_oracle(system, small),
-        check_strip_complement_radical_closed(system, bound, sigma),
-        check_wx_structure(system, small),
-        check_jrx_postcondition(system, sigma, small),
-        check_oracle_reduction_vs_literal(system, sigma, min(bound, 3)),
-        check_criterion_oracle_equivalence(system, sigma, bound),
-        check_shrunken_specialization(system, sigma, bound),
-        check_one_strip_two_support(system, sigma, bound),
-        check_translation_elements(system, sigma, bound),
-        check_vtmu_elements(system, sigma, small),
-        check_bgx_formula(system, sigma, small),
-        check_defect_gcd_type_a(),
-        check_wronglem_search([(system, sigma)]),
-        check_parabolic_newton_difference(system, sigma, min(bound, 4)),
-        check_conjecture_audit(system, sigma, small),
-    ]
-    if system.rank == 2 and sigma.is_identity():
-        results.append(check_dim_recursion_consistency(
-            system, sigma, KottwitzClass.zero(system), bound))
-    return results
+    """Run every applicable check against one configuration, sharing one run
+    table for the call.  Each check is looked up as a module global when it
+    runs, so a check replaced on the module is the one the battery calls."""
+    token = _RUN.set(_RunTable(system))
+    try:
+        small = min(bound, 6)
+        results = [
+            check_inverse_cartan_positive([system]),
+            check_root_closure_counts([system]),
+            check_weyl_group_laws(system, sigma),
+            check_reflection_coweight_identity(system),
+            check_coweight_difference_span(system),
+            check_radical_closed_positivizable(system, seed),
+            check_sandwich_postcondition(system, seed),
+            check_length_hyperplane_oracle(system, small),
+            check_kottwitz_homomorphism(system, min(bound, 4)),
+            check_newton_stability(system, sigma, min(bound, 4)),
+            check_shortcut_precondition_central(system, sigma, small),
+            check_affine_support_fixed_point(system, sigma, min(bound, 5)),
+            check_k_value_oracle(system, small),
+            check_strip_complement_radical_closed(system, bound, sigma),
+            check_wx_structure(system, small),
+            check_jrx_postcondition(system, sigma, small),
+            check_oracle_reduction_vs_literal(system, sigma, min(bound, 3)),
+            check_criterion_oracle_equivalence(system, sigma, bound),
+            check_shrunken_specialization(system, sigma, bound),
+            check_one_strip_two_support(system, sigma, bound),
+            check_translation_elements(system, sigma, bound),
+            check_vtmu_elements(system, sigma, small),
+            check_bgx_formula(system, sigma, small),
+            check_defect_gcd_type_a(),
+            check_wronglem_search([(system, sigma)]),
+            check_parabolic_newton_difference(system, sigma, min(bound, 4)),
+            check_conjecture_audit(system, sigma, small),
+        ]
+        if system.rank == 2 and sigma.is_identity():
+            results.append(check_dim_recursion_consistency(
+                system, sigma, KottwitzClass.zero(system), bound))
+        return results
+    finally:
+        _RUN.reset(token)

@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from . import _linalg
 from .alcove import AlcoveProfile, base_k, dominant_decompose
-from .cartan import RootSystem, per_system
+from .cartan import Root, RootSystem, per_system
 from .errors import AdlvError, InternalCheckError
 from .iwahori import (
     AffineElement,
@@ -183,16 +183,26 @@ def _is_jw_alcove_given(profile: AlcoveProfile, j_set: frozenset[int], w: Finite
     """``is_jw_alcove`` for a sigma-stable J, with ``twisted`` the twisted
     conjugate of x by w, which does not depend on J."""
     system = profile.system
-    marker = tuple(0 if i in j_set else 1 for i in range(system.rank))
+    marker, outside = _parabolic_data(system, j_set)
     if twisted.finite.act_on_coweight(marker) != marker:
         return False
-    for alpha in system.positive_roots:
-        if all(alpha[i] == 0 for i in range(system.rank) if i not in j_set):
-            continue  # alpha lies in the J-subsystem
+    k_values = profile.k_values
+    for alpha in outside:
         a = w.act_on_root(alpha)
-        if profile.k_values[a] < base_k(system, a):
+        if k_values[a] < base_k(system, a):
             return False
     return True
+
+
+@per_system
+def _parabolic_data(system: RootSystem, j_set: frozenset[int]
+                    ) -> tuple[tuple[int, ...], tuple[Root, ...]]:
+    """J's marker, the coweight with 0 at J and 1 elsewhere, which W_J fixes,
+    and the positive roots outside Phi_J+, in ``positive_roots`` order."""
+    marker = tuple(0 if i in j_set else 1 for i in range(system.rank))
+    outside = tuple(alpha for alpha in system.positive_roots
+                    if any(c for c, m in zip(alpha, marker) if m))
+    return marker, outside
 
 
 def _twisted_support(profile: AlcoveProfile, w: FiniteWeylElement) -> int:

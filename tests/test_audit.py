@@ -1,0 +1,202 @@
+"""The battery's run table and the audit's integer barycenter floors."""
+
+import gc
+import sys
+import weakref
+from collections import Counter
+from fractions import Fraction
+
+import pytest
+
+import adlv
+from adlv import audit
+from adlv.alcove import AlcoveProfile, barycenter, scaled_barycenter
+from adlv.cartan import RootSystem
+from adlv.iwahori import KottwitzClass, enumerate_affine
+from adlv.notation import parse_sigma
+from adlv.weyl import DiagramAutomorphism
+
+
+def sid(system):
+    return DiagramAutomorphism.identity(system)
+
+
+def _floor(value) -> int:
+    f = Fraction(value)
+    return f.numerator // f.denominator
+
+
+def _separating_count_by_fractions(x) -> int:
+    """The separation count through the Fraction barycenters and their floors."""
+    system = x.system
+    origin = system.base_alcove_barycenter()
+    moved = x.act_on_point(origin)
+    return sum(abs(_floor(system.pair(a, moved)) - _floor(system.pair(a, origin)))
+               for a in system.positive_roots)
+
+
+@pytest.mark.parametrize("descriptor,bound", [("A2", 6), ("G2", 6), ("B3", 3), ("A2+A1", 3)])
+def test_integer_barycenter_floor_matches_the_fraction_floor(descriptor, bound):
+    system = RootSystem.from_descriptor(descriptor)
+    for x in enumerate_affine(system, bound):
+        scale, point = scaled_barycenter(x)
+        rational = barycenter(x)
+        assert point == tuple(scale * c for c in rational), x
+        for a in system.all_roots:
+            assert system.pair(a, point) // scale == _floor(system.pair(a, rational)), (x, a)
+        assert audit.separating_hyperplane_count(x) == _separating_count_by_fractions(x), x
+
+
+def _count_audit_builds(monkeypatch) -> Counter:
+    """Count ``AlcoveProfile.build`` calls made from ``adlv.audit`` itself,
+    per (x, sigma); ``bgx_cordial`` builds its own and is not counted."""
+    original = AlcoveProfile.build.__func__
+    builds = Counter()
+
+    def counting(cls, x, sigma):
+        if sys._getframe(1).f_globals["__name__"] == "adlv.audit":
+            builds[x.key(), sigma.perm] += 1
+        return original(cls, x, sigma)
+
+    monkeypatch.setattr(AlcoveProfile, "build", classmethod(counting))
+    return builds
+
+
+def _count_walks(monkeypatch) -> Counter:
+    """Count the audit's ``enumerate_affine`` walks per length bound."""
+    original = audit.enumerate_affine
+    walks = Counter()
+
+    def counting(system, bound, *args):
+        walks[bound] += 1
+        return original(system, bound, *args)
+
+    monkeypatch.setattr(audit, "enumerate_affine", counting)
+    return walks
+
+
+def test_run_battery_builds_each_profile_once_and_walks_each_range_once(monkeypatch):
+    system = RootSystem.from_descriptor("A2")
+    builds = _count_audit_builds(monkeypatch)
+    walks = _count_walks(monkeypatch)
+    results = audit.run_battery(system, sid(system), 3, 1)
+    assert all(r.passed for r in results)
+    assert len(builds) == sum(1 for _ in enumerate_affine(system, 3))
+    assert max(builds.values()) == 1
+    assert walks == {3: 1}
+
+
+def test_twisted_run_holds_one_profile_per_element_and_sigma(monkeypatch):
+    """On a twisted run k-value-oracle and wx-structure read identity-sigma
+    profiles, the other checks sigma's: each pair is built once."""
+    system = RootSystem.from_descriptor("A3")
+    builds = _count_audit_builds(monkeypatch)
+    walks = _count_walks(monkeypatch)
+    results = audit.run_battery(system, parse_sigma(system, "(1 3)"), 3, 1)
+    assert all(r.passed for r in results)
+    assert max(builds.values()) == 1
+    assert {perm for _, perm in builds} == {(0, 1, 2), (2, 1, 0)}
+    assert walks == {3: 1}
+
+
+def test_second_run_builds_its_profiles_again(monkeypatch):
+    system = RootSystem.from_descriptor("A2")
+    builds = _count_audit_builds(monkeypatch)
+    audit.run_battery(system, sid(system), 3, 1)
+    first = Counter(builds)
+    builds.clear()
+    audit.run_battery(system, sid(system), 3, 1)
+    assert builds == first
+
+
+def _track_run(monkeypatch) -> list:
+    """Weak references to every run table and every profile the audit builds."""
+    refs = []
+    original_build = AlcoveProfile.build.__func__
+
+    def tracking(cls, x, sigma):
+        profile = original_build(cls, x, sigma)
+        if sys._getframe(1).f_globals["__name__"] == "adlv.audit":
+            refs.append(weakref.ref(profile))
+        return profile
+
+    class TrackedTable(audit._RunTable):
+        def __init__(self, system):
+            super().__init__(system)
+            refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(AlcoveProfile, "build", classmethod(tracking))
+    monkeypatch.setattr(audit, "_RunTable", TrackedTable)
+    return refs
+
+
+def _assert_nothing_left(system, refs):
+    gc.collect()
+    assert refs
+    assert not [ref for ref in refs if ref() is not None]
+    assert audit._RUN.get() is None
+    assert not any(isinstance(value, (audit._RunTable, AlcoveProfile))
+                   for value in system.memo.values())
+
+
+def test_run_table_is_gone_after_the_run_returns(monkeypatch):
+    system = RootSystem.from_descriptor("A2")
+    refs = _track_run(monkeypatch)
+    results = audit.run_battery(system, sid(system), 3, 1)
+    assert all(r.passed for r in results)
+    _assert_nothing_left(system, refs)
+
+
+def test_run_table_is_gone_after_the_run_raises(monkeypatch):
+    system = RootSystem.from_descriptor("A2")
+    refs = _track_run(monkeypatch)
+
+    def failing(*args):
+        raise RuntimeError("stop the battery")
+
+    monkeypatch.setattr(audit, "check_wx_structure", failing)
+    try:
+        audit.run_battery(system, sid(system), 3, 1)
+    except RuntimeError as exc:
+        assert str(exc) == "stop the battery"
+    else:
+        pytest.fail("the battery did not raise")
+    _assert_nothing_left(system, refs)
+
+
+def test_direct_check_builds_its_own_profiles(monkeypatch):
+    system = RootSystem.from_descriptor("A2")
+    builds = _count_audit_builds(monkeypatch)
+    assert audit.check_strip_complement_radical_closed(system, 3).passed
+    first = Counter(builds)
+    assert audit.check_strip_complement_radical_closed(system, 3).passed
+    assert builds == first + first
+
+
+def test_patched_profiles_do_not_outlive_the_patch(monkeypatch):
+    """Profiles built under a broken k-value closed form, by a direct check
+    and by a battery run, reach no later check on the same system."""
+    system = RootSystem.from_descriptor("A2")
+
+    def flipped_k_numbers(self):
+        pairings = adlv.weyl.positive_pairings(self.system, self.v.act_on_coweight(self.mu))
+        positive = (self.v * self.w).inverse_positive()
+        return tuple(p - 1 if up else p for p, up in zip(pairings, positive))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(AlcoveProfile, "k_numbers", property(flipped_k_numbers))
+        assert not audit.check_strip_complement_radical_closed(system, 4).passed
+        with pytest.raises(adlv.errors.InternalCheckError):  # from jrx-postcondition
+            audit.run_battery(system, sid(system), 3, 1)
+    result = audit.check_dim_recursion_consistency(system, sid(system),
+                                                   KottwitzClass.zero(system), 8)
+    assert result.passed, result.counterexample
+    assert all(r.passed for r in audit.run_battery(system, sid(system), 3, 1))
+
+
+def test_run_battery_calls_each_check_through_the_module(monkeypatch):
+    system = RootSystem.from_descriptor("A2")
+    sentinel = audit.CheckResult("k-value-oracle", True, "replaced")
+    monkeypatch.setattr(audit, "check_k_value_oracle", lambda *args: sentinel)
+    results = audit.run_battery(system, sid(system), 1, 1)
+    assert sum(r is sentinel for r in results) == 1

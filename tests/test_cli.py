@@ -637,6 +637,8 @@ def test_crosscheck_detects_injected_fault(a2, monkeypatch):
     ("bgx_A2_e_10.json", ["bgx", "e", "[1,0]", "--system", "A2"]),
     ("crosscheck_G2_L4.json", ["crosscheck", "--system", "G2", "--length-bound", "4",
                                "--seed", "1"]),
+    ("crosscheck_A3_13_L3.json", ["crosscheck", "--system", "A3", "--sigma", "(1 3)",
+                                  "--length-bound", "3"]),
 ])
 def test_golden_output_bytes(name, args, capsys):
     code, out, _ = run_cli(args, capsys)

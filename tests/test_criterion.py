@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adlv import audit
-from adlv.alcove import AlcoveProfile, dominant_decompose
+from adlv.alcove import AlcoveProfile, base_k, dominant_decompose
 from adlv.cartan import RootSystem
 from adlv.criterion import (
     RULE_CRITERION,
@@ -19,8 +19,10 @@ from adlv.criterion import (
     RULE_SHORTCUT,
     DimConflictError,
     DimTable,
+    _is_jw_alcove_given,
     _oracle_scan,
     _scan_plan,
+    _twisted_conjugate,
     anresult_filter,
     bgx_cordial,
     class_point,
@@ -187,6 +189,40 @@ def test_literal_row_with_one_conjugate_matches_is_jw_alcove(descriptor, sigma_t
         for w in enumerate_w0(system):
             assert audit._literal_jw_row(profile, w, subsets) == [
                 is_jw_alcove(profile, j_set, w) for j_set in subsets], (x, w)
+
+
+def _is_jw_alcove_given_by_marker(profile, j_set, w, twisted):
+    """The literal (J, w) test with J's marker and Phi_J+ rebuilt per call."""
+    system = profile.system
+    marker = tuple(0 if i in j_set else 1 for i in range(system.rank))
+    if twisted.finite.act_on_coweight(marker) != marker:
+        return False
+    for alpha in system.positive_roots:
+        if all(alpha[i] == 0 for i in range(system.rank) if i not in j_set):
+            continue
+        a = w.act_on_root(alpha)
+        if profile.k_values[a] < base_k(system, a):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("descriptor, sigma_text, bound", [
+    ("A2", "id", 3), ("G2", "id", 3), ("A3", "(1 3)", 2), ("D4", "(1 3 4)", 1),
+])
+def test_literal_test_with_per_system_parabolic_data(descriptor, sigma_text, bound):
+    """The literal test, reading J's marker and the positive roots outside
+    Phi_J+ from the per-system table, equals the test that rebuilds them, on
+    every (x, w, J)."""
+    system = RootSystem.from_descriptor(descriptor)
+    sigma = parse_sigma(system, sigma_text)
+    subsets = sigma_stable_subsets(system, sigma, False)
+    for x in enumerate_affine(system, bound):
+        profile = AlcoveProfile.build(x, sigma)
+        for w in enumerate_w0(system):
+            twisted = _twisted_conjugate(x, sigma, w)
+            for j_set in subsets:
+                assert _is_jw_alcove_given(profile, j_set, w, twisted) == \
+                    _is_jw_alcove_given_by_marker(profile, j_set, w, twisted), (x, w, j_set)
 
 
 def test_deep_shrunken_is_no_proper_alcove(a2):

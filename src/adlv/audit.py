@@ -5,11 +5,13 @@ failure.  The CLI crosscheck command runs the battery for one configuration;
 the acceptance tests call the same functions with their own pinned ranges.
 
 Within one ``run_battery`` call the checks share a run table: each length
-range is listed once, as a tuple in ``enumerate_affine`` order, and each
+range is listed once, as a tuple in ``enumerate_affine`` order; each
 (x, sigma) gets one closed-form ``AlcoveProfile``, whose derived fields are
-then computed once per run.  The table lives in a context variable that the
-call sets and resets, never in ``RootSystem.memo``, so a check called on its
-own, or a run after a patched one, builds its elements and profiles afresh.
+then computed once per run, and each (x, sigma, power multiple) one Newton
+point; the v t^mu elements of a length bound are listed once.  The table
+lives in a context variable that the call sets and resets, never in
+``RootSystem.memo``, so a check called on its own, or a run after a patched
+one, computes its elements, profiles and Newton points afresh.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ from .iwahori import (
     AffineElement,
     AffineSupport,
     KottwitzClass,
+    NewtonPoint,
     _class_map,
     _mod1,
     affine_sigma_support,
@@ -101,20 +104,36 @@ def _fail(check_id: str, detail: str, counterexample: dict) -> CheckResult:
 
 
 class _RunTable:
-    """The elements and closed-form profiles of one ``run_battery`` call."""
+    """The elements, closed-form profiles and Newton points of one
+    ``run_battery`` call."""
 
     def __init__(self, system: RootSystem):
         self.system = system
         self.ranges: dict[int, tuple[AffineElement, ...]] = {}
         self.profiles: dict[tuple[AffineElement, tuple[int, ...]], AlcoveProfile] = {}
+        self.newtons: dict[tuple[AffineElement, tuple[int, ...], int], NewtonPoint] = {}
+        self.vtmu: dict[int, tuple] = {}
 
 
 _RUN: ContextVar[_RunTable | None] = ContextVar("adlv_audit_run", default=None)
 
 
+def _run_value(system: RootSystem, field: str, key, make, *args):
+    """``make(*args)``; within a run on ``system``, the one value under
+    ``key`` in the run table's dict ``field``, made on first use."""
+    table = _RUN.get()
+    if table is None or table.system is not system:
+        return make(*args)
+    values = getattr(table, field)
+    value = values.get(key)
+    if value is None:
+        value = values[key] = make(*args)
+    return value
+
+
 def _elements(system: RootSystem, bound: int):
     """``enumerate_affine(system, bound)``; within a run, the run's one
-    listing of that range."""
+    listing of that range, as a tuple."""
     table = _RUN.get()
     if table is None or table.system is not system:
         return enumerate_affine(system, bound)
@@ -127,14 +146,16 @@ def _elements(system: RootSystem, bound: int):
 def _profile(x: AffineElement, sigma: DiagramAutomorphism) -> AlcoveProfile:
     """``AlcoveProfile.build(x, sigma)``; within a run, the run's one profile
     of (x, sigma)."""
-    table = _RUN.get()
-    if table is None or table.system is not x.system:
-        return AlcoveProfile.build(x, sigma)
-    key = (x, sigma.perm)
-    profile = table.profiles.get(key)
-    if profile is None:
-        profile = table.profiles[key] = AlcoveProfile.build(x, sigma)
-    return profile
+    return _run_value(x.system, "profiles", (x, sigma.perm), AlcoveProfile.build, x, sigma)
+
+
+def _newton(x: AffineElement, sigma: DiagramAutomorphism,
+            force_multiple: int = 1) -> NewtonPoint:
+    """``newton(x, sigma, force_multiple)``, looked up as a module global;
+    within a run, the run's one point of (x, sigma, force_multiple).  The key
+    keeps the multiple, which the power-doubling check varies."""
+    return _run_value(x.system, "newtons", (x, sigma.perm, force_multiple),
+                      newton, x, sigma, force_multiple)
 
 
 # -- cartan ----------------------------------------------------------------------
@@ -513,9 +534,11 @@ def check_kottwitz_homomorphism(system: RootSystem, bound: int = 4,
             return _fail(cid, "integer class differs from the coroot coordinates",
                          {"x": format_affine(x)})
     group = kottwitz_group(system)
+    sums = {}  # (a, b) -> a + b, each compared with the rational sum
     for a in group:
         for b in group:
-            if a + b != _class_sum_by_mod1(a, b):
+            total = sums[a, b] = a + b
+            if total != _class_sum_by_mod1(a, b):
                 return _fail(cid, "integer class sum differs from the rational sum",
                              {"a": [str(c) for c in a.rep], "b": [str(c) for c in b.rep]})
     for s in affine_simples(system):
@@ -523,9 +546,11 @@ def check_kottwitz_homomorphism(system: RootSystem, bound: int = 4,
             return _fail(cid, "class map does not kill an affine generator",
                          {"s": s.label})
     inner = sample[:max(1, pair_cap // max(1, len(sample)))]
+    # per class a, the expected classes a + ky of the inner column, from the table
+    columns = {a: [sums[a, ky] for _, ky in inner] for a in group}
     for x, kx in sample:
-        for y, ky in inner:
-            if kottwitz(x * y) != kx + ky:
+        for (y, _), expected in zip(inner, columns[kx]):
+            if kottwitz(x * y) != expected:
                 return _fail(cid, "not a homomorphism",
                              {"x": format_affine(x), "y": format_affine(y)})
     return _ok(cid, f"homomorphism on {len(sample)}x{len(inner)} products; "
@@ -542,11 +567,11 @@ def check_newton_stability(system: RootSystem, sigma: DiagramAutomorphism,
     walk = _elements(system, 3) if bound >= 3 else enumerate_affine(system, 3)
     conjugators = [(y, y.inverse(), apply_sigma_affine(sigma, y)) for y in islice(walk, 24)]
     for x in _elements(system, bound):
-        base_point = newton(x, sigma)
+        base_point = _newton(x, sigma)
         if base_point.dominant != _newton_dominant_by_fractions(system, base_point.vector):
             return _fail(cid, "integer dominant Newton point differs from the rational route",
                          {"x": format_affine(x)})
-        if newton(x, sigma, force_multiple=2) != base_point:
+        if _newton(x, sigma, force_multiple=2) != base_point:
             return _fail(cid, "vector depends on the power used",
                          {"x": format_affine(x)})
         dominant = base_point.dominant_numerators
@@ -554,7 +579,7 @@ def check_newton_stability(system: RootSystem, sigma: DiagramAutomorphism,
             return _fail(cid, "dominant point is not sigma-invariant",
                          {"x": format_affine(x)})
         for y, y_inverse, sigma_y in conjugators:
-            point = newton(y_inverse * x * sigma_y, sigma)
+            point = _newton(y_inverse * x * sigma_y, sigma)
             if (point.dominant_numerators, point.denominator) != (dominant,
                                                                   base_point.denominator):
                 return _fail(cid, "dominant point not twisted-conjugation invariant",
@@ -570,7 +595,7 @@ def check_shortcut_precondition_central(system: RootSystem,
     for x in _elements(system, bound):
         if shortcut_applies(x, sigma):
             checked += 1
-            if not newton(x, sigma).is_central():
+            if not _newton(x, sigma).is_central():
                 return _fail(cid, "finite-support element with noncentral Newton point",
                              {"x": format_affine(x)})
     return _ok(cid, f"{checked} finite-support elements all have central Newton point")
@@ -613,8 +638,8 @@ def _newton_difference_span(x: AffineElement, sigma: DiagramAutomorphism) -> fro
     for x = v t^mu y dominantly decomposed.  The difference is taken in
     integers, scaled by the two Newton denominators, which keeps that set."""
     d = dominant_decompose(x)
-    lhs = newton(AffineElement.from_translation(x.system, d.v.act_on_coweight(d.mu)), sigma)
-    rhs = newton(x, sigma)
+    lhs = _newton(AffineElement.from_translation(x.system, d.v.act_on_coweight(d.mu)), sigma)
+    rhs = _newton(x, sigma)
     diff = tuple(a * rhs.denominator - b * lhs.denominator
                  for a, b in zip(lhs.numerators, rhs.numerators))
     return frozenset(i for i, c in enumerate(x.system.coroot_coordinates(diff)) if c)
@@ -926,7 +951,7 @@ def check_one_strip_two_support(system: RootSystem, sigma: DiagramAutomorphism,
         if verdict.nonempty != supports_full:
             return _fail(cid, "two-support test disagrees with the criterion",
                          {"x": format_affine(x)})
-        if newton(x, sigma).is_central() and not supports_full:
+        if _newton(x, sigma).is_central() and not supports_full:
             return _fail(cid, "central Newton point but supports not full",
                          {"x": format_affine(x)})
         count += 1
@@ -945,7 +970,7 @@ def check_translation_elements(system: RootSystem, sigma: DiagramAutomorphism,
     for x in _elements(system, bound):
         if not x.finite.is_identity():
             continue
-        central = newton(x, sigma).is_central()
+        central = _newton(x, sigma).is_central()
         profile = _profile(x, sigma)
         kappa = profile.kappa
         verdict = decide_nonempty(x, kappa, sigma, profile)
@@ -972,31 +997,46 @@ def check_vtmu_elements(system: RootSystem, sigma: DiagramAutomorphism,
     full = frozenset(range(system.rank))
     sigma_inv = sigma.inverse()
     count = 0
-    mu_bound = bound + len(system.positive_roots)  # length(x) >= length(t^mu) - length(w0)
-    for v in enumerate_w0(system):
-        for mu in _dominant_coweights(system, mu_bound):
-            x = AffineElement.from_finite(v) * AffineElement.from_translation(system, mu)
-            if x.length > bound:
-                continue
-            profile = _profile(x, sigma)
-            kappa = profile.kappa
-            verdict = decide_nonempty(x, kappa, sigma, profile)
-            supports_full = all(
-                sigma_support(sigma_inv.weyl(r) * profile.eta * r.inverse(), sigma) == full
-                for r in profile.w_x
-            )
-            if profile.affine_support.full:
-                if verdict.nonempty != supports_full:
-                    return _fail(cid, "criterion differs from the all-supports test",
-                                 {"x": format_affine(x)})
-                if oracle_nonempty(x, kappa, sigma, profile).nonempty != verdict.nonempty:
-                    return _fail(cid, "oracle disagrees on a v t^mu element",
-                                 {"x": format_affine(x)})
-            elif shortcut_applies(x, sigma, profile.affine_support) and not verdict.nonempty:
-                return _fail(cid, "shortcut case must be nonempty",
+    for _, _, x in _vtmu_elements(system, bound):
+        profile = _profile(x, sigma)
+        kappa = profile.kappa
+        verdict = decide_nonempty(x, kappa, sigma, profile)
+        supports_full = all(
+            sigma_support(sigma_inv.weyl(r) * profile.eta * r.inverse(), sigma) == full
+            for r in profile.w_x
+        )
+        if profile.affine_support.full:
+            if verdict.nonempty != supports_full:
+                return _fail(cid, "criterion differs from the all-supports test",
                              {"x": format_affine(x)})
-            count += 1
+            if oracle_nonempty(x, kappa, sigma, profile).nonempty != verdict.nonempty:
+                return _fail(cid, "oracle disagrees on a v t^mu element",
+                             {"x": format_affine(x)})
+        elif shortcut_applies(x, sigma, profile.affine_support) and not verdict.nonempty:
+            return _fail(cid, "shortcut case must be nonempty",
+                         {"x": format_affine(x)})
+        count += 1
     return _ok(cid, f"{count} v t^mu elements verified")
+
+
+def _vtmu_elements(system: RootSystem, bound: int):
+    """The (v, mu, x = v t^mu) with v in W0, mu dominant and length(x) at most
+    the bound, v outermost; within a run, the run's one list of them."""
+    return _run_value(system, "vtmu", bound, _vtmu_listed, system, bound)
+
+
+def _vtmu_listed(system: RootSystem, bound: int) -> tuple:
+    mu_bound = bound + len(system.positive_roots)  # length(x) >= length(t^mu) - length(w0)
+    coweights = [(mu, AffineElement.from_translation(system, mu))
+                 for mu in _dominant_coweights(system, mu_bound)]
+    out = []
+    for v in enumerate_w0(system):
+        left = AffineElement.from_finite(v)
+        for mu, t_mu in coweights:
+            x = left * t_mu
+            if x.length <= bound:
+                out.append((v, mu, x))
+    return tuple(out)
 
 
 def _dominant_coweights(system: RootSystem, length_bound: int):
@@ -1031,22 +1071,17 @@ def check_bgx_formula(system: RootSystem, sigma: DiagramAutomorphism,
     """The W0 filter of the stabilizer/length-additivity formula against bgx's reported W_x."""
     cid = "bgx-formula-vs-alcove"
     count = 0
-    mu_bound = bound + len(system.positive_roots)
-    for v in enumerate_w0(system):
-        for mu in _dominant_coweights(system, mu_bound):
-            x = AffineElement.from_finite(v) * AffineElement.from_translation(system, mu)
-            if x.length > bound:
-                continue
-            report = bgx_cordial(v, mu, sigma, with_points=False)
-            if _w_x_by_stabilizer(v, mu) != frozenset(report.w_x_sorted):
-                return _fail(cid, "formula set differs from the alcove set",
-                             {"v": format_finite(v), "mu": list(mu)})
-            if report.mu_central and (
-                report.conclusion != "single-central-class" or len(report.points) != 1
-            ):
-                return _fail(cid, "central case must collapse to one class",
-                             {"v": format_finite(v), "mu": list(mu)})
-            count += 1
+    for v, mu, x in _vtmu_elements(system, bound):
+        report = bgx_cordial(v, mu, sigma, with_points=False, profile=_profile(x, sigma))
+        if _w_x_by_stabilizer(v, mu) != frozenset(report.w_x_sorted):
+            return _fail(cid, "formula set differs from the alcove set",
+                         {"v": format_finite(v), "mu": list(mu)})
+        if report.mu_central and (
+            report.conclusion != "single-central-class" or len(report.points) != 1
+        ):
+            return _fail(cid, "central case must collapse to one class",
+                         {"v": format_finite(v), "mu": list(mu)})
+        count += 1
     return _ok(cid, f"{count} (v, mu) pairs: formula == alcove computation")
 
 

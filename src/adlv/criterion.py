@@ -455,10 +455,11 @@ class BgxReport:
 
 def bgx_cordial(
     v: FiniteWeylElement, mu, sigma: DiagramAutomorphism,
-    with_points: bool = True,
+    with_points: bool = True, profile: AlcoveProfile | None = None,
 ) -> BgxReport:
     """The embedding set of x = v t^mu, whose root set by the stabilizer/length-additivity
-    formula must equal the alcove Phi_x, and the resulting class-set report."""
+    formula must equal the alcove Phi_x, and the resulting class-set report.
+    ``profile``, when given, is x's ``AlcoveProfile`` under sigma, built by the caller."""
     system = v.system
     if not system.is_dominant(mu) or not system.in_coweight_lattice(mu):
         raise ValueError("mu must be a dominant integral coweight")
@@ -469,7 +470,8 @@ def bgx_cordial(
         alpha for alpha, pairing, image in zip(
             system.positive_roots, positive_pairings(system, mu), v.positive_images())
         if not pairing and sum(image) > 0)
-    profile = AlcoveProfile.build(x, sigma)
+    if profile is None:
+        profile = AlcoveProfile.build(x, sigma)
     if roots != profile.phi_x:
         raise InternalCheckError("stabilizer formula disagrees with the alcove computation")
     full = frozenset(range(system.rank))

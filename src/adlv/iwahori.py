@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import product
 from math import gcd
 from operator import mul
@@ -150,15 +150,51 @@ def _mod1(value: Fraction) -> Fraction:
     return value - (value.numerator // value.denominator)
 
 
-@dataclass(frozen=True)
 class KottwitzClass:
     """An element of the coweight-mod-coroot quotient, by its coroot
     coordinates mod 1: coordinate i is r_i / d, with r_i = ``residues[i]`` and
-    d its component's denominator.  Classes are equal, hashed and sorted on
-    the residues, which orders them as their coordinates in [0, 1)."""
+    d its component's denominator.  Two classes are equal when they have the
+    same ``system`` object and equal residues, and hash as the residues;
+    ``kottwitz_group`` sorts them on the residues, which orders them as their
+    coordinates in [0, 1).  A value: nothing sets an attribute after
+    construction except the derived ``rep`` and ``text``, each filled in once,
+    on first access, by ``__getattr__``."""
 
-    system: RootSystem
-    residues: tuple[int, ...]
+    __slots__ = ("system", "residues", "rep", "text")
+
+    def __init__(self, system: RootSystem, residues: tuple[int, ...]):
+        self.system = system
+        self.residues = residues
+
+    def __getattr__(self, name: str):
+        # called only while the slot ``name`` is unset
+        if name == "rep":
+            # the coordinates in [0, 1), as Fractions r_i / d
+            value = tuple(fractions[r] for (_, _, fractions), r
+                          in zip(_class_map(self.system), self.residues))
+        elif name == "text":
+            # ``rep`` as text, ``;``-separated (the coordinates lie in [0, 1),
+            # where ``str`` is the notation's fraction format)
+            value = ";".join(map(str, self.rep))
+        else:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        setattr(self, name, value)
+        return value
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.system is other.system and self.residues == other.residues
+
+    def __hash__(self) -> int:
+        return hash(self.residues)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(system={self.system!r}, residues={self.residues!r})"
+
+    def __reduce__(self):
+        # copy and pickle the two fields only, never the derived slots
+        return type(self), (self.system, self.residues)
 
     @classmethod
     def from_translation(cls, system: RootSystem, mu) -> "KottwitzClass":
@@ -172,19 +208,6 @@ class KottwitzClass:
     @classmethod
     def zero(cls, system: RootSystem) -> "KottwitzClass":
         return cls(system, (0,) * system.rank)
-
-    @cached_property
-    def rep(self) -> tuple[Fraction, ...]:
-        """The coroot coordinates in [0, 1), as Fractions r_i / d; made once
-        per class, which every profile of a walk tree shares."""
-        return tuple(fractions[r] for (_, _, fractions), r
-                     in zip(_class_map(self.system), self.residues))
-
-    @cached_property
-    def text(self) -> str:
-        """``rep`` as text, ``;``-separated (the coordinates lie in [0, 1),
-        where ``str`` is the notation's fraction format); made once per class."""
-        return ";".join(map(str, self.rep))
 
     def __add__(self, other: "KottwitzClass") -> "KottwitzClass":
         return KottwitzClass(self.system, tuple([

@@ -12,7 +12,7 @@ import adlv
 from adlv import audit
 from adlv.alcove import AlcoveProfile, barycenter, scaled_barycenter
 from adlv.cartan import RootSystem
-from adlv.iwahori import KottwitzClass, enumerate_affine
+from adlv.iwahori import KottwitzClass, NewtonPoint, enumerate_affine
 from adlv.notation import parse_sigma
 from adlv.weyl import DiagramAutomorphism
 
@@ -200,3 +200,148 @@ def test_run_battery_calls_each_check_through_the_module(monkeypatch):
     monkeypatch.setattr(audit, "check_k_value_oracle", lambda *args: sentinel)
     results = audit.run_battery(system, sid(system), 1, 1)
     assert sum(r is sentinel for r in results) == 1
+
+
+def _count_newtons(monkeypatch) -> Counter:
+    """Count the audit's ``newton`` calls per (x, sigma, multiple)."""
+    original = audit.newton
+    calls = Counter()
+
+    def counting(x, sigma, force_multiple=1):
+        calls[x.key(), sigma.perm, force_multiple] += 1
+        return original(x, sigma, force_multiple)
+
+    monkeypatch.setattr(audit, "newton", counting)
+    return calls
+
+
+@pytest.mark.parametrize("descriptor,sigma_text,bound,distinct", [
+    ("A2", "id", 3, 215), ("G2", "id", 4, 101), ("A3", "(1 3)", 3, 595)])
+def test_run_battery_computes_each_newton_point_once(monkeypatch, descriptor, sigma_text,
+                                                     bound, distinct):
+    """One call per distinct (x, sigma, multiple); the checks ask 1,654 times
+    on A2, 515 on G2 and 4,005 on the twisted A3."""
+    system = RootSystem.from_descriptor(descriptor)
+    sigma = parse_sigma(system, sigma_text)
+    calls = _count_newtons(monkeypatch)
+    results = audit.run_battery(system, sigma, bound, 1)
+    assert all(r.passed for r in results)
+    assert max(calls.values()) == 1
+    assert sum(calls.values()) == distinct
+    assert {multiple for _, _, multiple in calls} == {1, 2}
+    assert {perm for _, perm, _ in calls} == {sigma.perm}
+
+
+def _newton_depending_on_the_power(monkeypatch):
+    """Patch ``audit.newton`` so that the doubled power gives another point."""
+    original = audit.newton
+
+    def doubled_differs(x, sigma, force_multiple=1):
+        point = original(x, sigma, force_multiple)
+        if force_multiple == 1:
+            return point
+        return NewtonPoint(point.numerators, point.dominant_numerators,
+                           point.denominator * force_multiple)
+
+    monkeypatch.setattr(audit, "newton", doubled_differs)
+
+
+def _newton_stability(results):
+    (result,) = [r for r in results if r.check_id == "newton-stability"]
+    return result
+
+
+def test_run_memo_keeps_the_power_multiple(monkeypatch):
+    """Within a run, the doubled power is its own entry: the check sees the
+    patched point rather than the multiple-one point it already holds."""
+    system = RootSystem.from_descriptor("A2")
+    _newton_depending_on_the_power(monkeypatch)
+    result = _newton_stability(audit.run_battery(system, sid(system), 3, 1))
+    assert not result.passed
+    assert result.detail == "vector depends on the power used"
+
+
+def test_patched_newton_does_not_reach_a_later_run(monkeypatch):
+    system = RootSystem.from_descriptor("A2")
+    with monkeypatch.context() as patch:
+        _newton_depending_on_the_power(patch)
+        assert not _newton_stability(audit.run_battery(system, sid(system), 3, 1)).passed
+    assert all(r.passed for r in audit.run_battery(system, sid(system), 3, 1))
+    assert audit.check_newton_stability(system, sid(system), 3).passed
+
+
+def _track_newtons(monkeypatch) -> list:
+    """Weak references to every Newton point the audit computes."""
+    original = audit.newton
+    refs = []
+
+    def tracking(x, sigma, force_multiple=1):
+        point = original(x, sigma, force_multiple)
+        refs.append(weakref.ref(point))
+        return point
+
+    monkeypatch.setattr(audit, "newton", tracking)
+    return refs
+
+
+def test_newton_points_are_gone_after_the_run_returns(monkeypatch):
+    system = RootSystem.from_descriptor("A2")
+    refs = _track_run(monkeypatch)
+    points = _track_newtons(monkeypatch)
+    assert all(r.passed for r in audit.run_battery(system, sid(system), 3, 1))
+    assert len(points) == 215
+    _assert_nothing_left(system, refs + points)
+
+
+def test_newton_points_are_gone_after_the_run_raises(monkeypatch):
+    system = RootSystem.from_descriptor("A2")
+    refs = _track_run(monkeypatch)
+    points = _track_newtons(monkeypatch)
+
+    def failing(*args):
+        raise RuntimeError("stop the battery")
+
+    monkeypatch.setattr(audit, "check_translation_elements", failing)
+    with pytest.raises(RuntimeError, match="stop the battery"):
+        audit.run_battery(system, sid(system), 3, 1)
+    assert points
+    _assert_nothing_left(system, refs + points)
+
+
+def test_direct_check_computes_its_own_newton_points(monkeypatch):
+    system = RootSystem.from_descriptor("A2")
+    calls = _count_newtons(monkeypatch)
+    assert audit.check_newton_stability(system, sid(system), 3).passed
+    first = Counter(calls)
+    assert max(first.values()) > 1  # no memo outside a run
+    assert audit.check_newton_stability(system, sid(system), 3).passed
+    assert calls == first + first
+
+
+def test_vtmu_checks_share_one_element_list_and_bgx_reads_the_run_profiles(monkeypatch):
+    """``vtmu-elements`` and ``bgx-formula-vs-alcove`` list the v t^mu
+    elements once per run, and ``bgx_cordial`` builds no profile of its own."""
+    system = RootSystem.from_descriptor("A2")
+    original_listed = audit._vtmu_listed
+    listings = Counter()
+
+    def counting(system, bound):
+        listings[bound] += 1
+        return original_listed(system, bound)
+
+    monkeypatch.setattr(audit, "_vtmu_listed", counting)
+    original_build = AlcoveProfile.build.__func__
+    outside = Counter()
+
+    def building(cls, x, sigma):
+        if sys._getframe(1).f_globals["__name__"] != "adlv.audit":
+            outside[x.key()] += 1
+        return original_build(cls, x, sigma)
+
+    monkeypatch.setattr(AlcoveProfile, "build", classmethod(building))
+    results = {r.check_id: r for r in audit.run_battery(system, sid(system), 3, 1)}
+    assert listings == {3: 1}
+    assert results["vtmu-elements"].detail == "12 v t^mu elements verified"
+    assert results["bgx-formula-vs-alcove"].detail == (
+        "12 (v, mu) pairs: formula == alcove computation")
+    assert not outside

@@ -536,3 +536,60 @@ def test_flat_class_map_and_sum_match_references(descriptor):
             total, expected = a + b, audit._class_sum_by_mod1(a, b)
             assert total == expected and hash(total) == hash(expected), (a, b)
             assert all(type(r) is int for r in total.residues)
+
+
+@pytest.mark.parametrize("descriptor,bound", [("A2", 3), ("G2", 3), ("A3", 2), ("A2+A1", 2)])
+def test_kottwitz_classes_from_every_route_are_one_value(descriptor, bound):
+    """Classes made by ``from_translation``, ``zero``, ``+``, ``kottwitz`` and
+    the constructor are equal, hash equal and the same dict key."""
+    system = RootSystem.from_descriptor(descriptor)
+    zero = KottwitzClass.zero(system)
+    for x in enumerate_affine(system, bound):
+        kappa = kottwitz(x)
+        routes = [KottwitzClass.from_translation(system, x.translation), zero + kappa,
+                  kappa + zero, KottwitzClass(system, kappa.residues)]
+        table = {kappa: x}
+        for other in routes:
+            assert other == kappa and kappa == other and not other != kappa, x
+            assert hash(other) == hash(kappa) == hash(kappa.residues), x
+            assert table[other] is x
+        assert len({kappa, *routes}) == 1
+    assert {k: k for k in kottwitz_group(system)}[zero] == zero
+
+
+def test_kottwitz_classes_of_separate_systems_differ():
+    first, second = RootSystem.from_descriptor("A2"), RootSystem.from_descriptor("A2")
+    assert first is not second
+    for a, b in zip(kottwitz_group(first), kottwitz_group(second)):
+        assert a.residues == b.residues and hash(a) == hash(b)
+        assert a != b and not a == b
+        assert b not in {a: None}
+
+
+def test_kottwitz_class_is_never_its_residues_tuple(a2):
+    for kappa in kottwitz_group(a2):
+        residues = kappa.residues
+        assert kappa != residues and residues != kappa
+        assert not kappa == residues and not residues == kappa
+        assert hash(kappa) == hash(residues)
+        assert residues not in {kappa: None} and kappa not in {residues: None}
+
+
+@pytest.mark.parametrize("descriptor", ["A2", "G2", "A3", "D4", "A2+A1", "A1+B3"])
+def test_kottwitz_class_rep_text_and_repr_keep_their_values(descriptor):
+    """``rep`` holds the coordinates r_i / d as Fractions, ``text`` joins them
+    with ``;`` and ``repr`` names both fields, as before the class had
+    slots; each derived value is made once and then read from its slot."""
+    system = RootSystem.from_descriptor(descriptor)
+    moduli = [d for _, d, _ in _class_map(system)]
+    for kappa in kottwitz_group(system):
+        rep = kappa.rep
+        assert type(rep) is tuple and all(type(c) is Fraction for c in rep)
+        assert rep == tuple(Fraction(r, d) for r, d in zip(kappa.residues, moduli))
+        assert kappa.rep is rep
+        assert type(kappa.text) is str and kappa.text == ";".join(str(c) for c in rep)
+        assert kappa.text is kappa.text
+        assert repr(kappa) == f"KottwitzClass(system={system!r}, residues={kappa.residues!r})"
+        assert not hasattr(kappa, "__dict__")
+        with pytest.raises(AttributeError, match="no attribute 'reps'"):
+            kappa.reps

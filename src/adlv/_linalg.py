@@ -19,11 +19,6 @@ def _to_rows(matrix) -> list[list[Fraction]]:
     return [[Fraction(entry) for entry in row] for row in matrix]
 
 
-def mat_vec(matrix, vector) -> Vector:
-    """Exact product; integer inputs give integer entries."""
-    return tuple(sum(a * v for a, v in zip(row, vector)) for row in matrix)
-
-
 def mat_mul(a, b) -> Matrix:
     """Exact product; integer inputs give integer entries."""
     n, k, m = len(a), len(b), len(b[0])

@@ -14,16 +14,21 @@ Phi_x alone: ``weyl.embedding_order`` lists it in ``sort_key`` order, once
 per (system, Phi_x), kept in the system's memo; where Phi_x is all of
 Phi+, W_x is W0, whose size is known without listing it.
 
-``AlcoveProfile.build`` computes a profile in closed form from x alone.
-``walk_profiles`` instead carries each profile along the length walk
-(``iwahori.walk_affine``) from the parent's: the step x = x' s crosses one
-wall H_{beta, c}, which changes k(beta) to 2c - 1 - k(beta) and no other
-k-value (length counts separating hyperplanes).  A chamber wall (c = 0)
-turns v into s_beta v; any other wall keeps v and right-multiplies t^mu w
-by s.  The class is the class of the walk's root omega, and the affine
-sigma-support gains the index of omega s omega^{-1}, closed under the
-twisted action.  A length-zero root needs no closed form: omega(base) is
-the base alcove, so its profile is known outright.
+``AlcoveProfile`` has one constructor, which takes the carried fields:
+x, sigma, the decomposition v t^mu w, the class, the affine sigma-support
+and the k-values.  The fields derived from them are each a
+``functools.cached_property`` (W_x stays one so that a profiler can wrap
+it).  ``AlcoveProfile.build`` computes the carried fields in closed form
+from x alone (``k_numbers`` for the k-values); ``walk_profiles`` instead
+carries them along the length walk (``iwahori.walk_affine``) from the
+parent's: the step x = x' s crosses one wall H_{beta, c}, which changes
+k(beta) to 2c - 1 - k(beta) and no other k-value (length counts
+separating hyperplanes).  A chamber wall (c = 0) turns v into s_beta v;
+any other wall keeps v and right-multiplies t^mu w by s.  The class is
+the class of the walk's root omega, and the affine sigma-support gains
+the index of omega s omega^{-1}, closed under the twisted action.  A
+length-zero root needs no closed form: omega(base) is the base alcove,
+so its profile is known outright.
 """
 
 from __future__ import annotations
@@ -95,33 +100,41 @@ def dominant_decompose(x: AffineElement) -> DominantDecomposition:
     return DominantDecomposition(v, mu, rest.finite)
 
 
-@dataclass(frozen=True)
-class AlcoveProfile:
-    """All per-element alcove data the nonemptiness criterion consumes."""
+def k_numbers(decomposition: DominantDecomposition) -> tuple[int, ...]:
+    """k(alpha, x) per positive root number, by the closed form on x's
+    decomposition v t^mu w: <v^{-1}(alpha), mu> = <alpha, v.mu>, less one
+    when (vw)^{-1}(alpha) is negative.  Negative roots follow from
+    k(-alpha) = -1 - k(alpha)."""
+    v, mu, w = decomposition.v, decomposition.mu, decomposition.w
+    pairings = positive_pairings(v.system, v.act_on_coweight(mu))
+    positive = (v * w).inverse_positive()
+    return tuple([p if up else p - 1 for p, up in zip(pairings, positive)])
 
-    x: AffineElement
-    sigma: DiagramAutomorphism
-    decomposition: DominantDecomposition
+
+class AlcoveProfile:
+    """All per-element alcove data the nonemptiness criterion consumes:
+    the carried fields, as ``build`` or the length walk knows them, and the
+    fields derived from them on first use."""
+
+    def __init__(self, x: AffineElement, sigma: DiagramAutomorphism,
+                 decomposition: DominantDecomposition, kappa: KottwitzClass,
+                 affine_support: AffineSupport, k_numbers: tuple[int, ...]):
+        self.x = x
+        self.sigma = sigma
+        self.decomposition = decomposition
+        self.kappa = kappa  # the class of x
+        self.affine_support = affine_support  # the affine sigma-support of x
+        self.k_numbers = k_numbers  # k(alpha, x) per positive root number
+        self.system: RootSystem = x.system
+        self.v, self.mu, self.w = decomposition.v, decomposition.mu, decomposition.w
 
     @classmethod
     def build(cls, x: AffineElement, sigma: DiagramAutomorphism) -> "AlcoveProfile":
-        return cls(x, sigma, dominant_decompose(x))
-
-    @property
-    def system(self) -> RootSystem:
-        return self.x.system
-
-    @property
-    def v(self) -> FiniteWeylElement:
-        return self.decomposition.v
-
-    @property
-    def mu(self) -> tuple[int, ...]:
-        return self.decomposition.mu
-
-    @property
-    def w(self) -> FiniteWeylElement:
-        return self.decomposition.w
+        """The profile of x in closed form."""
+        decomposition = dominant_decompose(x)
+        kappa = kottwitz(x)
+        return cls(x, sigma, decomposition, kappa, affine_sigma_support(x, sigma, kappa),
+                   k_numbers(decomposition))
 
     @cached_property
     def eta(self) -> FiniteWeylElement:
@@ -133,26 +146,6 @@ class AlcoveProfile:
         sigma^{-1}(r) = sigma^{-1} r sigma composed as root maps."""
         sigma = self.sigma
         return sigma.closed_set(product_support(sigma.inverse(), r, sigma, self.eta, r.inverse()))
-
-    @cached_property
-    def kappa(self) -> KottwitzClass:
-        """The class of x."""
-        return kottwitz(self.x)
-
-    @cached_property
-    def affine_support(self) -> AffineSupport:
-        """The affine sigma-support of x."""
-        return affine_sigma_support(self.x, self.sigma, self.kappa)
-
-    @cached_property
-    def k_numbers(self) -> tuple[int, ...]:
-        """k(alpha, x) per positive root number, by the closed form on one
-        decomposition: <v^{-1}(alpha), mu> = <alpha, v.mu>, less one when
-        (vw)^{-1}(alpha) is negative.  Negative roots follow from
-        k(-alpha) = -1 - k(alpha)."""
-        pairings = positive_pairings(self.system, self.v.act_on_coweight(self.mu))
-        positive = (self.v * self.w).inverse_positive()
-        return tuple([p if up else p - 1 for p, up in zip(pairings, positive)])
 
     @cached_property
     def k_values(self) -> dict[Root, int]:
@@ -250,11 +243,9 @@ def _root(omega: AffineElement, sigma: DiagramAutomorphism,
     alcove, so v = e, mu and w are omega's own parts, every k-value is 0
     (Phi_x is all of Phi+) and the affine sigma-support is empty."""
     system = omega.system
-    profile = AlcoveProfile(omega, sigma, DominantDecomposition(
-        FiniteWeylElement.identity(system), omega.translation, omega.finite))
-    profile.__dict__.update(kappa=kottwitz(omega), affine_support=AffineSupport.closed((), xi),
-                            k_numbers=(0,) * len(system.positive_roots))
-    return profile
+    return AlcoveProfile(omega, sigma, DominantDecomposition(
+        FiniteWeylElement.identity(system), omega.translation, omega.finite),
+        kottwitz(omega), AffineSupport.closed((), xi), (0,) * len(system.positive_roots))
 
 
 def _crossed(parent: AlcoveProfile, edge: Edge, s: AffineElement, letter: int,
@@ -282,7 +273,4 @@ def _crossed(parent: AlcoveProfile, edge: Edge, s: AffineElement, letter: int,
     support = parent.affine_support
     if letter not in support.letters:
         support = AffineSupport.closed((letter, *support.letters), xi)
-    child = AlcoveProfile(edge.x, parent.sigma, decomposition)
-    # the cached properties the step derives, set as their closed forms would
-    child.__dict__.update(kappa=parent.kappa, affine_support=support, k_numbers=tuple(k))
-    return child
+    return AlcoveProfile(edge.x, parent.sigma, decomposition, parent.kappa, support, tuple(k))

@@ -197,6 +197,10 @@ class RootSystem:
     def __repr__(self) -> str:
         return f"RootSystem({self.type_label!r})"
 
+    def __reduce__(self):
+        # a copy is a new system with an empty memo, equal to nothing else
+        return type(self), ([(c.type_label, c.rank) for c in self.components],)
+
     @classmethod
     def from_descriptor(cls, descriptor: str) -> "RootSystem":
         """Parse descriptors like ``"A2"``, ``"B3"``, ``"A2+A2"``."""

@@ -171,6 +171,10 @@ class FiniteWeylElement:
     def __hash__(self) -> int:
         return hash(self.images)  # bytes hashes are salted per process
 
+    def __reduce__(self):
+        # re-interned in the copy's system, never copied slot by slot
+        return type(self).from_images, (self.system, self.images)
+
     def __repr__(self) -> str:
         word = reduced_word(self)
         return "W0<e>" if not word else "W0<" + " ".join(f"s{i+1}" for i in word) + ">"

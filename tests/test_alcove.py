@@ -1,6 +1,7 @@
 """Alcove geometry: k-values, decomposition, eta, strip sets, embedding sets."""
 
 import math
+import pickle
 
 import pytest
 
@@ -14,8 +15,9 @@ from adlv.alcove import (
 )
 from adlv.audit import w_x_set_bruteforce
 from adlv.cartan import RootSystem
-from adlv.iwahori import AffineElement, enumerate_affine, walk_affine
-from adlv.notation import parse_affine, parse_sigma
+from adlv.criterion import decide_nonempty
+from adlv.iwahori import AffineElement, enumerate_affine, kottwitz, walk_affine
+from adlv.notation import format_affine, parse_affine, parse_sigma
 from adlv.weyl import DiagramAutomorphism, FiniteWeylElement, _intern, enumerate_w0
 
 
@@ -287,3 +289,33 @@ def test_walk_edges_cross_one_wall(g2):
         pair = {profile_of(parent, sigma).k_values[beta], profile_of(edge.x, sigma).k_values[beta]}
         assert pair == {edge.level - 1, edge.level}
         assert edge.x.length == parent.length + 1
+
+
+@pytest.mark.parametrize("element", ["t[-1,1,0] s2 s3 s1", "t[1,0,1] s1 s2", "s1"])
+def test_pickle_round_trip_rebuilds_one_system(element):
+    """A class, an element, sigma, a profile (with its derived fields filled)
+    and a verdict, pickled together, come back in one new system and decide
+    there as the originals do."""
+    system = RootSystem.from_descriptor("A3")
+    sigma = parse_sigma(system, "(1 3)")
+    x = parse_affine(system, element)
+    profile = AlcoveProfile.build(x, sigma)
+    profile.w_x, profile.below_table, profile.eta  # fill derived fields before the copy
+    kappa = kottwitz(x)
+    verdict = decide_nonempty(x, kappa, sigma, profile)
+    copied = pickle.loads(pickle.dumps((kappa, x, sigma, profile, verdict)))
+    kappa2, x2, sigma2, profile2, verdict2 = copied
+    new = x2.system
+    assert new is not system
+    assert {id(kappa2.system), id(sigma2.system), id(profile2.system), id(profile2.x.system),
+            id(profile2.v.system), id(profile2.kappa.system)} == {id(new)}
+    assert all(r.system is new for r in profile2.w_x)
+    assert x2 != x and kappa2 != kappa  # equal only to values of the same load
+    assert kottwitz(x2) == profile2.kappa == kappa2
+    assert format_affine(x2 * x2) == format_affine(x * x)
+    assert format_affine(x2.inverse() * x2) == "e"
+    assert profile2.k_numbers == profile.k_numbers and profile2.w_x_size == profile.w_x_size
+    again = decide_nonempty(x2, kappa2, sigma2)
+    assert again == verdict2
+    assert (again.nonempty, again.rule) == (verdict.nonempty, verdict.rule)
+    assert pickle.loads(pickle.dumps(x)).system is not new  # each load its own system

@@ -178,13 +178,13 @@ def test_patched_profiles_do_not_outlive_the_patch(monkeypatch):
     and by a battery run, reach no later check on the same system."""
     system = RootSystem.from_descriptor("A2")
 
-    def flipped_k_numbers(self):
-        pairings = adlv.weyl.positive_pairings(self.system, self.v.act_on_coweight(self.mu))
-        positive = (self.v * self.w).inverse_positive()
+    def flipped_k_numbers(d):
+        pairings = adlv.weyl.positive_pairings(d.v.system, d.v.act_on_coweight(d.mu))
+        positive = (d.v * d.w).inverse_positive()
         return tuple(p - 1 if up else p for p, up in zip(pairings, positive))
 
     with monkeypatch.context() as patch:
-        patch.setattr(AlcoveProfile, "k_numbers", property(flipped_k_numbers))
+        patch.setattr(adlv.alcove, "k_numbers", flipped_k_numbers)
         assert not audit.check_strip_complement_radical_closed(system, 4).passed
         with pytest.raises(adlv.errors.InternalCheckError):  # from jrx-postcondition
             audit.run_battery(system, sid(system), 3, 1)

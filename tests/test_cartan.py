@@ -310,19 +310,16 @@ def _fraction_action(system, w, mu):
 
 @given(st.sampled_from(sorted(_KERNEL_SYSTEMS)), st.data(), st.booleans())
 def test_kernel_matches_fraction_formulas(descriptor, data, integral):
-    """pair, act_on_coweight and mat_vec give the Fraction formulas' values;
+    """pair and act_on_coweight give the Fraction formulas' values;
     on integer input they stay integers."""
     system = _KERNEL_SYSTEMS[descriptor]
     coords = _integral if integral else st.one_of(_integral, _rational)
     mu = tuple(data.draw(st.lists(coords, min_size=system.rank, max_size=system.rank)))
     root = data.draw(st.sampled_from(system.all_roots))
     w = data.draw(st.sampled_from(list(enumerate_w0(system))))
-    matrix = tuple(tuple(data.draw(coords) for _ in range(system.rank))
-                   for _ in range(system.rank))
     results = [
         (system.pair(root, mu), _fraction_pair(root, mu)),
         *zip(w.act_on_coweight(mu), _fraction_action(system, w, mu)),
-        *zip(_linalg.mat_vec(matrix, mu), (_fraction_pair(row, mu) for row in matrix)),
     ]
     for got, expected in results:
         assert got == expected

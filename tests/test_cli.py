@@ -603,19 +603,35 @@ def test_crosscheck_failure_exit_code(monkeypatch, capsys):
     assert json.loads(out)["failures"] == 1
 
 
+def flipped_k_numbers(d):
+    """``alcove.k_numbers`` with the direction convention flipped."""
+    pairings = adlv.weyl.positive_pairings(d.v.system, d.v.act_on_coweight(d.mu))
+    positive = (d.v * d.w).inverse_positive()
+    return tuple(p - 1 if up else p for p, up in zip(pairings, positive))
+
+
 def test_crosscheck_detects_injected_fault(a2, monkeypatch):
     # flipping the direction convention inside the k-value closed form must
     # break the strip-set complement property and be caught with a witness
-    def flipped_k_numbers(self):
-        pairings = adlv.weyl.positive_pairings(self.system, self.v.act_on_coweight(self.mu))
-        positive = (self.v * self.w).inverse_positive()
-        return tuple(p - 1 if up else p for p, up in zip(pairings, positive))
-
-    monkeypatch.setattr(adlv.alcove.AlcoveProfile, "k_numbers",
-                        property(flipped_k_numbers))
+    monkeypatch.setattr(adlv.alcove, "k_numbers", flipped_k_numbers)
     result = audit.check_strip_complement_radical_closed(a2, 4)
     assert not result.passed
     assert result.counterexample is not None
+
+
+def test_walk_never_reads_the_closed_form(a2, monkeypatch, capsys):
+    """The length walk carries k-values without ``alcove.k_numbers``: under a
+    broken closed form the k-value oracle tells the two apart at once, and
+    ``enumerate``, which only walks, prints its golden bytes."""
+    monkeypatch.setattr(adlv.alcove, "k_numbers", flipped_k_numbers)
+    result = audit.check_k_value_oracle(a2, 4)
+    assert not result.passed
+    assert result.detail == "walked decomposition or k-values differ from the closed form"
+    assert result.counterexample == {"x": "e"}
+    code, out, _ = run_cli(["enumerate", "--system", "A2", "--length-bound", "8",
+                            "--kappa-b", "match-x", "--format", "csv"], capsys)
+    assert code == 0
+    assert out == (GOLDEN_DIR / "enumerate_A2_L8.csv").read_text(encoding="utf-8")
 
 
 # -- golden outputs and caps ---------------------------------------------------------

@@ -39,7 +39,6 @@ from .alcove import (
 )
 from .criterion import (
     BgxReport,
-    DimTable,
     SigmaConjClassPoint,
     Verdict,
     anresult_filter,
@@ -47,7 +46,6 @@ from .criterion import (
     decide_nonempty,
     defect,
     dim_one_strip_rank2,
-    dim_recursion_step,
     dim_shrunken,
     enumerate_b_g_mu,
     is_jw_alcove,

@@ -31,8 +31,6 @@ from .alcove import (AlcoveProfile, DominantDecomposition, barycenter, base_k,
 from .cartan import Root, RootSystem, classical_positive_count, subset_predicates
 from .errors import InternalCheckError
 from .criterion import (
-    DimConflictError,
-    DimTable,
     RULE_ORACLE,
     Verdict,
     _is_jw_alcove_given,
@@ -43,7 +41,6 @@ from .criterion import (
     decide_nonempty,
     defect,
     dim_one_strip_rank2,
-    dim_recursion_step,
     dim_shrunken,
     j_rx,
     oracle_nonempty,
@@ -1128,47 +1125,84 @@ def check_wronglem_search(systems_with_sigma, coord_bound: int = 3) -> CheckResu
 
 def check_dim_recursion_consistency(system: RootSystem, sigma: DiagramAutomorphism,
                                     b_kappa: KottwitzClass, bound: int) -> CheckResult:
-    """Seed the recursion with shrunken-formula values, propagate to a fixed
-    point, and compare the single-strip formula where both are defined."""
+    """He's two-branch recursion (Annals 2014): for an affine simple s with
+    length(s x sigma(s)) = length(x) - 2, dim X_x(b) is one more than the
+    larger dimension of the nonempty branches s x and s x sigma(s).  Seed it
+    with the shrunken formula and the criterion's empty verdicts, propagate
+    to a fixed point (bottom-up when both branches are known, top-down into
+    a branch when the other is empty), and compare the single-strip formula
+    where both are defined."""
     cid = "dim-recursion-consistency"
     elements = list(_elements(system, bound))
     profiles = {x: _profile(x, sigma) for x in elements}
-    table = DimTable()
+    dims: dict[AffineElement, int] = {}
+    empty: set[AffineElement] = set()
     for x in elements:
-        verdict = decide_nonempty(x, b_kappa, sigma, profiles[x])
-        if not verdict.nonempty:
-            table.mark_empty(x)
+        if not decide_nonempty(x, b_kappa, sigma, profiles[x]).nonempty:
+            empty.add(x)
         else:
             seeded = dim_shrunken(profiles[x], b_kappa)
             if seeded is not None:
-                table.set_dim(x, seeded)
-    simples = affine_simples(system)
-    try:
-        changed = True
-        while changed:
-            changed = False
-            for x in elements:
-                for s in simples:
-                    conjugated = s.element * x * apply_sigma_affine(sigma, s.element)
-                    if conjugated.length != x.length - 2:
-                        continue
-                    if dim_recursion_step(x, s, table, sigma):
-                        changed = True
-    except DimConflictError as exc:
-        return _fail(cid, "propagation conflict", {"error": str(exc)})
+                dims[x] = seeded
+    twists = [(s.element, apply_sigma_affine(sigma, s.element)) for s in affine_simples(system)]
+    descents = []  # (x, s x, s x sigma(s)), listed once
+    for x in elements:
+        for s, sigma_s in twists:
+            sx = s * x
+            sxs = sx * sigma_s
+            if sxs.length != x.length - 2:
+                continue
+            if sx.length != x.length - 1:
+                raise InternalCheckError("branch length must drop by exactly one")
+            descents.append((x, sx, sxs))
+    conflict = _propagate_dimensions(descents, dims, empty)
+    if conflict is not None:
+        return _fail(cid, "propagation conflict", {"error": conflict})
     compared = 0
     for x in elements:
         strip_value = dim_one_strip_rank2(profiles[x], b_kappa)
-        table_value = table.dim(x)
+        table_value = dims.get(x)
         if strip_value is not None and table_value is not None:
             if strip_value != table_value:
                 return _fail(cid, "single-strip formula disagrees with propagation",
                              {"x": format_affine(x), "strip": strip_value,
                               "table": table_value})
             compared += 1
-    known = sum(1 for _ in table.items())
-    return _ok(cid, f"no conflicts; {known} dimensions known, "
+    return _ok(cid, f"no conflicts; {len(dims)} dimensions known, "
                     f"{compared} single-strip values agree")
+
+
+def _propagate_dimensions(descents, dims: dict, empty: set) -> str | None:
+    """Apply both rules at each descent in turn until a pass adds no
+    dimension; the first conflict, or None.  A conflict is a value that
+    contradicts a known one, a dimension for an element decided empty, or
+    two empty branches below an element with a dimension."""
+
+    def record(y, value):
+        if y in empty:
+            return f"{y!r} is marked empty but got dimension {value}"
+        known = dims.setdefault(y, value)
+        return None if known == value else f"{y!r}: {known} vs {value}"
+
+    size = -1
+    while size != len(dims):
+        size = len(dims)
+        for x, sx, sxs in descents:
+            if (sx in dims or sx in empty) and (sxs in dims or sxs in empty):
+                branches = [dims[y] for y in (sx, sxs) if y in dims]
+                if branches:
+                    conflict = record(x, max(branches) + 1)
+                    if conflict:
+                        return conflict
+                elif x in dims:
+                    return f"both branches of {x!r} empty but x has a dimension"
+            if x in dims:
+                for empty_branch, other in ((sxs, sx), (sx, sxs)):
+                    if empty_branch in empty and other not in empty:
+                        conflict = record(other, dims[x] - 1)
+                        if conflict:
+                            return conflict
+    return None
 
 
 def check_conjecture_audit(system: RootSystem, sigma: DiagramAutomorphism,

@@ -54,11 +54,15 @@ def _chain(rank: int) -> list[list[int]]:
     return m
 
 
-def cartan_matrix(type_label: str, rank: int) -> tuple[tuple[int, ...], ...]:
-    """Cartan matrix of an irreducible type in Bourbaki numbering."""
+def _require_type(type_label: str, rank: int) -> None:
     lo, hi = _RANK_RANGE.get(type_label, (None, None))
     if lo is None or rank < lo or (hi is not None and rank > hi):
         raise NotationError(f"invalid Dynkin type {type_label}{rank}")
+
+
+def cartan_matrix(type_label: str, rank: int) -> tuple[tuple[int, ...], ...]:
+    """Cartan matrix of an irreducible type in Bourbaki numbering."""
+    _require_type(type_label, rank)
     m = _chain(rank)
     if type_label == "B":
         m[rank - 1][rank - 2] = -2  # alpha_rank is short
@@ -109,6 +113,22 @@ def _generate_positive_roots(cartan) -> tuple[Root, ...]:
                         nxt.append(cand)
         level = nxt
     return tuple(sorted(roots, key=lambda r: (sum(r), r)))
+
+
+def descriptor_components(descriptor: str) -> list[tuple[str, int]]:
+    """The (type, rank) summands of a descriptor like ``"A2+B3"``, each
+    checked to name an irreducible type."""
+    parts = []
+    for chunk in descriptor.strip().split("+"):
+        m = re.fullmatch(r"([A-G])(\d+)", chunk.strip())
+        if not m:
+            raise NotationError(f"bad root-system descriptor {chunk!r}")
+        try:
+            parts.append((m.group(1), int(m.group(2))))
+        except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+            raise NotationError(f"a rank of {len(m.group(2))} digits is too long") from None
+        _require_type(*parts[-1])
+    return parts
 
 
 def per_system(fn):
@@ -204,13 +224,7 @@ class RootSystem:
     @classmethod
     def from_descriptor(cls, descriptor: str) -> "RootSystem":
         """Parse descriptors like ``"A2"``, ``"B3"``, ``"A2+A2"``."""
-        parts = []
-        for chunk in descriptor.strip().split("+"):
-            m = re.fullmatch(r"([A-G])(\d+)", chunk.strip())
-            if not m:
-                raise NotationError(f"bad root-system descriptor {chunk!r}")
-            parts.append((m.group(1), int(m.group(2))))
-        return cls(parts)
+        return cls(descriptor_components(descriptor))
 
     # -- membership and signs ------------------------------------------------
 

@@ -19,9 +19,14 @@ Two independent deciders are provided and cross-checked:
   is the formula |W0| x (number of proper sigma-stable J).  The scan over
   all of W0 is kept as a reference in ``adlv.audit``.
 
-Alongside: the generic-class set for cordial v*t^mu elements, bounded
-enumeration of the class set below a dominant coweight, the defect of a
-basic class, and the dimension-formula evaluators.
+Alongside: the (J, w)-alcove test itself and J_{r,x}; the class points
+(Newton point, class invariant) and their bounded enumeration below a
+dominant coweight; the generic-class report for cordial v*t^mu elements;
+the fixed-space defect of a basic class; two closed dimension formulas,
+for shrunken elements and for rank-2 single-strip elements (He's two-branch
+recursion, which audits them, lives in
+``adlv.audit.check_dim_recursion_consistency``); and the type-A
+genericity filter.
 """
 
 from __future__ import annotations
@@ -32,14 +37,12 @@ from fractions import Fraction
 from . import _linalg
 from .alcove import AlcoveProfile, base_k, dominant_decompose
 from .cartan import Root, RootSystem, per_system
-from .errors import AdlvError, InternalCheckError
+from .errors import InternalCheckError
 from .iwahori import (
     AffineElement,
-    AffineSimple,
     AffineSupport,
     KottwitzClass,
     affine_sigma_support,
-    apply_sigma_affine,
     enumerate_affine,
     kottwitz,
     newton,
@@ -340,28 +343,6 @@ def j_rx(profile: AlcoveProfile, r: FiniteWeylElement) -> frozenset[int]:
     return j_set
 
 
-def oracle_length_bound(system: RootSystem, sigma: DiagramAutomorphism) -> int:
-    """A computed sufficient length for the oracle's positivity argument to close.
-
-    Conservative: past this length, subtracting at most one simple coroot per
-    letter of any W_x member cannot cancel the positivity of the coroot
-    coefficients of the dominant part.  Diagnostic only.
-    """
-    n_pos = len(system.positive_roots)
-    p_min = min(
-        entry
-        for comp in system.components
-        for i in comp.indices
-        for j in comp.indices
-        for entry in [system.inverse_cartan[i][j]]
-        if entry > 0
-    )
-    max_column = max(
-        sum(alpha[i] for alpha in system.positive_roots) for i in range(system.rank)
-    )
-    return int(2 * n_pos + Fraction(max_column * n_pos, 1) / p_min) + 1
-
-
 # -- class points below a dominant coweight ---------------------------------------
 
 
@@ -550,86 +531,6 @@ def dim_one_strip_rank2(profile: AlcoveProfile, b_kappa: KottwitzClass) -> int |
         raise InternalCheckError(f"odd dimension numerator {doubled} for {x!r}")
     epsilon = 1 if eta == longest_element(system) else 0
     return doubled // 2 - epsilon
-
-
-class DimConflictError(AdlvError):
-    """A propagation step contradicts an existing table entry."""
-
-
-class DimTable:
-    """Partial dimension table; records known-empty elements separately and
-    refuses to overwrite entries with different values."""
-
-    def __init__(self):
-        self._dims: dict[AffineElement, int] = {}
-        self._empty: set[AffineElement] = set()
-
-    def mark_empty(self, x: AffineElement) -> None:
-        if x in self._dims:
-            raise DimConflictError(f"{x!r} already has dimension {self._dims[x]}")
-        self._empty.add(x)
-
-    def set_dim(self, x: AffineElement, value: int) -> bool:
-        if x in self._empty:
-            raise DimConflictError(f"{x!r} is marked empty but got dimension {value}")
-        existing = self._dims.get(x)
-        if existing is None:
-            self._dims[x] = value
-            return True
-        if existing != value:
-            raise DimConflictError(f"{x!r}: {existing} vs {value}")
-        return False
-
-    def dim(self, x: AffineElement) -> int | None:
-        return self._dims.get(x)
-
-    def is_empty(self, x: AffineElement) -> bool:
-        return x in self._empty
-
-    def known(self, x: AffineElement) -> bool:
-        return x in self._dims or x in self._empty
-
-    def items(self):
-        return self._dims.items()
-
-
-def dim_recursion_step(
-    x: AffineElement,
-    s: AffineSimple,
-    dims: DimTable,
-    sigma: DiagramAutomorphism,
-) -> list[tuple[AffineElement, int]]:
-    """One application of the two-branch recursion at x along s.
-
-    Requires length(s x sigma(s)) = length(x) - 2.  Propagates bottom-up when
-    both branch statuses are known, and top-down into a branch when the other
-    branch is empty and x itself is known.
-    """
-    sigma_s = apply_sigma_affine(sigma, s.element)
-    sx = s.element * x
-    sxs = sx * sigma_s
-    if sxs.length != x.length - 2:
-        raise ValueError("descent condition length(s x sigma(s)) = length(x) - 2 fails")
-    if sx.length != x.length - 1:
-        raise InternalCheckError("branch length must drop by exactly one")
-    new_entries: list[tuple[AffineElement, int]] = []
-
-    if dims.known(sx) and dims.known(sxs):
-        branches = [dims.dim(y) for y in (sx, sxs) if not dims.is_empty(y)]
-        if branches:
-            value = max(branches) + 1
-            if dims.set_dim(x, value):
-                new_entries.append((x, value))
-        elif dims.dim(x) is not None:
-            raise DimConflictError(f"both branches of {x!r} empty but x has a dimension")
-
-    if dims.dim(x) is not None:
-        for known_empty, target in ((sxs, sx), (sx, sxs)):
-            if dims.is_empty(known_empty) and not dims.is_empty(target):
-                value = dims.dim(x) - 1
-                if dims.set_dim(target, value):
-                    new_entries.append((target, value))
-    return new_entries
 
 
 def anresult_filter(x: AffineElement, sigma: DiagramAutomorphism) -> bool:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .cartan import RootSystem
+from .cartan import RootSystem, classical_positive_count, descriptor_components
 from .errors import NotationError
 from .iwahori import (
     AffineElement,
@@ -27,13 +27,18 @@ from .iwahori import (
     affine_simples,
     omega_of_kottwitz,
 )
-from .weyl import ROOT_CAP, DiagramAutomorphism, FiniteWeylElement, reduced_word
+from .weyl import (ROOT_CAP, DiagramAutomorphism, FiniteWeylElement, reduced_word,
+                   require_roots_within_cap)
 
 _VECTOR = r"\[(-?\d+(?:,-?\d+)*)?\]"
 
 
 def parse_system(descriptor: str) -> RootSystem:
-    return RootSystem.from_descriptor(descriptor)
+    """The named system, refused before any root is generated when its roots
+    would exceed the root-permutation limit."""
+    components = descriptor_components(descriptor)
+    require_roots_within_cap(2 * sum(classical_positive_count(*c) for c in components))
+    return RootSystem.from_descriptor(descriptor)  # the traced set-up entry point
 
 
 def _integer(digits: str, position: int | None = None) -> int:
@@ -62,12 +67,16 @@ def parse_sigma(system: RootSystem, text: str) -> DiagramAutomorphism:
     if not re.fullmatch(r"(\(\s*\d+(?:[ ,]\s*\d+)*\s*\))+", text):
         raise NotationError(f"bad permutation {text!r}; use id or cycles like (1 3)")
     perm = list(range(system.rank))
+    seen: set[int] = set()
     for cycle_text in re.findall(r"\(([^()]*)\)", text):
         entries = [_integer(tok) - 1 for tok in re.split(r"[ ,]+", cycle_text.strip()) if tok]
         if any(i < 0 or i >= system.rank for i in entries):
             raise NotationError(f"cycle {cycle_text!r} is out of range for rank {system.rank}")
-        if len(set(entries)) != len(entries):
-            raise NotationError(f"cycle {cycle_text!r} repeats an index")
+        for i in entries:
+            if i in seen:  # the cycles are disjoint and repeat no index
+                raise NotationError(
+                    f"index {i + 1} appears twice, the second time in cycle {cycle_text!r}")
+            seen.add(i)
         for pos, i in enumerate(entries):
             perm[i] = entries[(pos + 1) % len(entries)]
     try:

@@ -56,9 +56,7 @@ class _RootIndex(dict):
     def __init__(self, system: RootSystem):
         super().__init__()
         roots = system.all_roots
-        if len(roots) > ROOT_CAP:
-            raise CapExceeded(f"{len(roots)} roots exceed the root-permutation limit "
-                              f"of {ROOT_CAP}", estimate=len(roots))
+        require_roots_within_cap(len(roots))
         self.roots = roots
         self.number = number = {root: k for k, root in enumerate(roots)}
         self.simple = bytes(number[tuple(int(j == i) for j in range(system.rank))]
@@ -340,6 +338,13 @@ def longest_element(system: RootSystem, indices=None) -> FiniteWeylElement:
         if i is None:
             return w
         w = w * simples[i]
+
+
+def require_roots_within_cap(count: int) -> None:
+    """Refuse a system of ``count`` roots, more than a root permutation numbers."""
+    if count > ROOT_CAP:
+        raise CapExceeded(f"{count} roots exceed the root-permutation limit of {ROOT_CAP}",
+                          estimate=count)
 
 
 def require_w0_within_cap(system: RootSystem) -> None:

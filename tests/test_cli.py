@@ -420,7 +420,8 @@ def test_argparse_refusal_is_one_error_line(args, message, capsys):
     (["check", "t[" + "1" * 5000 + ",0]", "--system", "A2"], "at char 0: an integer"),
     (["check", "s1 s" + "1" * 5000, "--system", "A2"], "at char 3: an integer"),
     (["check", "e", "--system", "A3", "--sigma", "(1 " + "3" * 5000 + ")"], "an integer"),
-], ids=["vector", "reflection", "sigma"])
+    (["check", "e", "--system", "A" + "1" * 5000], "a rank"),
+], ids=["vector", "reflection", "sigma", "rank"])
 def test_overlong_integer_is_validation_error(args, message, capsys):
     code, out, err = run_cli(args, capsys)
     assert code == 2
@@ -691,6 +692,27 @@ def test_check_refuses_more_than_256_roots(capsys):
     assert code == 3
     assert out == ""
     assert err == "error: 312 roots exceed the root-permutation limit of 256\n"
+
+
+def test_check_refuses_a_large_rank_before_building_it(capsys):
+    """A300 is counted from its type, not generated: no rank-300 Cartan inverse."""
+    start = perf_counter()
+    code, out, err = run_cli(["check", "e", "--system", "A300"], capsys)
+    assert perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert err == "error: 90300 roots exceed the root-permutation limit of 256\n"
+
+
+@pytest.mark.parametrize("sigma_text, message", [
+    ("(1 3)(1 2)", "index 1 appears twice, the second time in cycle '1 2'"),
+    ("(2)(2 3)", "index 2 appears twice, the second time in cycle '2 3'"),
+])
+def test_check_refuses_overlapping_sigma_cycles(sigma_text, message, capsys):
+    code, out, err = run_cli(["check", "e", "--system", "A3", "--sigma", sigma_text], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_check_e6_never_sweeps_w0(capsys):

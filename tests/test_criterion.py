@@ -17,8 +17,7 @@ from adlv.criterion import (
     RULE_KOTTWITZ,
     RULE_ORACLE,
     RULE_SHORTCUT,
-    DimConflictError,
-    DimTable,
+    Verdict,
     _is_jw_alcove_given,
     _oracle_scan,
     _scan_plan,
@@ -30,12 +29,10 @@ from adlv.criterion import (
     defect,
     defect_validated,
     dim_one_strip_rank2,
-    dim_recursion_step,
     dim_shrunken,
     enumerate_b_g_mu,
     is_jw_alcove,
     j_rx,
-    oracle_length_bound,
     oracle_nonempty,
     sigma_average,
     sigma_stable_subsets,
@@ -46,8 +43,6 @@ from adlv.iwahori import (
     AffineElement,
     KottwitzClass,
     affine_sigma_support,
-    affine_simples,
-    apply_sigma_affine,
     enumerate_affine,
     kottwitz,
 )
@@ -677,54 +672,44 @@ def _conj_length(system, profile):
     return (s_x * profile.eta * s_x).length
 
 
-def test_dim_recursion_step_bottom_up(a2):
-    zero = KottwitzClass.zero(a2)
-    sigma = sid(a2)
-    # find a real descent configuration and feed it synthetic branch values
-    for x in enumerate_affine(a2, 6):
-        for s in affine_simples(a2):
-            sxs = s.element * x * apply_sigma_affine(sigma, s.element)
-            if sxs.length == x.length - 2:
-                table = DimTable()
-                table.set_dim(s.element * x, 3)
-                table.set_dim(sxs, 2)
-                new = dim_recursion_step(x, s, table, sigma)
-                assert (x, 4) in new
-                assert table.dim(x) == 4
-                return
-    pytest.fail("no descent configuration found")
+def _c2_dim_recursion():
+    system = RootSystem.from_descriptor("C2")
+    target = parse_affine(system, "t[2,-2] s2 s1 s2 s1")
+    return target, lambda: audit.check_dim_recursion_consistency(
+        system, sid(system), KottwitzClass.zero(system), 8)
 
 
-def test_dim_recursion_step_top_down(a2):
-    sigma = sid(a2)
-    for x in enumerate_affine(a2, 6):
-        for s in affine_simples(a2):
-            sxs = s.element * x * apply_sigma_affine(sigma, s.element)
-            if sxs.length == x.length - 2:
-                table = DimTable()
-                table.set_dim(x, 4)
-                table.mark_empty(sxs)
-                new = dim_recursion_step(x, s, table, sigma)
-                assert (s.element * x, 3) in new
-                return
-    pytest.fail("no descent configuration found")
+def test_dim_recursion_detects_a_wrong_seed(monkeypatch):
+    """Shrunken values at length 4 raised by one contradict the dimension the
+    recursion gives a length-6 element."""
+    target, check = _c2_dim_recursion()
+    original = audit.dim_shrunken
+
+    def raised(profile, b_kappa):
+        value = original(profile, b_kappa)
+        return value + 1 if value is not None and profile.x.length == 4 else value
+
+    monkeypatch.setattr(audit, "dim_shrunken", raised)
+    result = check()
+    assert not result.passed
+    assert result.detail == "propagation conflict"
+    assert result.counterexample == {"error": f"{target!r}: 5 vs 6"}
 
 
-def test_dim_recursion_length_precondition(a2):
-    sigma = sid(a2)
-    x = AffineElement.identity(a2)
-    with pytest.raises(ValueError):
-        dim_recursion_step(x, affine_simples(a2)[0], DimTable(), sigma)
+def test_dim_recursion_detects_a_dimension_for_an_empty_element(monkeypatch):
+    target, check = _c2_dim_recursion()
+    original = audit.decide_nonempty
 
+    def lying(x, *args):
+        verdict = original(x, *args)
+        return Verdict(False, verdict.rule, verdict.witnesses) if x == target else verdict
 
-def test_dim_table_conflicts(a2):
-    table = DimTable()
-    x = AffineElement.identity(a2)
-    table.set_dim(x, 2)
-    with pytest.raises(DimConflictError):
-        table.set_dim(x, 3)
-    with pytest.raises(DimConflictError):
-        table.mark_empty(x)
+    monkeypatch.setattr(audit, "decide_nonempty", lying)
+    result = check()
+    assert not result.passed
+    assert result.detail == "propagation conflict"
+    assert result.counterexample == {
+        "error": f"{target!r} is marked empty but got dimension 5"}
 
 
 def test_dim_recursion_battery(a2):
@@ -761,12 +746,6 @@ def test_anresult_elements_satisfy_equivalence(a2):
             oracle_nonempty(x, kappa, sigma).nonempty
         checked += 1
     assert checked > 0
-
-
-def test_oracle_length_bound_diagnostic(a2, b2):
-    for system in (a2, b2):
-        bound = oracle_length_bound(system, sid(system))
-        assert bound > 2 * len(system.positive_roots)
 
 
 def test_wronglem_battery():

@@ -55,7 +55,6 @@ from .iwahori import (
     KottwitzClass,
     NewtonPoint,
     _class_map,
-    _mod1,
     affine_sigma_support,
     affine_simples,
     apply_sigma_affine,
@@ -427,7 +426,7 @@ def _product_by_matrix(u: FiniteWeylElement, v: FiniteWeylElement) -> FiniteWeyl
 def _class_of_coordinates(system: RootSystem, coords) -> KottwitzClass:
     """The class with these rational coroot coordinates mod 1: residue i is
     coordinate i mod 1 times its component's denominator, exactly."""
-    residues = [_mod1(c) * d for c, (_, d, _) in zip(coords, _class_map(system))]
+    residues = [c % 1 * d for c, (_, d, _) in zip(coords, _class_map(system))]
     if any(r.denominator != 1 for r in residues):
         raise InternalCheckError("a coroot coordinate is finer than its class denominator")
     return KottwitzClass(system, tuple(map(int, residues)))

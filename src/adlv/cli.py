@@ -94,7 +94,7 @@ OPTIONS = {
 def read_config_file(path: str, keys: tuple[str, ...]) -> dict:
     """key=value lines of the given keys, integer keys as ints; refused at a bad line."""
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             lines = handle.readlines()
     except OSError as exc:
         raise NotationError(f"cannot read config file {path}: {exc.strerror}") from None

@@ -376,15 +376,6 @@ def class_point(x: AffineElement, sigma: DiagramAutomorphism) -> SigmaConjClassP
     )
 
 
-def sigma_average(system: RootSystem, mu, sigma: DiagramAutomorphism) -> tuple[Fraction, ...]:
-    total = [Fraction(0)] * system.rank
-    current = tuple(Fraction(c) for c in mu)
-    for _ in range(sigma.order):
-        total = [t + c for t, c in zip(total, current)]
-        current = sigma.coweight(current)
-    return tuple(t / sigma.order for t in total)
-
-
 def translation_length(system: RootSystem, mu) -> int:
     """length(t^mu) for dominant mu: the sum of all positive pairings."""
     return int(sum(system.pair(alpha, mu) for alpha in system.positive_roots))
@@ -397,7 +388,8 @@ def enumerate_b_g_mu(
     length_cap: int | None = None,
 ) -> tuple[SigmaConjClassPoint, ...]:
     """Distinct class points with matching invariant and Newton point below the
-    sigma-average of mu, collected from a length-capped scan of the group.
+    sigma-average of mu (the Newton point of t^mu), collected from a
+    length-capped scan of the group.
 
     The default length cap length(t^mu) + #positive-roots is a heuristic;
     ``bgx_cordial`` audits it by doubling.
@@ -406,11 +398,11 @@ def enumerate_b_g_mu(
         raise ValueError("mu must be a dominant integral coweight")
     if length_cap is None:
         length_cap = translation_length(system, mu) + len(system.positive_roots)
-    target_kappa = KottwitzClass.from_translation(system, mu).coinvariant(sigma)
-    average = sigma_average(system, mu, sigma)
+    target = KottwitzClass.from_translation(system, mu)
+    average = newton(AffineElement.from_translation(system, mu), sigma).vector
     points: set[SigmaConjClassPoint] = set()
     for y in enumerate_affine(system, length_cap):
-        if kottwitz(y).coinvariant(sigma) != target_kappa:
+        if not kottwitz(y).same_coinvariant(target, sigma):
             continue
         point = class_point(y, sigma)
         diff = tuple(a - n for a, n in zip(average, point.newton_dominant))

@@ -146,10 +146,6 @@ def _im_length(x: AffineElement) -> int:
 # -- Kottwitz map ---------------------------------------------------------------
 
 
-def _mod1(value: Fraction) -> Fraction:
-    return value - (value.numerator // value.denominator)
-
-
 class KottwitzClass:
     """An element of the coweight-mod-coroot quotient, by its coroot
     coordinates mod 1: coordinate i is r_i / d, with r_i = ``residues[i]`` and
@@ -220,12 +216,15 @@ class KottwitzClass:
 
     def same_coinvariant(self, other: "KottwitzClass", sigma: DiagramAutomorphism) -> bool:
         """Whether the two classes agree modulo the (1 - sigma) subgroup."""
-        return self == other or self.coinvariant(sigma) == other.coinvariant(sigma)
+        if self == other:
+            return True
+        table = _coinvariant_classes(self.system, sigma)
+        return table[self.residues] is table[other.residues]
 
     def coinvariant(self, sigma: DiagramAutomorphism) -> tuple[Fraction, ...]:
-        """Canonical representative of the class modulo the (1 - sigma) subgroup."""
-        denom = _coinvariant_denominator(self.system, sigma)
-        return min(tuple(_mod1(a + d) for a, d in zip(self.rep, delta)) for delta in denom)
+        """Canonical representative modulo the (1 - sigma) subgroup: the
+        ``rep`` of the least class in the coset (``_coinvariant_classes``)."""
+        return _coinvariant_classes(self.system, sigma)[self.residues].rep
 
 
 @per_system
@@ -280,15 +279,24 @@ def kottwitz_group(system: RootSystem) -> tuple[KottwitzClass, ...]:
 
 
 @per_system
-def _coinvariant_denominator(
+def _coinvariant_classes(
     system: RootSystem, sigma: DiagramAutomorphism
-) -> tuple[tuple[Fraction, ...], ...]:
-    """The subgroup {g - sigma(g)} of the quotient, as sorted representatives: the
-    omega_i^v generate the quotient, so the omega_i^v - sigma(omega_i^v) generate it."""
+) -> dict[tuple[int, ...], KottwitzClass]:
+    """Residues of each class -> the least class of its coset of {g - sigma(g)},
+    one shared instance per coset; the omega_i^v generate the quotient, so the
+    omega_i^v - sigma(omega_i^v) generate that subgroup.  Residues order as
+    the coordinates in [0, 1), so sorted ``kottwitz_group`` meets each coset
+    first at its least class."""
     generators = [KottwitzClass.from_translation(system, tuple(
         int(j == i) - int(j == sigma.index(i)) for j in range(system.rank)))
         for i in range(system.rank)]
-    return tuple(sorted(k.rep for k in _generated_subgroup(system, generators)))
+    subgroup = _generated_subgroup(system, generators)
+    table = {}
+    for least in kottwitz_group(system):
+        if least.residues not in table:
+            for h in subgroup:
+                table[(least + h).residues] = least
+    return table
 
 
 def kottwitz(x: AffineElement) -> KottwitzClass:

@@ -437,6 +437,16 @@ def test_enumerate_rejects_svg_format(capsys):
     assert err == "error: enumerate writes json or csv, not svg\n"
 
 
+def test_config_file_with_byte_order_mark(tmp_path, capsys):
+    """A UTF-8 byte-order mark before the first key is not part of the key."""
+    plain, marked = tmp_path / "plain.conf", tmp_path / "marked.conf"
+    plain.write_bytes(b"system=A2\n")
+    marked.write_bytes(b"\xef\xbb\xbfsystem=A2\n")
+    expected = run_cli(["check", "e", "--config", str(plain)], capsys)
+    assert expected[0] == 0
+    assert run_cli(["check", "e", "--config", str(marked)], capsys) == expected
+
+
 def test_missing_config_file_is_validation_error(tmp_path, capsys):
     path = tmp_path / "absent.conf"
     code, _, err = run_cli(["enumerate", "--config", str(path)], capsys)
@@ -656,6 +666,17 @@ def test_walk_never_reads_the_closed_form(a2, monkeypatch, capsys):
                                "--seed", "1"]),
     ("crosscheck_A3_13_L3.json", ["crosscheck", "--system", "A3", "--sigma", "(1 3)",
                                   "--length-bound", "3"]),
+    # the default zero class: classes 0 and 2 share a coinvariant here
+    ("enumerate_A3_13_L4.csv", ["enumerate", "--system", "A3", "--sigma", "(1 3)",
+                                "--length-bound", "4", "--format", "csv"]),
+    ("enumerate_A5_15_24_L1_k00100.csv", ["enumerate", "--system", "A5",
+                                          "--sigma", "(1 5)(2 4)", "--length-bound", "1",
+                                          "--kappa-b", "[0,0,1,0,0]", "--format", "csv"]),
+    # the printed kappa (0, 1/2) is a different class from mu's (1/2, 0)
+    ("bgx_A1A1_12_s1_10.json", ["bgx", "s1", "[1,0]", "--system", "A1+A1",
+                                "--sigma", "(1 2)"]),
+    # empty, shortcut and nonempty fills, and the C2 coroot plane
+    ("render_C2_L4.svg", ["render", "--system", "C2", "--length-bound", "4"]),
 ])
 def test_golden_output_bytes(name, args, capsys):
     code, out, _ = run_cli(args, capsys)

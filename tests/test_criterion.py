@@ -34,7 +34,6 @@ from adlv.criterion import (
     is_jw_alcove,
     j_rx,
     oracle_nonempty,
-    sigma_average,
     sigma_stable_subsets,
     translation_length,
 )
@@ -45,6 +44,7 @@ from adlv.iwahori import (
     affine_sigma_support,
     enumerate_affine,
     kottwitz,
+    newton,
 )
 from adlv.notation import format_affine, parse_affine, parse_finite, parse_sigma
 from adlv.weyl import (
@@ -563,12 +563,25 @@ def test_enumerate_b_g_mu_newton_polygons(a2):
     assert report.cap_stable
 
 
-def test_enumerate_b_g_mu_dominance_filter(a2):
-    mu = (1, 1)
-    average = sigma_average(a2, mu, sid(a2))
-    for p in enumerate_b_g_mu(a2, mu, sid(a2)):
-        diff = tuple(a - b for a, b in zip(average, p.newton_dominant))
-        assert all(c >= 0 for c in a2.coroot_coordinates(diff))
+def test_enumerate_b_g_mu_dominance_filter():
+    """The Newton point of t^mu is the sigma-average of mu, and every point
+    lies below it (D4 under a length cap of 6, against 18 by default)."""
+    for descriptor, sigma_text, mu, cap in [
+        ("A2", "id", (1, 1), None), ("A3", "(1 3)", (1, 0, 0), None),
+        ("A1+A1", "(1 2)", (1, 0), None), ("D4", "(1 3 4)", (1, 0, 0, 0), 6),
+    ]:
+        system = RootSystem.from_descriptor(descriptor)
+        sigma = parse_sigma(system, sigma_text)
+        average = newton(AffineElement.from_translation(system, mu), sigma).vector
+        orbit = [mu]
+        for _ in range(sigma.order - 1):
+            orbit.append(sigma.coweight(orbit[-1]))
+        assert average == tuple(Fraction(sum(c), sigma.order) for c in zip(*orbit))
+        points = enumerate_b_g_mu(system, mu, sigma, cap)
+        assert points
+        for p in points:
+            diff = tuple(a - b for a, b in zip(average, p.newton_dominant))
+            assert all(c >= 0 for c in system.coroot_coordinates(diff))
 
 
 def test_translation_length(a2):

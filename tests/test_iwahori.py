@@ -12,7 +12,7 @@ from adlv.cartan import RootSystem
 from adlv.iwahori import (
     AffineElement,
     _class_map,
-    _coinvariant_denominator,
+    _coinvariant_classes,
     _im_length,
     KottwitzClass,
     affine_sigma_support,
@@ -417,24 +417,51 @@ def test_integer_newton_and_class_sums_match_rational_routes(descriptor, sigma_t
             assert all(type(c) is Fraction for c in total.rep)
 
 
-@pytest.mark.parametrize("descriptor, sigma_text", [
+COINVARIANT_CASES = [
     ("A3", "(1 3)"), ("A5", "(1 5)(2 4)"), ("D4", "(1 3 4)"), ("D4", "(3 4)"),
     ("D5", "(4 5)"), ("E6", "(1 6)(3 5)"), ("A2+A2", "(1 3)(2 4)"),
     ("A3", "id"), ("A5", "id"), ("D4", "id"), ("D5", "id"), ("E6", "id"), ("A2+A2", "id"),
-])
-def test_coinvariant_subgroup_is_the_image_of_one_minus_sigma(descriptor, sigma_text):
-    """The closure of the classes of omega_i^v - sigma(omega_i^v) is {g - sigma(g)},
-    with g - sigma(g) taken on the rational coroot coordinates mod 1 (sigma
-    permutes the coroot coordinates as it permutes the simple indices)."""
-    system = RootSystem.from_descriptor(descriptor)
-    sigma = parse_sigma(system, sigma_text)
+]
+
+
+def image_of_one_minus_sigma(system, sigma) -> set[tuple[Fraction, ...]]:
+    """{g - sigma(g)}, with g - sigma(g) taken on the rational coroot
+    coordinates mod 1 (sigma permutes the coroot coordinates as it permutes
+    the simple indices)."""
     image = set()
     for g in kottwitz_group(system):
         moved = [Fraction(0)] * system.rank
         for i, c in enumerate(g.rep):
             moved[sigma.index(i)] = c
         image.add(tuple((a - b) % 1 for a, b in zip(g.rep, moved)))
-    assert _coinvariant_denominator(system, sigma) == tuple(sorted(image))
+    return image
+
+
+@pytest.mark.parametrize("descriptor, sigma_text", COINVARIANT_CASES)
+def test_coinvariant_subgroup_is_the_image_of_one_minus_sigma(descriptor, sigma_text):
+    """The coset of zero in the table, the closure of the classes of
+    omega_i^v - sigma(omega_i^v), is {g - sigma(g)}."""
+    system = RootSystem.from_descriptor(descriptor)
+    sigma = parse_sigma(system, sigma_text)
+    table, zero = _coinvariant_classes(system, sigma), KottwitzClass.zero(system)
+    coset = sorted(g.rep for g in kottwitz_group(system) if table[g.residues] == zero)
+    assert coset == sorted(image_of_one_minus_sigma(system, sigma))
+
+
+@pytest.mark.parametrize("descriptor, sigma_text", COINVARIANT_CASES)
+def test_coinvariant_table_matches_the_fraction_coset_minimum(descriptor, sigma_text):
+    """``coinvariant`` is the least coset representative in Fractions, and
+    ``same_coinvariant`` compares those minima, for every class and pair."""
+    system = RootSystem.from_descriptor(descriptor)
+    sigma = parse_sigma(system, sigma_text)
+    image = image_of_one_minus_sigma(system, sigma)
+    group = kottwitz_group(system)
+    minimum = {g: min(tuple((a + d) % 1 for a, d in zip(g.rep, delta)) for delta in image)
+               for g in group}
+    for g in group:
+        assert g.coinvariant(sigma) == minimum[g]
+        for h in group:
+            assert g.same_coinvariant(h, sigma) == (minimum[g] == minimum[h])
 
 
 def enumerate_by_full_count(system, bound):

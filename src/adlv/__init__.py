@@ -41,7 +41,6 @@ from .criterion import (
     BgxReport,
     SigmaConjClassPoint,
     Verdict,
-    anresult_filter,
     bgx_cordial,
     decide_nonempty,
     defect,

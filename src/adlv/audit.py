@@ -127,16 +127,14 @@ def _run_value(system: RootSystem, field: str, key, make, *args):
     return value
 
 
-def _elements(system: RootSystem, bound: int):
-    """``enumerate_affine(system, bound)``; within a run, the run's one
-    listing of that range, as a tuple."""
-    table = _RUN.get()
-    if table is None or table.system is not system:
-        return enumerate_affine(system, bound)
-    elements = table.ranges.get(bound)
-    if elements is None:
-        elements = table.ranges[bound] = tuple(enumerate_affine(system, bound))
-    return elements
+def _elements(system: RootSystem, bound: int) -> tuple[AffineElement, ...]:
+    """``enumerate_affine(system, bound)`` as a tuple; within a run, the run's
+    one listing of that range."""
+    return _run_value(system, "ranges", bound, _listed, system, bound)
+
+
+def _listed(system: RootSystem, bound: int) -> tuple[AffineElement, ...]:
+    return tuple(enumerate_affine(system, bound))
 
 
 def _profile(x: AffineElement, sigma: DiagramAutomorphism) -> AlcoveProfile:
@@ -645,7 +643,7 @@ def check_parabolic_newton_difference(system: RootSystem, sigma: DiagramAutomorp
                                  bound: int = 5) -> CheckResult:
     cid = "parabolic-newton-difference"
     checked = 0
-    elements = list(_elements(system, bound))
+    elements = _elements(system, bound)
     spans: dict[AffineElement, frozenset[int]] = {}  # made once per x, on first use
     for j_set in sigma_stable_subsets(system, sigma, False):
         marker = tuple(0 if i in j_set else 1 for i in range(system.rank))
@@ -1132,7 +1130,7 @@ def check_dim_recursion_consistency(system: RootSystem, sigma: DiagramAutomorphi
     a branch when the other is empty), and compare the single-strip formula
     where both are defined."""
     cid = "dim-recursion-consistency"
-    elements = list(_elements(system, bound))
+    elements = _elements(system, bound)
     profiles = {x: _profile(x, sigma) for x in elements}
     dims: dict[AffineElement, int] = {}
     empty: set[AffineElement] = set()

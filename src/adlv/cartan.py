@@ -228,9 +228,6 @@ class RootSystem:
 
     # -- membership and signs ------------------------------------------------
 
-    def is_root(self, coords) -> bool:
-        return tuple(coords) in self._root_set
-
     def is_positive(self, root: Root) -> bool:
         if root not in self._root_set:
             raise ValueError(f"{root} is not a root")
@@ -270,9 +267,6 @@ class RootSystem:
 
     def in_coweight_lattice(self, mu) -> bool:
         return all(type(c) is int or Fraction(c).denominator == 1 for c in mu)
-
-    def in_coroot_lattice(self, mu) -> bool:
-        return all(c.denominator == 1 for c in self.coroot_coordinates(mu))
 
     def is_dominant(self, mu) -> bool:
         return all(c >= 0 if type(c) is int else Fraction(c) >= 0 for c in mu)

@@ -25,8 +25,7 @@ dominant coweight; the generic-class report for cordial v*t^mu elements;
 the fixed-space defect of a basic class; two closed dimension formulas,
 for shrunken elements and for rank-2 single-strip elements (He's two-branch
 recursion, which audits them, lives in
-``adlv.audit.check_dim_recursion_consistency``); and the type-A
-genericity filter.
+``adlv.audit.check_dim_recursion_consistency``).
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _linalg
-from .alcove import AlcoveProfile, base_k, dominant_decompose
+from .alcove import AlcoveProfile, base_k
 from .cartan import Root, RootSystem, per_system
 from .errors import InternalCheckError
 from .iwahori import (
@@ -387,26 +386,30 @@ def enumerate_b_g_mu(
     sigma: DiagramAutomorphism,
     length_cap: int | None = None,
 ) -> tuple[SigmaConjClassPoint, ...]:
-    """Distinct class points with matching invariant and Newton point below the
-    sigma-average of mu (the Newton point of t^mu), collected from a
+    """Distinct class points at most the class point of t^mu (same invariant,
+    Newton point below the sigma-average of mu), collected from a
     length-capped scan of the group.
 
-    The default length cap length(t^mu) + #positive-roots is a heuristic;
-    ``bgx_cordial`` audits it by doubling.
+    The default length cap, length(t^mu), meets every class of B(G, mu): a
+    class [b] contains a sigma-straight element, of length <nu_b, 2 rho>
+    (He, "Geometric and homological properties of affine Deligne-Lusztig
+    varieties", Ann. of Math. 179, 2014, section 3; He-Nie, "Minimal length
+    elements of extended affine Weyl groups", Compos. Math. 150, 2014), and
+    nu_b below the sigma-average of mu bounds that by <mu, 2 rho> =
+    length(t^mu).  ``bgx_cordial`` audits the cap by doubling it.
     """
     if not system.is_dominant(mu) or not system.in_coweight_lattice(mu):
         raise ValueError("mu must be a dominant integral coweight")
     if length_cap is None:
-        length_cap = translation_length(system, mu) + len(system.positive_roots)
+        length_cap = translation_length(system, mu)
     target = KottwitzClass.from_translation(system, mu)
-    average = newton(AffineElement.from_translation(system, mu), sigma).vector
+    top = class_point(AffineElement.from_translation(system, mu), sigma)
     points: set[SigmaConjClassPoint] = set()
     for y in enumerate_affine(system, length_cap):
         if not kottwitz(y).same_coinvariant(target, sigma):
             continue
         point = class_point(y, sigma)
-        diff = tuple(a - n for a, n in zip(average, point.newton_dominant))
-        if all(c >= 0 for c in system.coroot_coordinates(diff)):
+        if point.leq(top):
             points.add(point)
     return tuple(sorted(points, key=lambda p: p.sort_key()))
 
@@ -463,7 +466,7 @@ def bgx_cordial(
         conclusion = "equals-b-g-mu"
         if with_points:
             # doubling audit for the scan's length cap: stable if nothing new shows
-            length_cap = translation_length(system, mu) + len(system.positive_roots)
+            length_cap = translation_length(system, mu)
             points = enumerate_b_g_mu(system, mu, sigma, length_cap)
             cap_stable = points == enumerate_b_g_mu(system, mu, sigma, 2 * length_cap)
     else:
@@ -483,11 +486,6 @@ def defect(b_kappa: KottwitzClass, sigma: DiagramAutomorphism) -> int:
     twisted = _linalg.mat_mul(weyl_matrix(omega.finite), sigma_matrix)
     return (_linalg.fixed_space_dimension(sigma_matrix)
             - _linalg.fixed_space_dimension(twisted))
-
-
-def defect_validated(system: RootSystem, sigma: DiagramAutomorphism) -> bool:
-    """Where the fixed-space formula has an independent confirmation (split type A)."""
-    return sigma.is_identity() and all(c.type_label == "A" for c in system.components)
 
 
 def dim_shrunken(profile: AlcoveProfile, b_kappa: KottwitzClass) -> int | None:
@@ -523,16 +521,3 @@ def dim_one_strip_rank2(profile: AlcoveProfile, b_kappa: KottwitzClass) -> int |
         raise InternalCheckError(f"odd dimension numerator {doubled} for {x!r}")
     epsilon = 1 if eta == longest_element(system) else 0
     return doubled // 2 - epsilon
-
-
-def anresult_filter(x: AffineElement, sigma: DiagramAutomorphism) -> bool:
-    """The type-A genericity filter: dominant part in the coroot lattice with
-    both end fundamental-weight pairings strictly above one."""
-    system = x.system
-    if len(system.components) != 1 or system.components[0].type_label != "A":
-        raise ValueError("the filter is defined for irreducible type A only")
-    mu = dominant_decompose(x).mu
-    coords = system.coroot_coordinates(mu)
-    if any(c.denominator != 1 for c in coords):
-        return False
-    return coords[0] > 1 and coords[-1] > 1

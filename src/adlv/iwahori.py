@@ -28,6 +28,7 @@ from .weyl import (
     FiniteWeylElement,
     act_on_numbers,
     longest_element,
+    positive_pairings,
     require_w0_within_cap,
     weyl_matrix,
 )
@@ -134,13 +135,11 @@ def apply_sigma_affine(sigma: DiagramAutomorphism, x: AffineElement) -> AffineEl
 
 
 def _im_length(x: AffineElement) -> int:
-    """Iwahori-Matsumoto count of hyperplanes separating x(base alcove) from it."""
-    total = 0
-    mu = x.translation
-    for alpha, positive in zip(x.system.positive_roots, x.finite.inverse_positive()):
-        pairing = sum(a * m for a, m in zip(alpha, mu))
-        total += abs(pairing) if positive else abs(pairing - 1)
-    return total
+    """Iwahori-Matsumoto count of hyperplanes separating x(base alcove) from it:
+    over the positive roots alpha, |<alpha, mu>| where x_fin^{-1}(alpha) is
+    positive and |<alpha, mu> - 1| where it is negative."""
+    return sum(abs(p) if positive else abs(p - 1) for p, positive in zip(
+        positive_pairings(x.system, x.translation), x.finite.inverse_positive()))
 
 
 # -- Kottwitz map ---------------------------------------------------------------

@@ -85,26 +85,6 @@ def parse_sigma(system: RootSystem, text: str) -> DiagramAutomorphism:
         raise NotationError(str(exc)) from exc
 
 
-def format_sigma(sigma: DiagramAutomorphism) -> str:
-    if sigma.is_identity():
-        return "id"
-    seen: set[int] = set()
-    cycles = []
-    for start in range(len(sigma.perm)):
-        if start in seen or sigma.perm[start] == start:
-            seen.add(start)
-            continue
-        cycle = [start]
-        seen.add(start)
-        i = sigma.perm[start]
-        while i != start:
-            cycle.append(i)
-            seen.add(i)
-            i = sigma.perm[i]
-        cycles.append("(" + " ".join(str(c + 1) for c in cycle) + ")")
-    return "".join(cycles)
-
-
 def parse_finite(system: RootSystem, text: str) -> FiniteWeylElement:
     element = FiniteWeylElement.identity(system)
     tokens = list(re.finditer(r"\S+", text))

@@ -9,12 +9,13 @@ from fractions import Fraction
 import pytest
 
 import adlv
-from adlv import audit
+from adlv import _linalg, audit
 from adlv.alcove import AlcoveProfile, barycenter, scaled_barycenter
 from adlv.cartan import RootSystem
+from adlv.criterion import Verdict
 from adlv.iwahori import KottwitzClass, NewtonPoint, enumerate_affine
 from adlv.notation import parse_sigma
-from adlv.weyl import DiagramAutomorphism
+from adlv.weyl import DiagramAutomorphism, FiniteWeylElement
 
 
 def sid(system):
@@ -173,18 +174,20 @@ def test_direct_check_builds_its_own_profiles(monkeypatch):
     assert builds == first + first
 
 
+def _flipped_k_numbers(d):
+    """``alcove.k_numbers`` with the direction convention flipped."""
+    pairings = adlv.weyl.positive_pairings(d.v.system, d.v.act_on_coweight(d.mu))
+    positive = (d.v * d.w).inverse_positive()
+    return tuple(p - 1 if up else p for p, up in zip(pairings, positive))
+
+
 def test_patched_profiles_do_not_outlive_the_patch(monkeypatch):
     """Profiles built under a broken k-value closed form, by a direct check
     and by a battery run, reach no later check on the same system."""
     system = RootSystem.from_descriptor("A2")
 
-    def flipped_k_numbers(d):
-        pairings = adlv.weyl.positive_pairings(d.v.system, d.v.act_on_coweight(d.mu))
-        positive = (d.v * d.w).inverse_positive()
-        return tuple(p - 1 if up else p for p, up in zip(pairings, positive))
-
     with monkeypatch.context() as patch:
-        patch.setattr(adlv.alcove, "k_numbers", flipped_k_numbers)
+        patch.setattr(adlv.alcove, "k_numbers", _flipped_k_numbers)
         assert not audit.check_strip_complement_radical_closed(system, 4).passed
         with pytest.raises(adlv.errors.InternalCheckError):  # from jrx-postcondition
             audit.run_battery(system, sid(system), 3, 1)
@@ -345,3 +348,109 @@ def test_vtmu_checks_share_one_element_list_and_bgx_reads_the_run_profiles(monke
     assert results["bgx-formula-vs-alcove"].detail == (
         "12 (v, mu) pairs: formula == alcove computation")
     assert not outside
+
+
+# -- each check shown able to fail ---------------------------------------------------
+
+
+def _changed(owner, name: str, change):
+    """A break that passes each result of ``owner.name`` through
+    ``change(result, *args)``."""
+    def install(monkeypatch):
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args: change(original(*args), *args))
+    return install
+
+
+# check id -> (break, run on A2, the failing detail)
+_BREAKS = {
+    "inverse-cartan-positive": (
+        _changed(_linalg, "invert",
+                 lambda inverse, m: ((inverse[0][0] + 1,) + inverse[0][1:],) + inverse[1:]),
+        lambda a2: audit.check_inverse_cartan_positive([a2]),
+        "integer inverse differs from the Fraction inverse in A2"),
+    "root-closure-counts": (
+        _changed(audit, "classical_positive_count", lambda count, *args: count + 1),
+        lambda a2: audit.check_root_closure_counts([a2]),
+        "positive-root count mismatch"),
+    "weyl-group-laws": (
+        _changed(audit, "_product_by_matrix", lambda product, u, v: v * u),
+        lambda a2: audit.check_weyl_group_laws(a2, sid(a2)),
+        "product differs from the matrix product"),
+    "length-hyperplane-oracle": (
+        _changed(audit, "separating_hyperplane_count", lambda count, x: count + 1),
+        lambda a2: audit.check_length_hyperplane_oracle(a2, 3),
+        "formula disagrees with the separation count"),
+    "kottwitz-homomorphism": (
+        _changed(audit, "_omega_elements_by_sweep", lambda omegas, system: omegas[::-1]),
+        lambda a2: audit.check_kottwitz_homomorphism(a2, 3),
+        "minuscule Omega differs from the W0 sweep"),
+    "newton-stability": (
+        _newton_depending_on_the_power,
+        lambda a2: audit.check_newton_stability(a2, sid(a2), 3),
+        "vector depends on the power used"),
+    "affine-support-fixed-point": (
+        _changed(audit, "fixes_point_of_closed_base_alcove", lambda fixes, *args: not fixes),
+        lambda a2: audit.check_affine_support_fixed_point(a2, sid(a2), 3),
+        "finite-support test vs fixed-point test mismatch"),
+    "k-value-oracle": (
+        lambda monkeypatch: monkeypatch.setattr(adlv.alcove, "k_numbers", _flipped_k_numbers),
+        lambda a2: audit.check_k_value_oracle(a2, 3),
+        "walked decomposition or k-values differ from the closed form"),
+    "strip-complement-radical-closed": (
+        lambda monkeypatch: monkeypatch.setattr(adlv.alcove, "k_numbers", _flipped_k_numbers),
+        lambda a2: audit.check_strip_complement_radical_closed(a2, 3),
+        "complement of the strip set is not radical closed"),
+    "wx-structure": (
+        _changed(audit, "w_x_set_bruteforce",
+                 lambda members, system, phi_x: members - {FiniteWeylElement.identity(system)}),
+        lambda a2: audit.check_wx_structure(a2, 3),
+        "breadth-first set differs from the brute-force filter"),
+    "criterion-oracle-equivalence": (
+        _changed(audit, "oracle_nonempty",
+                 lambda verdict, *args: Verdict(not verdict.nonempty, verdict.rule, {})),
+        lambda a2: audit.check_criterion_oracle_equivalence(a2, sid(a2), 3),
+        "criterion and oracle disagree"),
+    "bgx-formula-vs-alcove": (
+        _changed(audit, "_w_x_by_stabilizer",
+                 lambda members, v, mu: members - {FiniteWeylElement.identity(v.system)}),
+        lambda a2: audit.check_bgx_formula(a2, sid(a2), 3),
+        "formula set differs from the alcove set"),
+    "defect-gcd-type-a": (
+        _changed(audit, "defect", lambda value, *args: value + 1),
+        lambda a2: audit.check_defect_gcd_type_a(3),
+        "fixed-space defect differs from the gcd formula"),
+    "dim-recursion-consistency": (
+        _changed(audit, "dim_shrunken",
+                 lambda value, *args: value if value is None else value + 1),
+        lambda a2: audit.check_dim_recursion_consistency(a2, sid(a2), KottwitzClass.zero(a2), 6),
+        "single-strip formula disagrees with propagation"),
+}
+
+# the checks no test yet shows failing; conjecture-audit is informational and
+# always passes
+_NOT_YET_BROKEN = {
+    "reflection-coweight-identity", "coweight-difference-support-span",
+    "radical-closed-positivizable", "sandwich-positivizer-postcheck",
+    "shortcut-precondition-central", "jrx-postcondition", "oracle-reduction-vs-literal",
+    "shrunken-specialization", "one-strip-two-support", "translation-elements",
+    "vtmu-elements", "wronglem-search", "parabolic-newton-difference", "conjecture-audit",
+}
+
+
+@pytest.mark.parametrize("check_id", sorted(_BREAKS))
+def test_check_fails_when_its_reference_is_broken(monkeypatch, check_id):
+    install, run, detail = _BREAKS[check_id]
+    system = RootSystem.from_descriptor("A2")
+    install(monkeypatch)
+    result = run(system)
+    assert result.check_id == check_id
+    assert result.passed is False
+    assert result.detail == detail
+
+
+def test_every_battery_check_is_shown_failing_or_listed():
+    system = RootSystem.from_descriptor("A2")
+    battery = {r.check_id for r in audit.run_battery(system, sid(system), 1, 1)}
+    assert not set(_BREAKS) & _NOT_YET_BROKEN
+    assert set(_BREAKS) | _NOT_YET_BROKEN == battery

@@ -3,13 +3,14 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 from time import perf_counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adlv import audit
+from adlv import audit, criterion
 from adlv.alcove import AlcoveProfile, base_k, dominant_decompose
 from adlv.cartan import RootSystem
 from adlv.criterion import (
@@ -22,12 +23,10 @@ from adlv.criterion import (
     _oracle_scan,
     _scan_plan,
     _twisted_conjugate,
-    anresult_filter,
     bgx_cordial,
     class_point,
     decide_nonempty,
     defect,
-    defect_validated,
     dim_one_strip_rank2,
     dim_shrunken,
     enumerate_b_g_mu,
@@ -565,10 +564,10 @@ def test_enumerate_b_g_mu_newton_polygons(a2):
 
 def test_enumerate_b_g_mu_dominance_filter():
     """The Newton point of t^mu is the sigma-average of mu, and every point
-    lies below it (D4 under a length cap of 6, against 18 by default)."""
-    for descriptor, sigma_text, mu, cap in [
-        ("A2", "id", (1, 1), None), ("A3", "(1 3)", (1, 0, 0), None),
-        ("A1+A1", "(1 2)", (1, 0), None), ("D4", "(1 3 4)", (1, 0, 0, 0), 6),
+    lies below it."""
+    for descriptor, sigma_text, mu in [
+        ("A2", "id", (1, 1)), ("A3", "(1 3)", (1, 0, 0)), ("A1+A1", "(1 2)", (1, 0)),
+        ("D4", "(1 3 4)", (1, 0, 0, 0)),
     ]:
         system = RootSystem.from_descriptor(descriptor)
         sigma = parse_sigma(system, sigma_text)
@@ -577,7 +576,7 @@ def test_enumerate_b_g_mu_dominance_filter():
         for _ in range(sigma.order - 1):
             orbit.append(sigma.coweight(orbit[-1]))
         assert average == tuple(Fraction(sum(c), sigma.order) for c in zip(*orbit))
-        points = enumerate_b_g_mu(system, mu, sigma, cap)
+        points = enumerate_b_g_mu(system, mu, sigma)
         assert points
         for p in points:
             diff = tuple(a - b for a, b in zip(average, p.newton_dominant))
@@ -587,6 +586,38 @@ def test_enumerate_b_g_mu_dominance_filter():
 def test_translation_length(a2):
     assert translation_length(a2, (1, 0)) == 2
     assert translation_length(a2, (1, 1)) == 4
+
+
+def test_bgx_lists_to_the_translation_length_and_twice_it(a2, monkeypatch):
+    """B(G, mu) is listed up to length(t^mu), then audited up to twice that."""
+    original = criterion.enumerate_affine
+    bounds = []
+
+    def recording(system, bound, *args):
+        bounds.append(bound)
+        return original(system, bound, *args)
+
+    monkeypatch.setattr(criterion, "enumerate_affine", recording)
+    report = bgx_cordial(parse_finite(a2, "s1 s2"), (1, 1), sid(a2))
+    assert report.cap_stable
+    assert bounds == [4, 8]
+
+
+@pytest.mark.parametrize("descriptor,sigma_text", [
+    ("A2", "id"), ("A2", "(1 2)"), ("C2", "id"), ("G2", "id"), ("A3", "(1 3)"),
+    ("A1+A1", "(1 2)"),
+])
+def test_b_g_mu_at_the_translation_length_equals_the_old_cap(descriptor, sigma_text):
+    """The points up to length(t^mu) are those up to length(t^mu) + |Phi+|,
+    the heuristic cap it replaced, for each dominant mu with coordinate sum
+    at most 2."""
+    system = RootSystem.from_descriptor(descriptor)
+    sigma = parse_sigma(system, sigma_text)
+    for mu in product(range(3), repeat=system.rank):
+        if sum(mu) <= 2:
+            old_cap = translation_length(system, mu) + len(system.positive_roots)
+            assert (enumerate_b_g_mu(system, mu, sigma)
+                    == enumerate_b_g_mu(system, mu, sigma, old_cap)), mu
 
 
 # -- defect and dimensions ---------------------------------------------------------
@@ -600,12 +631,6 @@ def test_defect_trivial_class(a2, b2, g2):
 def test_defect_gcd_battery():
     result = audit.check_defect_gcd_type_a(6)
     assert result.passed, result.counterexample
-
-
-def test_defect_validated_flag(a2, b2, a3, a3_flip):
-    assert defect_validated(a2, sid(a2))
-    assert not defect_validated(b2, sid(b2))
-    assert not defect_validated(a3, a3_flip)
 
 
 def test_dim_shrunken_example(a2):
@@ -731,26 +756,21 @@ def test_dim_recursion_battery(a2):
     assert result.passed, result.counterexample
 
 
-# -- type A filter and diagnostics --------------------------------------------------
+# -- type A generic elements and diagnostics ------------------------------------------
 
 
-def test_anresult_filter(a2):
-    sigma = sid(a2)
-    assert not anresult_filter(AffineElement.identity(a2), sigma)  # mu_x = 0
-    assert anresult_filter(AffineElement.from_translation(a2, (2, 2)), sigma)
-    assert not anresult_filter(AffineElement.from_translation(a2, (1, 1)), sigma)
-
-
-def test_anresult_filter_requires_type_a(b2):
-    with pytest.raises(ValueError):
-        anresult_filter(AffineElement.identity(b2), sid(b2))
+def _type_a_generic(x) -> bool:
+    """Dominant part in the coroot lattice, with both end coroot coordinates
+    above one."""
+    coords = x.system.coroot_coordinates(dominant_decompose(x).mu)
+    return all(c.denominator == 1 for c in coords) and coords[0] > 1 and coords[-1] > 1
 
 
 def test_anresult_elements_satisfy_equivalence(a2):
     sigma = sid(a2)
     checked = 0
     for x in enumerate_affine(a2, 12):
-        if not kottwitz(x).is_zero() or not anresult_filter(x, sigma):
+        if not kottwitz(x).is_zero() or not _type_a_generic(x):
             continue
         if not affine_sigma_support(x, sigma).full:
             continue

@@ -1,5 +1,6 @@
-"""Every name a library module imports is used in that module, and every
-private helper a library module defines is referenced somewhere in the library.
+"""Every name a library module imports is used in that module, every
+private helper a library module defines is referenced somewhere in the
+library, and every public name it defines has a caller.
 
 ``adlv/__init__.py`` is exempt from the first (its imports are the public
 API), and so are ``__future__`` imports.  A use is a name read in the
@@ -7,16 +8,23 @@ module's syntax tree, so a name that only a string annotation mentions
 counts as unused.  A private helper is a module-level function or class
 whose name starts with a single ``_``; a reference to it is a name, an
 attribute or an imported name in any module of the library, tests aside.
+A public name is a module-level function or class, or a method, whose name
+does not start with ``_``; it needs a reference outside its own definition
+in a library module other than ``__init__.py`` (whose re-exports do not
+count) or in a ``perfbench`` script.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SOURCE = Path(__file__).resolve().parent.parent / "src" / "adlv"
+ROOT = Path(__file__).resolve().parent.parent
+SOURCE = ROOT / "src" / "adlv"
 LIBRARY = sorted(SOURCE.glob("*.py"))
 MODULES = [p for p in LIBRARY if p.name != "__init__.py"]
+BENCH = sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -59,13 +67,14 @@ def _private_helpers(tree: ast.Module) -> dict[str, int]:
             and node.name.startswith("_") and not node.name.startswith("__")}
 
 
-def _referenced(tree: ast.Module) -> set[str]:
-    names = set()
+def _referenced(tree: ast.AST) -> Counter:
+    """Each name, attribute or imported name in the tree -> its count."""
+    names = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            names.add(node.id)
+            names[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            names[node.attr] += 1
         elif isinstance(node, ast.ImportFrom):
             names.update(alias.name for alias in node.names)
     return names
@@ -93,3 +102,47 @@ def test_guard_sees_a_dead_helper():
                                "def public(): return _called(), _Read\n"),
              "b.py": ast.parse("from .a import _imported\n")}
     assert _dead_helpers(trees) == {"a.py:_dead": 4}
+
+
+def _public_definitions(tree: ast.Module):
+    """(qualified name, node) of each public module-level function or class
+    and each public method."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if not node.name.startswith("_"):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not item.name.startswith("_")):
+                    yield f"{node.name}.{item.name}", item
+
+
+def _uncalled_public(trees: dict[str, ast.Module], callers: list[ast.Module]) -> set[str]:
+    """``module:name`` for each public definition in ``trees`` that no tree
+    of ``callers`` references outside the definition itself."""
+    referenced = sum(map(_referenced, callers), Counter())
+    return {f"{module}:{name}" for module, tree in trees.items()
+            for name, node in _public_definitions(tree)
+            if referenced[node.name] == _referenced(node)[node.name]}
+
+
+def test_every_public_name_has_a_caller():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in MODULES}
+    bench = [ast.parse(p.read_text(), filename=str(p)) for p in BENCH]
+    uncalled = _uncalled_public(trees, list(trees.values()) + bench)
+    assert not uncalled, f"public names nothing calls: {sorted(uncalled)}"
+
+
+def test_guard_sees_an_uncalled_public_name():
+    trees = {"a.py": ast.parse("def called(): pass\n"
+                               "def recursive(n): return recursive(n - 1)\n"
+                               "def _private(): return called()\n"
+                               "class Point:\n"
+                               "    def leq(self, other): return self.used()\n"
+                               "    def used(self): pass\n"
+                               "    def __eq__(self, other): pass\n"),
+             "b.py": ast.parse("from .a import Point\n")}
+    callers = list(trees.values()) + [ast.parse("import adlv\nadlv.a.called()\n")]
+    assert _uncalled_public(trees, callers) == {"a.py:recursive", "a.py:Point.leq"}

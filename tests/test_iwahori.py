@@ -481,6 +481,32 @@ def enumerate_by_full_count(system, bound):
     return [(y.key(), _im_length(y)) for y in out]
 
 
+def _length_by_root_dot_products(x) -> int:
+    """The Iwahori-Matsumoto count with one rank-length dot product
+    <alpha, mu> per positive root alpha."""
+    total = 0
+    for alpha, positive in zip(x.system.positive_roots, x.finite.inverse_positive()):
+        pairing = sum(a * m for a, m in zip(alpha, x.translation))
+        total += abs(pairing) if positive else abs(pairing - 1)
+    return total
+
+
+@pytest.mark.parametrize("descriptor,sigma_text,bound", [
+    ("A2", "id", 6), ("G2", "id", 6), ("B3", "id", 3), ("A2+A1", "id", 3), ("A3", "(1 3)", 3),
+])
+def test_fresh_length_matches_dot_products_and_separation_count(descriptor, sigma_text, bound):
+    """``walk_affine`` presets the lengths it lists; an element built anew, or
+    its sigma-image, counts its own with ``_im_length``."""
+    system = RootSystem.from_descriptor(descriptor)
+    sigma = parse_sigma(system, sigma_text)
+    for x in enumerate_affine(system, bound):
+        for y in (AffineElement(x.translation, x.finite), apply_sigma_affine(sigma, x)):
+            assert y._length is None
+            assert y.length == x.length, y
+            assert _length_by_root_dot_products(y) == x.length, y
+            assert audit.separating_hyperplane_count(y) == x.length, y
+
+
 @pytest.mark.parametrize("descriptor,bound", [
     ("A2", 8), ("G2", 8), ("B3", 4), ("D4", 3), ("A3", 5),
 ])

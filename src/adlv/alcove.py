@@ -167,17 +167,11 @@ class AlcoveProfile:
         return frozenset(map(self.system.all_roots.__getitem__, preimages))
 
     @cached_property
-    def below_base(self) -> bytes:
-        """The numbers of the roots a with k(a, x) below the base alcove's
-        k-value.  For positive alpha that is k(alpha) < 0, and for -alpha it
-        is k(alpha) > 0, so each non-strip pair contributes one number."""
-        npos = len(self.k_numbers)
-        return bytes([n if k < 0 else n + npos for n, k in enumerate(self.k_numbers) if k])
-
-    @cached_property
     def below_table(self) -> bytes:
-        """``below_base`` as a ``bytes.translate`` table: 1 at the numbers
-        in it, 0 elsewhere."""
+        """A ``bytes.translate`` table of the roots a with k(a, x) below the
+        base alcove's k-value: 1 at their numbers, 0 elsewhere.  For positive
+        alpha that is k(alpha) < 0, and for -alpha it is k(alpha) > 0, so
+        each non-strip pair contributes one number."""
         k = self.k_numbers
         return (bytes(map((0).__gt__, k)) + bytes(map((0).__lt__, k))).ljust(ROOT_CAP, b"\0")
 

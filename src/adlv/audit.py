@@ -4,14 +4,15 @@ Each check returns a CheckResult with a machine-readable counterexample on
 failure.  The CLI crosscheck command runs the battery for one configuration;
 the acceptance tests call the same functions with their own pinned ranges.
 
-Within one ``run_battery`` call the checks share a run table: each length
-range is listed once, as a tuple in ``enumerate_affine`` order; each
-(x, sigma) gets one closed-form ``AlcoveProfile``, whose derived fields are
-then computed once per run, and each (x, sigma, power multiple) one Newton
-point; the v t^mu elements of a length bound are listed once.  The table
-lives in a context variable that the call sets and resets, never in
-``RootSystem.memo``, so a check called on its own, or a run after a patched
-one, computes its elements, profiles and Newton points afresh.
+Within one ``run_battery`` call the checks share one run memo, keyed as
+``cartan.per_system`` keys ``RootSystem.memo``: by maker and arguments, so
+each length range is listed once, as a tuple in ``enumerate_affine`` order;
+each (x, sigma) gets one closed-form ``AlcoveProfile``, whose derived
+fields are then computed once per run, and each (x, sigma, power multiple)
+one Newton point; the v t^mu elements of a length bound are listed once.
+The memo lives in a context variable that the call sets and resets, never
+in ``RootSystem.memo``, so a check called on its own, or a run after a
+patched one, computes its elements, profiles and Newton points afresh.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import random
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import reduce, wraps
 from itertools import islice, product
 from operator import or_, sub
 
@@ -99,57 +100,47 @@ def _fail(check_id: str, detail: str, counterexample: dict) -> CheckResult:
     return CheckResult(check_id, False, detail, counterexample)
 
 
-class _RunTable:
-    """The elements, closed-form profiles and Newton points of one
-    ``run_battery`` call."""
-
-    def __init__(self, system: RootSystem):
-        self.system = system
-        self.ranges: dict[int, tuple[AffineElement, ...]] = {}
-        self.profiles: dict[tuple[AffineElement, tuple[int, ...]], AlcoveProfile] = {}
-        self.newtons: dict[tuple[AffineElement, tuple[int, ...], int], NewtonPoint] = {}
-        self.vtmu: dict[int, tuple] = {}
+_RUN: ContextVar[dict | None] = ContextVar("adlv_audit_run", default=None)
 
 
-_RUN: ContextVar[_RunTable | None] = ContextVar("adlv_audit_run", default=None)
+def _per_run(make):
+    """Memoize ``make(*args)`` in the memo of the running ``run_battery``
+    call, so the value lives exactly as long as the run; outside a run,
+    call ``make``.  Positional arguments only."""
+
+    @wraps(make)
+    def cached(*args):
+        memo = _RUN.get()
+        if memo is None:
+            return make(*args)
+        key = (make, *args)
+        try:
+            return memo[key]
+        except KeyError:
+            pass
+        value = memo[key] = make(*args)
+        return value
+
+    return cached
 
 
-def _run_value(system: RootSystem, field: str, key, make, *args):
-    """``make(*args)``; within a run on ``system``, the one value under
-    ``key`` in the run table's dict ``field``, made on first use."""
-    table = _RUN.get()
-    if table is None or table.system is not system:
-        return make(*args)
-    values = getattr(table, field)
-    value = values.get(key)
-    if value is None:
-        value = values[key] = make(*args)
-    return value
-
-
+@_per_run
 def _elements(system: RootSystem, bound: int) -> tuple[AffineElement, ...]:
-    """``enumerate_affine(system, bound)`` as a tuple; within a run, the run's
-    one listing of that range."""
-    return _run_value(system, "ranges", bound, _listed, system, bound)
-
-
-def _listed(system: RootSystem, bound: int) -> tuple[AffineElement, ...]:
+    """``enumerate_affine(system, bound)`` as a tuple."""
     return tuple(enumerate_affine(system, bound))
 
 
+@_per_run
 def _profile(x: AffineElement, sigma: DiagramAutomorphism) -> AlcoveProfile:
-    """``AlcoveProfile.build(x, sigma)``; within a run, the run's one profile
-    of (x, sigma)."""
-    return _run_value(x.system, "profiles", (x, sigma.perm), AlcoveProfile.build, x, sigma)
+    """``AlcoveProfile.build(x, sigma)``."""
+    return AlcoveProfile.build(x, sigma)
 
 
-def _newton(x: AffineElement, sigma: DiagramAutomorphism,
-            force_multiple: int = 1) -> NewtonPoint:
-    """``newton(x, sigma, force_multiple)``, looked up as a module global;
-    within a run, the run's one point of (x, sigma, force_multiple).  The key
-    keeps the multiple, which the power-doubling check varies."""
-    return _run_value(x.system, "newtons", (x, sigma.perm, force_multiple),
-                      newton, x, sigma, force_multiple)
+@_per_run
+def _newton(x: AffineElement, sigma: DiagramAutomorphism, multiple: int = 1) -> NewtonPoint:
+    """``newton(x, sigma, multiple)``, looked up as a module global.  Only
+    the power-doubling check passes a multiple, so each point has one key."""
+    return newton(x, sigma, multiple)
 
 
 # -- cartan ----------------------------------------------------------------------
@@ -230,13 +221,13 @@ def check_weyl_group_laws(system: RootSystem, sigma: DiagramAutomorphism) -> Che
     return _ok(cid, f"group laws on {len(elements)} elements")
 
 
-def check_reflection_coweight_identity(system: RootSystem, max_length: int = 4,
-                                       coord_bound: int = 3) -> CheckResult:
-    """r.mu = mu - sum_j <s_{i_1}..s_{i_{j-1}} alpha_{i_j}, mu> alpha_{i_j}^v."""
+def check_reflection_coweight_identity(system: RootSystem) -> CheckResult:
+    """r.mu = mu - sum_j <s_{i_1}..s_{i_{j-1}} alpha_{i_j}, mu> alpha_{i_j}^v,
+    for r of length at most 4 and mu with coordinates 0..3."""
     cid = "reflection-coweight-identity"
-    grid = list(product(range(coord_bound + 1), repeat=system.rank))
+    grid = list(product(range(4), repeat=system.rank))
     for r in enumerate_w0(system):
-        if r.length > max_length:
+        if r.length > 4:
             continue
         # (beta_j, row j of the Cartan matrix) along r's reduced word, read
         # rightmost letter first as the identity consumes them; r alone fixes them
@@ -255,13 +246,14 @@ def check_reflection_coweight_identity(system: RootSystem, max_length: int = 4,
             if tuple(acc) != r.act_on_coweight(mu):
                 return _fail(cid, "identity fails",
                              {"r": format_finite(r), "mu": list(mu)})
-    return _ok(cid, f"identity holds up to length {max_length}")
+    return _ok(cid, "identity holds up to length 4")
 
 
-def check_coweight_difference_span(system: RootSystem, coord_bound: int = 2) -> CheckResult:
-    """mu - w.mu lies in the integer span of the support coroots of w."""
+def check_coweight_difference_span(system: RootSystem) -> CheckResult:
+    """mu - w.mu lies in the integer span of the support coroots of w, for
+    mu with coordinates -2..2."""
     cid = "coweight-difference-support-span"
-    grid = list(product(range(-coord_bound, coord_bound + 1), repeat=system.rank))
+    grid = list(product(range(-2, 3), repeat=system.rank))
     for w in enumerate_w0(system):
         supp = support(w)
         for mu in grid:
@@ -290,12 +282,11 @@ def _random_radical_closed(system: RootSystem, rng: random.Random) -> frozenset:
     return frozenset(w.act_on_root(a) for a in closed)
 
 
-def check_radical_closed_positivizable(system: RootSystem, seed: int = 0,
-                                       trials: int = 40) -> CheckResult:
+def check_radical_closed_positivizable(system: RootSystem, seed: int = 0) -> CheckResult:
     cid = "radical-closed-positivizable"
     rng = random.Random(seed)
     positive = frozenset(system.positive_roots)
-    for trial in range(trials):
+    for trial in range(40):
         psi = _random_radical_closed(system, rng)
         props = subset_predicates(system, psi)
         if not (props.radical and props.closed):
@@ -306,7 +297,7 @@ def check_radical_closed_positivizable(system: RootSystem, seed: int = 0,
         ):
             return _fail(cid, "no positivizing element found",
                          {"trial": trial, "psi": sorted(psi)})
-    return _ok(cid, f"{trials} random radical closed subsets positivized")
+    return _ok(cid, "40 random radical closed subsets positivized")
 
 
 def sandwich_positivizer(system: RootSystem, psi_r, psi_p):
@@ -338,14 +329,13 @@ def sandwich_positivizer(system: RootSystem, psi_r, psi_p):
     raise InternalCheckError("no sandwich positivizer found; contradicts the classification")
 
 
-def check_sandwich_postcondition(system: RootSystem, seed: int = 0,
-                                 trials: int = 20) -> CheckResult:
+def check_sandwich_postcondition(system: RootSystem, seed: int = 0) -> CheckResult:
     cid = "sandwich-positivizer-postcheck"
     rng = random.Random(seed)
     positive = frozenset(system.positive_roots)
     all_roots = frozenset(system.all_roots)
     done = 0
-    for _ in range(trials):
+    for _ in range(20):
         psi_r = _random_radical_closed(system, rng)
         u = rng.choice(enumerate_w0(system))
         j_size = rng.randrange(system.rank + 1)
@@ -513,7 +503,7 @@ def _affine_sigma_support_by_descent(x: AffineElement,
     return AffineSupport(frozenset(letters), len(letters) == len(simples))
 
 
-def check_kottwitz_homomorphism(system: RootSystem, bound: int = 4,
+def check_kottwitz_homomorphism(system: RootSystem, bound: int,
                                 pair_cap: int = 40000) -> CheckResult:
     """The class map is a homomorphism killing the affine Weyl group; also its
     integer form, the integer class sum and the minuscule Omega against their
@@ -552,7 +542,7 @@ def check_kottwitz_homomorphism(system: RootSystem, bound: int = 4,
 
 
 def check_newton_stability(system: RootSystem, sigma: DiagramAutomorphism,
-                           bound: int = 4) -> CheckResult:
+                           bound: int) -> CheckResult:
     """Newton points are compared in lowest terms, as integer numerators over
     one denominator; the dominant one also against the rational route."""
     cid = "newton-stability"
@@ -565,7 +555,7 @@ def check_newton_stability(system: RootSystem, sigma: DiagramAutomorphism,
         if base_point.dominant != _newton_dominant_by_fractions(system, base_point.vector):
             return _fail(cid, "integer dominant Newton point differs from the rational route",
                          {"x": format_affine(x)})
-        if _newton(x, sigma, force_multiple=2) != base_point:
+        if _newton(x, sigma, 2) != base_point:
             return _fail(cid, "vector depends on the power used",
                          {"x": format_affine(x)})
         dominant = base_point.dominant_numerators
@@ -581,9 +571,8 @@ def check_newton_stability(system: RootSystem, sigma: DiagramAutomorphism,
     return _ok(cid, "power-doubling and twisted-conjugation invariance hold")
 
 
-def check_shortcut_precondition_central(system: RootSystem,
-                                        sigma: DiagramAutomorphism,
-                                        bound: int = 8) -> CheckResult:
+def check_shortcut_precondition_central(system: RootSystem, sigma: DiagramAutomorphism,
+                                        bound: int) -> CheckResult:
     cid = "shortcut-precondition-central"
     checked = 0
     for x in _elements(system, bound):
@@ -595,9 +584,8 @@ def check_shortcut_precondition_central(system: RootSystem,
     return _ok(cid, f"{checked} finite-support elements all have central Newton point")
 
 
-def check_affine_support_fixed_point(system: RootSystem,
-                                     sigma: DiagramAutomorphism,
-                                     bound: int = 6) -> CheckResult:
+def check_affine_support_fixed_point(system: RootSystem, sigma: DiagramAutomorphism,
+                                     bound: int) -> CheckResult:
     """The twisted action on the affine simples against group products, the
     closed-form support against the descent loop and the walked profile's
     class and support against the closed forms; then finite support against
@@ -640,7 +628,7 @@ def _newton_difference_span(x: AffineElement, sigma: DiagramAutomorphism) -> fro
 
 
 def check_parabolic_newton_difference(system: RootSystem, sigma: DiagramAutomorphism,
-                                 bound: int = 5) -> CheckResult:
+                                      bound: int) -> CheckResult:
     cid = "parabolic-newton-difference"
     checked = 0
     elements = _elements(system, bound)
@@ -796,9 +784,13 @@ def _violated_supports(profile: AlcoveProfile, w: FiniteWeylElement) -> int:
     minimal alcove support T(w), the smallest index set with x a
     (J, w)-alcove iff T(w) ⊆ J, as a bitmask (bit i for alpha_i).  This part
     collects the supports of the positive roots whose w-image violates the
-    k-value inequality: the positive numbers among w^{-1}(below_base)."""
+    k-value inequality: the positive numbers among w^{-1}(below), with below
+    the numbers of the roots a with k(a, x) below the base alcove's, alpha
+    for k(alpha) < 0 and -alpha for k(alpha) > 0."""
+    k = profile.k_numbers
+    below = bytes([n if c < 0 else n + len(k) for n, c in enumerate(k) if c])
     return reduce(or_, map(positive_root_supports(profile.system).__getitem__,
-                           act_on_numbers(w.inverse(), profile.below_base)), 0)
+                           act_on_numbers(w.inverse(), below)), 0)
 
 
 def _minimal_alcove_support_by_roots(profile: AlcoveProfile, below: frozenset,
@@ -839,7 +831,7 @@ def _literal_jw_row(profile: AlcoveProfile, w: FiniteWeylElement, subsets) -> li
 
 
 def check_oracle_reduction_vs_literal(system: RootSystem, sigma: DiagramAutomorphism,
-                                      bound: int = 4) -> CheckResult:
+                                      bound: int) -> CheckResult:
     """The minimal-support shortcut used by the scan equals the literal test,
     and the coset scan gives the verdict and witness of the scan over W0."""
     cid = "oracle-reduction-vs-literal"
@@ -1013,13 +1005,10 @@ def check_vtmu_elements(system: RootSystem, sigma: DiagramAutomorphism,
     return _ok(cid, f"{count} v t^mu elements verified")
 
 
-def _vtmu_elements(system: RootSystem, bound: int):
+@_per_run
+def _vtmu_elements(system: RootSystem, bound: int) -> tuple:
     """The (v, mu, x = v t^mu) with v in W0, mu dominant and length(x) at most
-    the bound, v outermost; within a run, the run's one list of them."""
-    return _run_value(system, "vtmu", bound, _vtmu_listed, system, bound)
-
-
-def _vtmu_listed(system: RootSystem, bound: int) -> tuple:
+    the bound, v outermost."""
     mu_bound = bound + len(system.positive_roots)  # length(x) >= length(t^mu) - length(w0)
     coweights = [(mu, AffineElement.from_translation(system, mu))
                  for mu in _dominant_coweights(system, mu_bound)]
@@ -1033,24 +1022,13 @@ def _vtmu_listed(system: RootSystem, bound: int) -> tuple:
     return tuple(out)
 
 
-def _dominant_coweights(system: RootSystem, length_bound: int):
-    """Dominant integral coweights with translation length at most the bound."""
-    out = []
-
-    def rec(prefix):
-        if len(prefix) == system.rank:
-            if translation_length(system, prefix) <= length_bound:
-                out.append(tuple(prefix))
-            return
-        for c in range(length_bound + 1):
-            cand = prefix + [c]
-            partial = tuple(cand + [0] * (system.rank - len(cand)))
-            if translation_length(system, partial) > length_bound:
-                break
-            rec(cand)
-
-    rec([])
-    return out
+def _dominant_coweights(system: RootSystem, length_bound: int) -> list[tuple[int, ...]]:
+    """Dominant integral coweights with translation length at most the bound,
+    in lexicographic order.  Length is additive on the dominant chamber, so
+    coordinate i is at most the bound // length(t^{omega_i^v})."""
+    units = [tuple(int(i == j) for j in range(system.rank)) for i in range(system.rank)]
+    ranges = [range(length_bound // translation_length(system, unit) + 1) for unit in units]
+    return [mu for mu in product(*ranges) if translation_length(system, mu) <= length_bound]
 
 
 def _w_x_by_stabilizer(v: FiniteWeylElement, mu) -> frozenset[FiniteWeylElement]:
@@ -1097,9 +1075,9 @@ def check_defect_gcd_type_a(max_n: int = 6) -> CheckResult:
     return _ok(cid, f"defect == n - gcd(n, kappa) for n <= {max_n}")
 
 
-def check_wronglem_search(systems_with_sigma, coord_bound: int = 3) -> CheckResult:
+def check_wronglem_search(systems_with_sigma) -> CheckResult:
     """No nonzero dominant coweight in a proper sigma-stable coroot span
-    (sigma-connected diagrams only)."""
+    (sigma-connected diagrams only), over coefficients -3..3."""
     cid = "wronglem-search"
     searched = 0
     for system, sigma in systems_with_sigma:
@@ -1107,7 +1085,7 @@ def check_wronglem_search(systems_with_sigma, coord_bound: int = 3) -> CheckResu
             continue  # not sigma-connected
         for j_set in sigma_stable_subsets(system, sigma, True):
             j_list = sorted(j_set)
-            for coeffs in product(range(-coord_bound, coord_bound + 1), repeat=len(j_list)):
+            for coeffs in product(range(-3, 4), repeat=len(j_list)):
                 searched += 1
                 mu = [Fraction(0)] * system.rank
                 for c, j in zip(coeffs, j_list):
@@ -1131,14 +1109,14 @@ def check_dim_recursion_consistency(system: RootSystem, sigma: DiagramAutomorphi
     where both are defined."""
     cid = "dim-recursion-consistency"
     elements = _elements(system, bound)
-    profiles = {x: _profile(x, sigma) for x in elements}
     dims: dict[AffineElement, int] = {}
     empty: set[AffineElement] = set()
     for x in elements:
-        if not decide_nonempty(x, b_kappa, sigma, profiles[x]).nonempty:
+        profile = _profile(x, sigma)
+        if not decide_nonempty(x, b_kappa, sigma, profile).nonempty:
             empty.add(x)
         else:
-            seeded = dim_shrunken(profiles[x], b_kappa)
+            seeded = dim_shrunken(profile, b_kappa)
             if seeded is not None:
                 dims[x] = seeded
     twists = [(s.element, apply_sigma_affine(sigma, s.element)) for s in affine_simples(system)]
@@ -1157,7 +1135,7 @@ def check_dim_recursion_consistency(system: RootSystem, sigma: DiagramAutomorphi
         return _fail(cid, "propagation conflict", {"error": conflict})
     compared = 0
     for x in elements:
-        strip_value = dim_one_strip_rank2(profiles[x], b_kappa)
+        strip_value = dim_one_strip_rank2(_profile(x, sigma), b_kappa)
         table_value = dims.get(x)
         if strip_value is not None and table_value is not None:
             if strip_value != table_value:
@@ -1229,9 +1207,9 @@ def check_conjecture_audit(system: RootSystem, sigma: DiagramAutomorphism,
 def run_battery(system: RootSystem, sigma: DiagramAutomorphism, bound: int,
                 seed: int = 0) -> list[CheckResult]:
     """Run every applicable check against one configuration, sharing one run
-    table for the call.  Each check is looked up as a module global when it
+    memo for the call.  Each check is looked up as a module global when it
     runs, so a check replaced on the module is the one the battery calls."""
-    token = _RUN.set(_RunTable(system))
+    token = _RUN.set({})
     try:
         small = min(bound, 6)
         results = [

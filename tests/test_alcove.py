@@ -247,12 +247,13 @@ def test_root_number_k_values_match_root_dict(descriptor, sigma_text, bound):
             alpha for alpha, image in zip(system.positive_roots, profile.v.positive_images())
             if k[image] == base_k(system, image))
         assert profile.strips == tuple(beta for beta in system.positive_roots if k[beta] == 0)
-        below = [system.all_roots[n] for n in profile.below_base]
-        assert len(below) == len(set(below))
-        assert set(below) == {a for a, value in k.items() if value < base_k(system, a)}
+        table = profile.below_table
+        assert set(table) <= {0, 1} and not any(table[len(system.all_roots):])
+        assert {a for a, flag in zip(system.all_roots, table) if flag} == {
+            a for a, value in k.items() if value < base_k(system, a)}
 
 
-WALKED_FIELDS = ("v", "mu", "w", "k_numbers", "kappa", "affine_support", "phi_x", "below_base")
+WALKED_FIELDS = ("v", "mu", "w", "k_numbers", "kappa", "affine_support", "phi_x", "below_table")
 
 
 @pytest.mark.parametrize("descriptor,sigma_text,bound", [

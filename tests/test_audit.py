@@ -1,5 +1,7 @@
-"""The battery's run table and the audit's integer barycenter floors."""
+"""The battery's run memo, its checks shown able to fail, and the audit's
+integer barycenter floors."""
 
+import dataclasses
 import gc
 import sys
 import weakref
@@ -12,10 +14,11 @@ import adlv
 from adlv import _linalg, audit
 from adlv.alcove import AlcoveProfile, barycenter, scaled_barycenter
 from adlv.cartan import RootSystem
-from adlv.criterion import Verdict
+from adlv.criterion import Verdict, sigma_stable_subsets, translation_length
+from adlv.errors import InternalCheckError
 from adlv.iwahori import KottwitzClass, NewtonPoint, enumerate_affine
 from adlv.notation import parse_sigma
-from adlv.weyl import DiagramAutomorphism, FiniteWeylElement
+from adlv.weyl import DiagramAutomorphism, FiniteWeylElement, longest_element
 
 
 def sid(system):
@@ -110,8 +113,8 @@ def test_second_run_builds_its_profiles_again(monkeypatch):
     assert builds == first
 
 
-def _track_run(monkeypatch) -> list:
-    """Weak references to every run table and every profile the audit builds."""
+def _track_profiles(monkeypatch) -> list:
+    """Weak references to every profile the audit builds."""
     refs = []
     original_build = AlcoveProfile.build.__func__
 
@@ -121,36 +124,31 @@ def _track_run(monkeypatch) -> list:
             refs.append(weakref.ref(profile))
         return profile
 
-    class TrackedTable(audit._RunTable):
-        def __init__(self, system):
-            super().__init__(system)
-            refs.append(weakref.ref(self))
-
     monkeypatch.setattr(AlcoveProfile, "build", classmethod(tracking))
-    monkeypatch.setattr(audit, "_RunTable", TrackedTable)
     return refs
 
 
 def _assert_nothing_left(system, refs):
+    """No run memo is set, and every tracked value is freed: the memo held
+    the only references, and ``RootSystem.memo`` holds no profile."""
+    assert audit._RUN.get() is None
     gc.collect()
     assert refs
     assert not [ref for ref in refs if ref() is not None]
-    assert audit._RUN.get() is None
-    assert not any(isinstance(value, (audit._RunTable, AlcoveProfile))
-                   for value in system.memo.values())
+    assert not any(isinstance(value, AlcoveProfile) for value in system.memo.values())
 
 
-def test_run_table_is_gone_after_the_run_returns(monkeypatch):
+def test_run_memo_is_gone_after_the_run_returns(monkeypatch):
     system = RootSystem.from_descriptor("A2")
-    refs = _track_run(monkeypatch)
+    refs = _track_profiles(monkeypatch)
     results = audit.run_battery(system, sid(system), 3, 1)
     assert all(r.passed for r in results)
     _assert_nothing_left(system, refs)
 
 
-def test_run_table_is_gone_after_the_run_raises(monkeypatch):
+def test_run_memo_is_gone_after_the_run_raises(monkeypatch):
     system = RootSystem.from_descriptor("A2")
-    refs = _track_run(monkeypatch)
+    refs = _track_profiles(monkeypatch)
 
     def failing(*args):
         raise RuntimeError("stop the battery")
@@ -289,7 +287,7 @@ def _track_newtons(monkeypatch) -> list:
 
 def test_newton_points_are_gone_after_the_run_returns(monkeypatch):
     system = RootSystem.from_descriptor("A2")
-    refs = _track_run(monkeypatch)
+    refs = _track_profiles(monkeypatch)
     points = _track_newtons(monkeypatch)
     assert all(r.passed for r in audit.run_battery(system, sid(system), 3, 1))
     assert len(points) == 215
@@ -298,7 +296,7 @@ def test_newton_points_are_gone_after_the_run_returns(monkeypatch):
 
 def test_newton_points_are_gone_after_the_run_raises(monkeypatch):
     system = RootSystem.from_descriptor("A2")
-    refs = _track_run(monkeypatch)
+    refs = _track_profiles(monkeypatch)
     points = _track_newtons(monkeypatch)
 
     def failing(*args):
@@ -325,14 +323,14 @@ def test_vtmu_checks_share_one_element_list_and_bgx_reads_the_run_profiles(monke
     """``vtmu-elements`` and ``bgx-formula-vs-alcove`` list the v t^mu
     elements once per run, and ``bgx_cordial`` builds no profile of its own."""
     system = RootSystem.from_descriptor("A2")
-    original_listed = audit._vtmu_listed
+    original_coweights = audit._dominant_coweights
     listings = Counter()
 
-    def counting(system, bound):
-        listings[bound] += 1
-        return original_listed(system, bound)
+    def counting(system, length_bound):
+        listings[length_bound] += 1
+        return original_coweights(system, length_bound)
 
-    monkeypatch.setattr(audit, "_vtmu_listed", counting)
+    monkeypatch.setattr(audit, "_dominant_coweights", counting)
     original_build = AlcoveProfile.build.__func__
     outside = Counter()
 
@@ -343,11 +341,61 @@ def test_vtmu_checks_share_one_element_list_and_bgx_reads_the_run_profiles(monke
 
     monkeypatch.setattr(AlcoveProfile, "build", classmethod(building))
     results = {r.check_id: r for r in audit.run_battery(system, sid(system), 3, 1)}
-    assert listings == {3: 1}
+    assert listings == {3 + 3: 1}  # the bound plus A2's three positive roots
     assert results["vtmu-elements"].detail == "12 v t^mu elements verified"
     assert results["bgx-formula-vs-alcove"].detail == (
         "12 (v, mu) pairs: formula == alcove computation")
     assert not outside
+
+
+def test_run_memo_keeps_makers_with_equal_arguments_apart():
+    """``_elements`` and ``_vtmu_elements`` take the same (system, bound):
+    within a run each keeps its own entry, made once."""
+    system = RootSystem.from_descriptor("A2")
+    memo = {}
+    token = audit._RUN.set(memo)
+    try:
+        elements = audit._elements(system, 3)
+        vtmu = audit._vtmu_elements(system, 3)
+        assert audit._elements(system, 3) is elements
+        assert audit._vtmu_elements(system, 3) is vtmu
+    finally:
+        audit._RUN.reset(token)
+    assert len(memo) == 2
+    assert elements == tuple(enumerate_affine(system, 3))
+    assert len(vtmu) == 12 and all(x.length <= 3 for _, _, x in vtmu)
+
+
+def _dominant_coweights_by_recursion(system, length_bound):
+    """The nested recursion the product search replaced: extend a prefix one
+    coordinate at a time, stopping a coordinate once the prefix, padded
+    with zeros, is too long."""
+    out = []
+
+    def rec(prefix):
+        if len(prefix) == system.rank:
+            if translation_length(system, prefix) <= length_bound:
+                out.append(tuple(prefix))
+            return
+        for c in range(length_bound + 1):
+            cand = prefix + [c]
+            partial = tuple(cand + [0] * (system.rank - len(cand)))
+            if translation_length(system, partial) > length_bound:
+                break
+            rec(cand)
+
+    rec([])
+    return out
+
+
+@pytest.mark.parametrize("descriptor", [
+    "A1", "A2", "G2", "B2", "C2", "A1+A1", "A3", "B3", "C3", "D4", "A2+A1", "A4", "F4",
+    "D5", "E6", "B4"])
+def test_dominant_coweights_match_the_nested_recursion(descriptor):
+    system = RootSystem.from_descriptor(descriptor)
+    for length_bound in range(25):
+        assert audit._dominant_coweights(system, length_bound) == (
+            _dominant_coweights_by_recursion(system, length_bound)), length_bound
 
 
 # -- each check shown able to fail ---------------------------------------------------
@@ -360,6 +408,10 @@ def _changed(owner, name: str, change):
         original = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *args: change(original(*args), *args))
     return install
+
+
+def _always_full(letters, w, sigma):
+    return frozenset(range(w.system.rank))
 
 
 # check id -> (break, run on A2, the failing detail)
@@ -425,17 +477,72 @@ _BREAKS = {
                  lambda value, *args: value if value is None else value + 1),
         lambda a2: audit.check_dim_recursion_consistency(a2, sid(a2), KottwitzClass.zero(a2), 6),
         "single-strip formula disagrees with propagation"),
+    "reflection-coweight-identity": (
+        _changed(audit, "reduced_word", lambda word, w: word[::-1]),
+        audit.check_reflection_coweight_identity,
+        "identity fails"),
+    "coweight-difference-support-span": (
+        _changed(audit, "support", lambda letters, w: frozenset()),
+        audit.check_coweight_difference_span,
+        "difference leaves the support span"),
+    "radical-closed-positivizable": (
+        _changed(audit, "subset_predicates",
+                 lambda props, *args: dataclasses.replace(props, radical=False)),
+        lambda a2: audit.check_radical_closed_positivizable(a2, 1),
+        "generator produced a non-radical-closed set"),
+    "sandwich-positivizer-postcheck": (
+        _changed(audit, "sandwich_positivizer", lambda w, system, *args: longest_element(system)),
+        lambda a2: audit.check_sandwich_postcondition(a2, 1),
+        "witness fails an inclusion"),
+    "wronglem-search": (
+        lambda monkeypatch: monkeypatch.setattr(
+            audit, "sigma_stable_subsets",
+            lambda system, sigma, proper_only: sigma_stable_subsets(system, sigma, False)),
+        lambda a2: audit.check_wronglem_search([(a2, sid(a2))]),
+        "nonzero dominant coweight in a proper span"),
+    "parabolic-newton-difference": (
+        _changed(audit, "_newton_difference_span",
+                 lambda span, x, sigma: frozenset(range(x.system.rank))),
+        lambda a2: audit.check_parabolic_newton_difference(a2, sid(a2), 3),
+        "difference leaves the J-span"),
+    "vtmu-elements": (
+        _changed(audit, "sigma_support", _always_full),
+        lambda a2: audit.check_vtmu_elements(a2, sid(a2), 3),
+        "criterion differs from the all-supports test"),
+    "shrunken-specialization": (
+        _changed(audit, "sigma_support", _always_full),
+        lambda a2: audit.check_shrunken_specialization(a2, sid(a2), 3),
+        "criterion differs from the single support test"),
+    "one-strip-two-support": (
+        _changed(audit, "sigma_support", lambda letters, w, sigma: frozenset()),
+        lambda a2: audit.check_one_strip_two_support(a2, sid(a2), 3),
+        "two-support test disagrees with the criterion"),
+    "shortcut-precondition-central": (
+        _changed(audit, "shortcut_applies", lambda applies, *args: True),
+        lambda a2: audit.check_shortcut_precondition_central(a2, sid(a2), 3),
+        "finite-support element with noncentral Newton point"),
+    "oracle-reduction-vs-literal": (
+        _changed(audit, "_violated_supports", lambda mask, profile, w: 0),
+        lambda a2: audit.check_oracle_reduction_vs_literal(a2, sid(a2), 3),
+        "reduction disagrees with the literal conditions"),
+    "translation-elements": (
+        _changed(audit, "newton", lambda point, *args: point if not point.is_central() else
+                 NewtonPoint(point.numerators, (1,) * len(point.numerators), point.denominator)),
+        lambda a2: audit.check_translation_elements(a2, sid(a2), 3),
+        "translation verdict differs from centrality"),
 }
 
-# the checks no test yet shows failing; conjecture-audit is informational and
-# always passes
-_NOT_YET_BROKEN = {
-    "reflection-coweight-identity", "coweight-difference-support-span",
-    "radical-closed-positivizable", "sandwich-positivizer-postcheck",
-    "shortcut-precondition-central", "jrx-postcondition", "oracle-reduction-vs-literal",
-    "shrunken-specialization", "one-strip-two-support", "translation-elements",
-    "vtmu-elements", "wronglem-search", "parabolic-newton-difference", "conjecture-audit",
+# check id -> (break, run on A2, the message of the InternalCheckError raised):
+# a check that reports its failure by raising
+_RAISES = {
+    "jrx-postcondition": (
+        _changed(adlv.criterion, "is_jw_alcove", lambda is_alcove, *args: False),
+        lambda a2: audit.check_jrx_postcondition(a2, sid(a2), 3),
+        "x is not a (J_{r,x}, v_x r^{-1})-alcove"),
 }
+
+# conjecture-audit is informational and always passes
+_NOT_YET_BROKEN = {"conjecture-audit"}
 
 
 @pytest.mark.parametrize("check_id", sorted(_BREAKS))
@@ -449,8 +556,19 @@ def test_check_fails_when_its_reference_is_broken(monkeypatch, check_id):
     assert result.detail == detail
 
 
+@pytest.mark.parametrize("check_id", sorted(_RAISES))
+def test_check_raises_when_its_postcondition_is_broken(monkeypatch, check_id):
+    install, run, message = _RAISES[check_id]
+    system = RootSystem.from_descriptor("A2")
+    install(monkeypatch)
+    with pytest.raises(InternalCheckError) as raised:
+        run(system)
+    assert str(raised.value) == message
+
+
 def test_every_battery_check_is_shown_failing_or_listed():
     system = RootSystem.from_descriptor("A2")
     battery = {r.check_id for r in audit.run_battery(system, sid(system), 1, 1)}
-    assert not set(_BREAKS) & _NOT_YET_BROKEN
-    assert set(_BREAKS) | _NOT_YET_BROKEN == battery
+    shown = [set(_BREAKS), set(_RAISES), _NOT_YET_BROKEN]
+    assert sum(map(len, shown)) == len(set().union(*shown))
+    assert set().union(*shown) == battery

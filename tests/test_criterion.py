@@ -796,9 +796,9 @@ def test_wronglem_battery():
 
 def test_reflection_identity_battery(a2, b2, a3):
     # exhaustive at the stated ranges: length <= 4, coordinates <= 3, rank <= 3
-    assert audit.check_reflection_coweight_identity(a2, 4, 3).passed
-    assert audit.check_reflection_coweight_identity(b2, 4, 3).passed
-    assert audit.check_reflection_coweight_identity(a3, 4, 3).passed
+    assert audit.check_reflection_coweight_identity(a2).passed
+    assert audit.check_reflection_coweight_identity(b2).passed
+    assert audit.check_reflection_coweight_identity(a3).passed
 
 
 def test_coweight_difference_battery(a2, b2, a3):

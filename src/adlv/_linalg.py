@@ -1,22 +1,21 @@
 """Small exact linear algebra: products, inverses, affine solves, feasibility.
 
-Everything here works on tuples of tuples with int/Fraction entries and stays
-exact: products of integer matrices stay in integers, as does the elimination
-of ``integer_inverse``, which gives the inverse as integer rows over one
-determinant; the other solvers work over Fraction.  Sizes are tiny (matrices
-up to the root-system rank), so plain Gaussian elimination is the right tool.
+Everything here works on tuples of tuples and stays exact.  Products of
+integer matrices stay in integers, and so do the solvers: ``integer_inverse``
+gives the inverse as integer rows over one determinant, ``solve_affine`` the
+solutions as integer vectors over one denominator, and ``feasible`` runs
+Fourier-Motzkin on integer constraints.  ``invert`` is the one solver left
+over Fraction: it is the Gauss-Jordan reference for ``integer_inverse``.
+Sizes are tiny (matrices up to the root-system rank), so plain elimination
+is the right tool.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 Matrix = tuple[tuple[Fraction, ...], ...]
-Vector = tuple[Fraction, ...]
-
-
-def _to_rows(matrix) -> list[list[Fraction]]:
-    return [[Fraction(entry) for entry in row] for row in matrix]
 
 
 def mat_mul(a, b) -> Matrix:
@@ -31,9 +30,8 @@ def mat_mul(a, b) -> Matrix:
 def invert(matrix) -> Matrix:
     """Exact inverse of a square matrix; raises ValueError if singular."""
     n = len(matrix)
-    rows = _to_rows(matrix)
-    aug = [rows[i] + [Fraction(1) if j == i else Fraction(0) for j in range(n)]
-           for i in range(n)]
+    aug = [[Fraction(entry) for entry in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(matrix)]
     for col in range(n):
         pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
         if pivot is None:
@@ -72,46 +70,58 @@ def integer_inverse(matrix) -> tuple[tuple[tuple[int, ...], ...], int]:
     return tuple(tuple(row[n:]) for row in aug), previous
 
 
-def solve_affine(matrix, rhs) -> tuple[Vector, tuple[Vector, ...]] | None:
-    """Solve matrix·v = rhs; return (particular solution, kernel basis) or None.
+def _primitive(row) -> tuple[int, ...]:
+    """An integer row divided by the gcd of its entries (a zero row as it is)."""
+    g = gcd(*row)
+    return tuple(entry // g for entry in row) if g > 1 else tuple(row)
 
-    The kernel basis spans the full solution set v = particular + span(basis).
+
+def solve_affine(matrix, rhs) -> tuple[tuple[int, ...], int, tuple[tuple[int, ...], ...]] | None:
+    """Solve matrix·v = rhs over the rationals for an integer system; return
+    (p, d, basis) with integers and d > 0, the solutions being exactly
+    v = (p + span(basis)) / d, or None if there are none.
+
+    Gauss-Jordan elimination without fractions: each row update is an integer
+    combination of two rows, divided by the gcd of its entries.
     """
     n_rows = len(matrix)
     n_cols = len(matrix[0]) if n_rows else 0
-    aug = [list(row) + [Fraction(rhs[i])] for i, row in enumerate(_to_rows(matrix))]
+    aug = [_primitive((*row, rhs[i])) for i, row in enumerate(matrix)]
     pivots: list[int] = []
     r = 0
     for col in range(n_cols):
-        pivot = next((i for i in range(r, n_rows) if aug[i][col] != 0), None)
+        pivot = next((i for i in range(r, n_rows) if aug[i][col]), None)
         if pivot is None:
             continue
         aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv_p = 1 / aug[r][col]
-        aug[r] = [entry * inv_p for entry in aug[r]]
+        lead = aug[r]
+        p = lead[col]
         for i in range(n_rows):
-            if i != r and aug[i][col] != 0:
-                factor = aug[i][col]
-                aug[i] = [entry - factor * lead for entry, lead in zip(aug[i], aug[r])]
+            factor = aug[i][col]
+            if i != r and factor:
+                aug[i] = _primitive([p * entry - factor * top for entry, top in zip(aug[i], lead)])
         pivots.append(col)
         r += 1
         if r == n_rows:
             break
-    for i in range(r, n_rows):
-        if aug[i][n_cols] != 0:
-            return None
-    particular = [Fraction(0)] * n_cols
-    for row_idx, col in enumerate(pivots):
-        particular[col] = aug[row_idx][n_cols]
-    free = [c for c in range(n_cols) if c not in pivots]
+    if any(aug[i][n_cols] for i in range(r, n_rows)):
+        return None
+    # row k reads aug[k][pivots[k]] * v[pivots[k]] + (free terms) = aug[k][n_cols]
+    d = lcm(*(abs(aug[k][col]) for k, col in enumerate(pivots)))
+    scales = [d // aug[k][col] for k, col in enumerate(pivots)]
+    particular = [0] * n_cols
+    for k, col in enumerate(pivots):
+        particular[col] = aug[k][n_cols] * scales[k]
     basis = []
-    for f in free:
-        vec = [Fraction(0)] * n_cols
-        vec[f] = Fraction(1)
-        for row_idx, col in enumerate(pivots):
-            vec[col] = -aug[row_idx][f]
-        basis.append(tuple(vec))
-    return tuple(particular), tuple(basis)
+    for f in range(n_cols):
+        if f not in pivots:
+            vec = [0] * n_cols
+            vec[f] = d
+            for k, col in enumerate(pivots):
+                vec[col] = -aug[k][f] * scales[k]
+            basis.append(_primitive(vec))
+    g = gcd(d, *particular)
+    return tuple(c // g for c in particular), d // g, tuple(basis)
 
 
 def fixed_space_dimension(matrix) -> int:
@@ -134,26 +144,16 @@ def fixed_space_dimension(matrix) -> int:
     return n - rank
 
 
-def feasible(constraints: list[tuple[Vector, Fraction]], n_vars: int) -> bool:
-    """Fourier-Motzkin feasibility of {t : coeffs·t + const >= 0 for each constraint}."""
-    system = [(tuple(Fraction(c) for c in coeffs), Fraction(const))
-              for coeffs, const in constraints]
-    for var in range(n_vars):
-        lower, upper, rest = [], [], []
-        for coeffs, const in system:
-            c = coeffs[var]
-            if c > 0:
-                lower.append((coeffs, const))
-            elif c < 0:
-                upper.append((coeffs, const))
-            else:
-                rest.append((coeffs, const))
-        new_system = rest
-        for lc, lk in lower:
-            for uc, uk in upper:
-                # eliminate var between lc·t + lk >= 0  (t_var >= ...) and uc·t + uk >= 0
-                scale_l, scale_u = -uc[var], lc[var]
-                coeffs = tuple(scale_l * a + scale_u * b for a, b in zip(lc, uc))
-                new_system.append((coeffs, scale_l * lk + scale_u * uk))
-        system = new_system
-    return all(const >= 0 for _, const in system)
+def feasible(constraints, n_vars: int) -> bool:
+    """Fourier-Motzkin feasibility over the rationals of {t : c[0] + c[1:]·t >= 0
+    for each constraint c}, constraints being integer tuples of length
+    n_vars + 1.  Each pair of a lower and an upper bound on a variable is
+    combined with positive integer multipliers, and kept primitive."""
+    system = {_primitive(c) for c in constraints}
+    for var in range(1, n_vars + 1):
+        lower = [c for c in system if c[var] > 0]
+        upper = [c for c in system if c[var] < 0]
+        system = {c for c in system if not c[var]}
+        system.update(_primitive([-u[var] * a + l[var] * b for a, b in zip(l, u)])
+                      for l in lower for u in upper)
+    return all(c[0] >= 0 for c in system)

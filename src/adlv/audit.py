@@ -254,13 +254,13 @@ def check_coweight_difference_span(system: RootSystem) -> CheckResult:
     mu with coordinates -2..2."""
     cid = "coweight-difference-support-span"
     grid = list(product(range(-2, 3), repeat=system.rank))
+    det = system.determinant
     for w in enumerate_w0(system):
         supp = support(w)
         for mu in grid:
             diff = tuple(map(sub, mu, w.act_on_coweight(mu)))
-            coords = system.coroot_coordinates(diff)
-            for i, c in enumerate(coords):
-                if c.denominator != 1 or (c != 0 and i not in supp):
+            for i, c in enumerate(system.coroot_numerators(diff)):
+                if c % det or (c and i not in supp):
                     return _fail(cid, "difference leaves the support span",
                                  {"w": format_finite(w), "mu": list(mu), "i": i})
     return _ok(cid, f"verified over {len(grid)} coweights x |W0| elements")
@@ -1087,7 +1087,7 @@ def check_wronglem_search(systems_with_sigma) -> CheckResult:
             j_list = sorted(j_set)
             for coeffs in product(range(-3, 4), repeat=len(j_list)):
                 searched += 1
-                mu = [Fraction(0)] * system.rank
+                mu = [0] * system.rank
                 for c, j in zip(coeffs, j_list):
                     for k in range(system.rank):
                         mu[k] += c * system.cartan_matrix[j][k]

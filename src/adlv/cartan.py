@@ -190,9 +190,9 @@ class RootSystem:
                 for j in range(comp.rank):
                     cartan[comp.start + i][comp.start + j] = block[i][j]
         self.cartan_matrix: tuple[tuple[int, ...], ...] = tuple(tuple(r) for r in cartan)
-        rows, self._determinant = _linalg.integer_inverse(self.cartan_matrix)
+        rows, self.determinant = _linalg.integer_inverse(self.cartan_matrix)
         self.inverse_cartan: tuple[tuple[Fraction, ...], ...] = tuple(
-            tuple(Fraction(entry, self._determinant) for entry in row) for row in rows)
+            tuple(Fraction(entry, self.determinant) for entry in row) for row in rows)
         self._adjugate_columns = tuple(zip(*rows))
 
         pos: list[Root] = []
@@ -254,16 +254,20 @@ class RootSystem:
             raise ValueError("dimension mismatch")
         return sum(a * m for a, m in zip(root, mu))
 
-    def coroot_coordinates(self, mu) -> tuple[Fraction, ...]:
-        """Coordinates c with mu = sum_i c_i * alpha_i^v (inverse-Cartan
-        transform), as Fractions: the inverse is the integer rows of
-        ``integer_inverse`` over their determinant, so c_i is one dot product
-        with column i of those rows and one division."""
+    def coroot_numerators(self, mu) -> tuple:
+        """The coroot coordinates of mu times ``determinant``, the Cartan
+        matrix's (positive) determinant: the dot products of mu with the
+        columns of the integer rows of ``integer_inverse``, so integers for
+        an integral mu."""
         if len(mu) != self.rank:
             raise ValueError("dimension mismatch")
-        det = self._determinant
-        return tuple([Fraction(sum(map(mul, column, mu)), det)
-                      for column in self._adjugate_columns])
+        return tuple([sum(map(mul, column, mu)) for column in self._adjugate_columns])
+
+    def coroot_coordinates(self, mu) -> tuple[Fraction, ...]:
+        """Coordinates c with mu = sum_i c_i * alpha_i^v (inverse-Cartan
+        transform), as Fractions: each numerator over the determinant."""
+        det = self.determinant
+        return tuple([Fraction(c, det) for c in self.coroot_numerators(mu)])
 
     def in_coweight_lattice(self, mu) -> bool:
         return all(type(c) is int or Fraction(c).denominator == 1 for c in mu)

@@ -545,8 +545,9 @@ def affine_sigma_support(x: AffineElement, sigma: DiagramAutomorphism,
 def fixes_point_of_closed_base_alcove(x: AffineElement, sigma: DiagramAutomorphism) -> bool:
     """Whether the affine map p -> x(sigma(p)) fixes a point of the closed base alcove.
 
-    Exact: solve the fixed-point equation over the rationals, then test the
-    alcove inequalities on the solution subspace by Fourier-Motzkin.
+    Exact, in integers: solve the fixed-point equation as p = (q + sum_f s_f b_f) / d,
+    then test the alcove inequalities <alpha_i, p> >= 0 and <theta, p> <= 1,
+    scaled by d, on the parameters s by Fourier-Motzkin.
     """
     system = x.system
     n = system.rank
@@ -554,18 +555,14 @@ def fixes_point_of_closed_base_alcove(x: AffineElement, sigma: DiagramAutomorphi
     shifted = tuple(
         tuple(m[i][j] - (1 if i == j else 0) for j in range(n)) for i in range(n)
     )
-    solved = _linalg.solve_affine(shifted, tuple(-Fraction(c) for c in x.translation))
+    solved = _linalg.solve_affine(shifted, tuple(-c for c in x.translation))
     if solved is None:
         return False
-    particular, basis = solved
-    constraints = []
-    for i in range(n):
-        alpha = tuple(1 if k == i else 0 for k in range(n))
-        coeffs = tuple(system.pair(alpha, b) for b in basis)
-        constraints.append((coeffs, system.pair(alpha, particular)))
+    particular, d, basis = solved
+    constraints = [(particular[i], *(b[i] for b in basis)) for i in range(n)]
     for theta in system.highest_roots:
-        coeffs = tuple(-system.pair(theta, b) for b in basis)
-        constraints.append((coeffs, 1 - system.pair(theta, particular)))
+        constraints.append((d - system.pair(theta, particular),
+                            *(-system.pair(theta, b) for b in basis)))
     return _linalg.feasible(constraints, len(basis))
 
 

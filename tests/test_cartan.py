@@ -189,6 +189,17 @@ def test_coroot_coordinates_match_the_inverse_cartan_product(descriptor):
         assert all(type(c) is Fraction for c in coords)
 
 
+@pytest.mark.parametrize("descriptor", _INTEGER_TABLE_SYSTEMS)
+def test_coroot_numerators_over_the_determinant_are_the_coordinates(descriptor):
+    system = RootSystem.from_descriptor(descriptor)
+    n, det = system.rank, system.determinant
+    for mu in [tuple(int(j == i) for j in range(n)) for i in range(n)] + [
+            tuple(j % 5 - 2 for j in range(n)), tuple(3 - j for j in range(n))]:
+        numerators = system.coroot_numerators(mu)
+        assert all(type(c) is int for c in numerators)
+        assert tuple(Fraction(c, det) for c in numerators) == system.coroot_coordinates(mu)
+
+
 def test_integer_inverse_refuses_singular():
     with pytest.raises(ValueError):
         _linalg.integer_inverse(((2, -1), (-4, 2)))
